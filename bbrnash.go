@@ -177,6 +177,8 @@ type LinkSample = netsim.LinkSample
 var NewLinkSampler = netsim.NewLinkSampler
 
 // Congestion-control constructors, each usable as FlowConfig.Algorithm.
+// Scenario specs and experiment configs name algorithms by registry name
+// instead (see Algorithms), so every run has a canonical key.
 var (
 	CUBIC   AlgorithmConstructor = cubic.New
 	NewReno AlgorithmConstructor = reno.New
@@ -245,11 +247,13 @@ type (
 	// ExperimentScale selects fidelity (FullScale reproduces the paper's
 	// protocol).
 	ExperimentScale = exp.Scale
-	// MixConfig describes one mixed-distribution run.
+	// MixConfig describes one mixed-distribution run; X is a registry
+	// algorithm name ("" means "bbr"), as in every experiment config.
 	MixConfig = exp.MixConfig
 	// MixResult aggregates a run.
 	MixResult = exp.MixResult
-	// NESearchConfig describes an empirical equilibrium search.
+	// NESearchConfig describes an empirical equilibrium search; its
+	// Utility field selects a §4.3 utility (nil means throughput only).
 	NESearchConfig = exp.NESearchConfig
 	// NESearchResult is its outcome.
 	NESearchResult = exp.NESearchResult
@@ -261,7 +265,8 @@ type (
 	GroupConfig = exp.GroupConfig
 	// GroupResult carries its per-group class averages.
 	GroupResult = exp.GroupResult
-	// UtilityFunc scores a flow's throughput/delay outcome (§4.3).
+	// UtilityFunc scores a flow's throughput/delay outcome (§4.3); set
+	// one as NESearchConfig.Utility.
 	UtilityFunc = exp.UtilityFunc
 	// Figure is one reproducible paper artifact.
 	Figure = exp.Figure
@@ -290,10 +295,10 @@ var (
 	RunMix = exp.RunMix
 	// RunMixTrials averages RunMix over jittered trials.
 	RunMixTrials = exp.RunMixTrials
-	// FindNE searches for empirical Nash Equilibria.
+	// FindNE searches for empirical Nash Equilibria, under the
+	// throughput-only game or the §4.3 utility set as
+	// NESearchConfig.Utility.
 	FindNE = exp.FindNE
-	// FindNEUtility is FindNE under an arbitrary utility function (§4.3).
-	FindNEUtility = exp.FindNEUtility
 	// LinearUtility builds α·throughput − γ·delay utilities.
 	LinearUtility = exp.LinearUtility
 	// ThroughputUtility is the paper's default utility.

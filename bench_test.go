@@ -22,13 +22,13 @@ import (
 	"bbrnash/internal/cc"
 	"bbrnash/internal/cc/bbr"
 	"bbrnash/internal/cc/cubic"
-	"bbrnash/internal/cc/reno"
 	"bbrnash/internal/core"
 	"bbrnash/internal/eventsim"
 	"bbrnash/internal/exp"
 	"bbrnash/internal/netsim"
 	"bbrnash/internal/numeric"
 	"bbrnash/internal/runner"
+	"bbrnash/internal/scenario"
 	"bbrnash/internal/units"
 )
 
@@ -98,51 +98,6 @@ func BenchmarkFig11b(b *testing.B) { benchmarkFigure(b, "11b", true) }
 func BenchmarkFig12(b *testing.B)  { benchmarkFigure(b, "12", false) }
 
 // Micro-benchmarks of the substrate.
-
-// BenchmarkEventLoop measures raw discrete-event throughput.
-func BenchmarkEventLoop(b *testing.B) {
-	var loop eventsim.Loop
-	count := 0
-	var tick func()
-	tick = func() {
-		count++
-		loop.After(time.Microsecond, tick)
-	}
-	loop.After(0, tick)
-	b.ResetTimer()
-	loop.Run(eventsim.At(time.Duration(b.N) * time.Microsecond))
-	if count == 0 {
-		b.Fatal("no events ran")
-	}
-}
-
-// BenchmarkNetsimSecond measures how fast the simulator advances one second
-// of a loaded 10-flow bottleneck (reported as events per op).
-func BenchmarkNetsimSecond(b *testing.B) {
-	n, err := netsim.New(netsim.Config{
-		Capacity: 100 * units.Mbps,
-		Buffer:   units.BufferBytes(100*units.Mbps, 40*time.Millisecond, 3),
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		if _, err := n.AddFlow(netsim.FlowConfig{RTT: 40 * time.Millisecond, Algorithm: bbr.New}); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := n.AddFlow(netsim.FlowConfig{RTT: 40 * time.Millisecond, Algorithm: cubic.New}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	n.Run(5 * time.Second) // warm up
-	start := n.Events()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		n.Run(time.Second)
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(n.Events()-start)/float64(b.N), "events/op")
-}
 
 // BenchmarkModelPredict measures one closed-form model evaluation.
 func BenchmarkModelPredict(b *testing.B) {
@@ -345,7 +300,7 @@ func BenchmarkAblationCubicVsReno(b *testing.B) {
 			Buffer:   units.BufferBytes(100*units.Mbps, 80*time.Millisecond, 1),
 			RTT:      80 * time.Millisecond,
 			Duration: 2 * time.Minute,
-			X:        reno.New,
+			X:        "reno",
 			NumX:     1, NumCubic: 1,
 		})
 		if err != nil {
@@ -375,14 +330,10 @@ func abs(v float64) float64 {
 // runnerSweep is the benchmark workload: a 4-point buffer sweep, two
 // jittered trials per point, short flows.
 func runnerSweep(b *testing.B, s exp.Scale) {
-	_, err := s.SweepMix(21, 4, func(i int) exp.MixConfig {
-		return exp.MixConfig{
-			Capacity: 50 * units.Mbps,
-			Buffer:   units.BufferBytes(50*units.Mbps, 40*time.Millisecond, float64(2*i+1)),
-			RTT:      40 * time.Millisecond,
-			Duration: 4 * time.Second,
-			NumX:     1, NumCubic: 1,
-		}
+	_, err := s.Sweep(21, 4, func(i int) scenario.Spec {
+		return scenario.Mix("bbr", 1, 1, 50*units.Mbps,
+			units.BufferBytes(50*units.Mbps, 40*time.Millisecond, float64(2*i+1)),
+			40*time.Millisecond, 4*time.Second)
 	})
 	if err != nil {
 		b.Fatal(err)

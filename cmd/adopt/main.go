@@ -157,18 +157,23 @@ func run() (code int) {
 	}
 
 	out := io.Writer(os.Stdout)
+	var outFile *os.File
 	if *outPath != "" {
-		f, err := os.Create(*outPath)
-		if err != nil {
+		if outFile, err = os.Create(*outPath); err != nil {
 			return fail(err)
 		}
-		defer f.Close()
-		out = f
+		defer outFile.Close() // early exits; the success path checks Close
+		out = outFile
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	defer saveCache(cache, *cachePath)
+	// A failed trajectory write cancels the run: the rest of the
+	// trajectory could not be written either.
+	runCtx, cancelRun := context.WithCancel(ctx)
+	defer cancelRun()
+	var writeErr error
 
 	res, err := adopt.Run(adopt.Config{
 		Capacity:    capacity,
@@ -189,12 +194,16 @@ func run() (code int) {
 		Pool:        pool,
 		Cache:       cache,
 		Journal:     journal,
-		Ctx:         ctx,
+		Ctx:         runCtx,
 		Audit:       audit,
 		Trace:       rec,
 		OnRecord: func(r adopt.Record) {
-			if err := adopt.WriteJSONL(out, []adopt.Record{r}); err != nil {
-				fmt.Fprintln(os.Stderr, "adopt:", err)
+			if writeErr != nil {
+				return
+			}
+			if writeErr = adopt.WriteJSONL(out, []adopt.Record{r}); writeErr != nil {
+				cancelRun()
+				return
 			}
 			if *progress {
 				fmt.Fprintf(os.Stderr, "adopt: generation %d/%d mean payoff %.3f Mbps\n",
@@ -202,8 +211,16 @@ func run() (code int) {
 			}
 		},
 	})
+	if writeErr != nil {
+		return fail(fmt.Errorf("writing trajectory: %w", writeErr))
+	}
 	if err != nil {
 		return report(ctx, err)
+	}
+	if outFile != nil {
+		if err := outFile.Close(); err != nil {
+			return fail(fmt.Errorf("writing trajectory: %w", err))
+		}
 	}
 
 	fmt.Fprintf(os.Stderr, "adopt: %d agents, %d generations in %v (%d simulations, %d cache hits)\n",

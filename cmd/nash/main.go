@@ -137,8 +137,7 @@ func run() (code int) {
 			return fail(err)
 		}
 	}
-	ctor, err := cc.AlgorithmByName(*alg)
-	if err != nil {
+	if _, err := cc.AlgorithmByName(*alg); err != nil {
 		return fail(err)
 	}
 	pool = runner.NewPool(*workers).SetWatchdog(*timeout).SetRetry(*retries, time.Second)
@@ -176,7 +175,7 @@ func run() (code int) {
 		res, err := exp.FindNE(exp.NESearchConfig{
 			Capacity: capacity, Buffer: buffer, RTT: rtt, N: *n,
 			Duration: scale.FlowDuration, Seed: uint64(trial+1) * 1e6,
-			X: ctor, Exhaustive: scale.Exhaustive, Backend: *backendF,
+			X: *alg, Exhaustive: scale.Exhaustive, Backend: *backendF,
 			Pool: pool, Cache: cache, Journal: journal, Ctx: ctx, Audit: audit, Trace: rec,
 		})
 		if err != nil {

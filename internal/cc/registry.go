@@ -2,7 +2,6 @@ package cc
 
 import (
 	"fmt"
-	"reflect"
 	"sort"
 	"strings"
 	"sync"
@@ -12,16 +11,14 @@ import (
 // register themselves from init (see internal/cc/bbr etc.), so the maps are
 // built exactly once, at program start, and every layer — the scenario
 // spec, the experiment harness, the CLIs — resolves names through the same
-// table. The reverse map (constructor code pointer → name) is what lets a
-// scenario's canonical key identify its algorithm mix.
+// table. A scenario names its algorithms, so the name is what a canonical
+// scenario key records.
 var registry = struct {
 	mu     sync.RWMutex
 	byName map[string]Constructor
-	byPtr  map[uintptr]string
 	names  []string // sorted; rebuilt on registration
 }{
 	byName: map[string]Constructor{},
-	byPtr:  map[uintptr]string{},
 }
 
 // Register adds a constructor under name. Algorithm packages call it from
@@ -42,7 +39,6 @@ func Register(name string, ctor Constructor) {
 		panic(fmt.Sprintf("cc: algorithm %q registered twice", name))
 	}
 	registry.byName[name] = ctor
-	registry.byPtr[reflect.ValueOf(ctor).Pointer()] = name
 	registry.names = append(registry.names, name)
 	sort.Strings(registry.names)
 }
@@ -64,18 +60,4 @@ func AlgorithmByName(name string) (Constructor, error) {
 			name, strings.Join(Algorithms(), ", "))
 	}
 	return ctor, nil
-}
-
-// NameOf maps a registry constructor back to its name, so canonical
-// scenario keys can identify an algorithm mix. Constructors outside the
-// registry (test closures, option-wrapped variants) have no canonical name;
-// scenarios running them are uncacheable.
-func NameOf(ctor Constructor) (string, bool) {
-	if ctor == nil {
-		return "", false
-	}
-	registry.mu.RLock()
-	defer registry.mu.RUnlock()
-	name, ok := registry.byPtr[reflect.ValueOf(ctor).Pointer()]
-	return name, ok
 }

@@ -129,21 +129,3 @@ func TestFluidBackendCachedDistinct(t *testing.T) {
 		t.Error("cached fluid result differs from fresh run")
 	}
 }
-
-// TestFluidRejectsOverrides: a fluid spec with a constructor override is a
-// loud error — packet-engine constructors have no fluid form.
-func TestFluidRejectsOverrides(t *testing.T) {
-	cfg := MixConfig{
-		Capacity: 20 * units.Mbps,
-		Buffer:   units.BufferBytes(20*units.Mbps, 30*time.Millisecond, 4),
-		RTT:      30 * time.Millisecond,
-		Duration: time.Second,
-		NumX:     1,
-		NumCubic: 1,
-		Backend:  scenario.BackendFluid,
-		X:        constantWindowCtor(10 * units.MSS),
-	}
-	if _, err := RunMix(cfg); err == nil {
-		t.Error("RunMix accepted a fluid run with a non-registry constructor")
-	}
-}

@@ -18,10 +18,10 @@ import (
 	"fmt"
 	"time"
 
-	"bbrnash/internal/cc"
 	"bbrnash/internal/check"
 	"bbrnash/internal/netsim"
 	"bbrnash/internal/runner"
+	"bbrnash/internal/scenario"
 	"bbrnash/internal/telemetry"
 	"bbrnash/internal/units"
 )
@@ -143,8 +143,8 @@ type MixConfig struct {
 	Duration time.Duration
 	// Seed controls start jitter; the same seed reproduces the run.
 	Seed uint64
-	// X is the non-CUBIC algorithm (defaults to BBR).
-	X        cc.Constructor
+	// X names the non-CUBIC algorithm in the cc registry ("" means "bbr").
+	X        string
 	NumX     int
 	NumCubic int
 	// Backend selects the execution engine (see scenario.Backends); empty
@@ -172,8 +172,7 @@ type MixResult struct {
 // RunMix executes one mixed-distribution simulation: the config is
 // compiled to its scenario.Spec and run through the shared spec path.
 func RunMix(cfg MixConfig) (MixResult, error) {
-	sp, override, _ := cfg.spec()
-	res, err := runSpecOverride(context.Background(), sp, override, nil)
+	res, err := RunSpec(cfg.spec())
 	if err != nil {
 		return MixResult{}, err
 	}
@@ -187,14 +186,15 @@ func RunMixTrials(cfg MixConfig, trials int, seed uint64) (MixResult, error) {
 	return Scale{Trials: trials}.RunMixTrials(cfg, seed)
 }
 
-// RunMixTrials averages RunMix over the scale's trial count, fanning the
-// trials through the scale's Pool and Cache.
+// RunMixTrials averages RunMix over the scale's trial count: a one-point
+// Sweep of the mix's spec, fanned through the scale's Pool and Cache and
+// projected back into the mix's class view.
 func (s Scale) RunMixTrials(cfg MixConfig, seed uint64) (MixResult, error) {
-	out, err := s.SweepMix(seed, 1, func(int) MixConfig { return cfg })
+	pts, err := s.Sweep(seed, 1, func(int) scenario.Spec { return cfg.spec() })
 	if err != nil {
 		return MixResult{}, err
 	}
-	return out[0], nil
+	return mixPoint(pts[0]), nil
 }
 
 // GroupConfig describes a multi-RTT run: flows come in same-RTT groups and
@@ -204,7 +204,8 @@ type GroupConfig struct {
 	Buffer   units.Bytes
 	Duration time.Duration
 	Seed     uint64
-	X        cc.Constructor
+	// X names the non-CUBIC algorithm in the cc registry ("" means "bbr").
+	X string
 	// RTTs and Sizes describe the groups; NumX[i] of Sizes[i] flows in
 	// group i run X.
 	RTTs  []time.Duration
@@ -226,11 +227,11 @@ type GroupResult struct {
 // its scenario.Spec (two spec groups per RTT group) and run through the
 // shared spec path.
 func RunGroups(cfg GroupConfig) (GroupResult, error) {
-	sp, override, _, err := cfg.spec()
+	sp, err := cfg.spec()
 	if err != nil {
 		return GroupResult{}, err
 	}
-	res, err := runSpecOverride(context.Background(), sp, override, nil)
+	res, err := RunSpec(sp)
 	if err != nil {
 		return GroupResult{}, err
 	}

@@ -22,7 +22,7 @@ func TestSweepMixCancelledContext(t *testing.T) {
 	s.Ctx = ctx
 
 	start := time.Now()
-	_, err := s.SweepMix(1, 4, func(int) MixConfig { return smokeMix() })
+	_, err := s.Sweep(1, 4, func(int) scenario.Spec { return smokeMix().spec() })
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -38,12 +38,12 @@ func TestSweepMixCancelledContext(t *testing.T) {
 func TestSweepMixFailureNamesScenario(t *testing.T) {
 	s := testScale()
 	s.Pool = runner.NewPool(2)
-	_, err := s.SweepMix(1, 2, func(i int) MixConfig {
+	_, err := s.Sweep(1, 2, func(i int) scenario.Spec {
 		cfg := smokeMix()
 		if i == 1 {
-			cfg.Duration = 0 // RunMix rejects non-positive durations
+			cfg.Duration = 0 // specs reject non-positive durations
 		}
-		return cfg
+		return cfg.spec()
 	})
 	if err == nil {
 		t.Fatal("expected sweep failure")
@@ -68,19 +68,16 @@ func TestSweepMixAuditClean(t *testing.T) {
 	s.Cache = runner.NewCache()
 	s.Audit = check.New()
 
-	cfgAt := func(int) MixConfig {
-		c := smokeMix()
-		c.NumX, c.NumCubic = 2, 1
-		return c
-	}
-	if _, err := s.SweepMix(9, 1, cfgAt); err != nil {
+	cfg := smokeMix()
+	cfg.NumX, cfg.NumCubic = 2, 1
+	if _, err := s.RunMixTrials(cfg, 9); err != nil {
 		t.Fatal(err)
 	}
 	if s.Audit.Len() != 0 {
 		t.Fatalf("fresh run violated invariants: %v", s.Audit.Violations())
 	}
 	// Replay from the warm cache: the audit re-runs on cached results.
-	if _, err := s.SweepMix(9, 1, cfgAt); err != nil {
+	if _, err := s.RunMixTrials(cfg, 9); err != nil {
 		t.Fatal(err)
 	}
 	if s.Audit.Len() != 0 {

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"bbrnash/internal/cc"
-	"bbrnash/internal/cc/bbrv2"
 	"bbrnash/internal/core"
 	"bbrnash/internal/numeric"
 	"bbrnash/internal/plot"
@@ -467,16 +465,13 @@ func Fig8(s Scale) (*FigureResult, error) {
 
 // Fig9 reproduces Figure 9: the model's predicted NE region against
 // empirically found NE distributions, for 50 flows across buffer sizes.
-// extraBuf overrides the default sweep grid; algName labels the X class.
+// bufGrid overrides the default sweep grid; algName is the X class's cc
+// registry name.
 func Fig9(s Scale, id string, capacity units.Rate, rtt time.Duration, bufGrid []float64, algName string) (*FigureResult, error) {
 	const n = 50
 	grid := bufGrid
 	if grid == nil {
 		grid = s.thin([]float64{0.5, 1, 2, 3, 5, 8, 12, 16, 22, 30, 40, 50})
-	}
-	ctor, err := cc.AlgorithmByName(algName)
-	if err != nil {
-		return nil, err
 	}
 
 	var syncY, desyncY []float64
@@ -495,8 +490,9 @@ func Fig9(s Scale, id string, capacity units.Rate, rtt time.Duration, bufGrid []
 			res, err := FindNE(NESearchConfig{
 				Capacity: capacity, Buffer: buf, RTT: rtt, N: n,
 				Duration: s.FlowDuration, Seed: uint64(trial+1) * 1e6,
-				X: ctor, Exhaustive: s.Exhaustive,
-				Pool: s.Pool, Cache: s.Cache,
+				X: algName, Exhaustive: s.Exhaustive,
+				Pool: s.Pool, Cache: s.Cache, Journal: s.Journal, Ctx: s.Ctx,
+				Audit: s.Audit, Trace: s.Trace, Backend: s.Backend,
 			})
 			if err != nil {
 				return nil, err
@@ -568,7 +564,8 @@ func Fig10(s Scale) (*FigureResult, error) {
 				Capacity: capacity, Buffer: buf, RTTs: rtts, Sizes: sizes,
 				Duration: s.FlowDuration, Seed: uint64(trial+1) * 31337,
 				Exhaustive: false,
-				Pool:       s.Pool, Cache: s.Cache,
+				Pool:       s.Pool, Cache: s.Cache, Journal: s.Journal, Ctx: s.Ctx,
+				Audit: s.Audit, Trace: s.Trace, Backend: s.Backend,
 			})
 			if err != nil {
 				return nil, err
@@ -647,8 +644,9 @@ func Fig11(s Scale, id string, capacity units.Rate) (*FigureResult, error) {
 				res, err := FindNE(NESearchConfig{
 					Capacity: capacity, Buffer: buf, RTT: rtt, N: n,
 					Duration: s.FlowDuration, Seed: uint64(trial+1) * 424243,
-					X: bbrv2.New, Exhaustive: s.Exhaustive,
-					Pool: s.Pool, Cache: s.Cache,
+					X: "bbrv2", Exhaustive: s.Exhaustive,
+					Pool: s.Pool, Cache: s.Cache, Journal: s.Journal, Ctx: s.Ctx,
+					Audit: s.Audit, Trace: s.Trace, Backend: s.Backend,
 				})
 				if err != nil {
 					return nil, err

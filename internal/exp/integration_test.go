@@ -117,11 +117,13 @@ func TestUtilityNEStableUnderMildDelayWeight(t *testing.T) {
 		Duration: 2 * time.Minute,
 		Seed:     23,
 	}
-	tputOnly, err := FindNEUtility(cfg, ThroughputUtility)
+	cfg.Utility = ThroughputUtility
+	tputOnly, err := FindNE(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mildDelay, err := FindNEUtility(cfg, LinearUtility(1, 0.01))
+	cfg.Utility = LinearUtility(1, 0.01)
+	mildDelay, err := FindNE(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,7 +17,7 @@ import (
 func TestCanonicalKeyUnifiesCacheAuditAndErrors(t *testing.T) {
 	const seed = 9
 	keyFor := func(cfg MixConfig) string {
-		cfg.Seed = trialSeeds(seed, 1)[0] // the seed SweepMix assigns to trial 0
+		cfg.Seed = trialSeeds(seed, 1)[0] // the seed Sweep assigns to trial 0
 		return cfg.key()
 	}
 
@@ -38,7 +38,7 @@ func TestCanonicalKeyUnifiesCacheAuditAndErrors(t *testing.T) {
 	s.Cache.Put(key, SpecResult{
 		Groups: [][]netsim.FlowStats{{{Name: "g0.bbr0", Throughput: -1}}, {}},
 	})
-	if _, err := s.SweepMix(seed, 1, func(int) MixConfig { return cfg }); err != nil {
+	if _, err := s.RunMixTrials(cfg, seed); err != nil {
 		t.Fatal(err)
 	}
 	if s.Cache.Hits() == 0 {
@@ -60,7 +60,7 @@ func TestCanonicalKeyUnifiesCacheAuditAndErrors(t *testing.T) {
 	bad.Duration = 0
 	s2 := testScale()
 	s2.Trials = 1
-	_, err := s2.SweepMix(seed, 1, func(int) MixConfig { return bad })
+	_, err := s2.RunMixTrials(bad, seed)
 	var ue *runner.UnitError
 	if !errors.As(err, &ue) {
 		t.Fatalf("err = %v, want *runner.UnitError", err)
@@ -69,12 +69,10 @@ func TestCanonicalKeyUnifiesCacheAuditAndErrors(t *testing.T) {
 		t.Errorf("UnitError.Key = %q, want %q", ue.Key, want)
 	}
 
-	// The spec path and the mix view derive the identical key for the same
-	// scenario: Sweep and SweepMix share cache entries.
-	sp, _, canonical := cfg.spec()
-	if !canonical {
-		t.Fatal("registry mix reported uncacheable")
-	}
+	// The mix view and a figure's scenario.Mix spec derive the identical
+	// key for the same scenario, so NE payoffs and figure sweeps share
+	// cache entries.
+	sp := scenario.Mix("bbr", cfg.NumX, cfg.NumCubic, cfg.Capacity, cfg.Buffer, cfg.RTT, cfg.Duration)
 	sp.Seed = trialSeeds(seed, 1)[0]
 	if sp.Key() != key {
 		t.Errorf("spec key %q != mix key %q", sp.Key(), key)

@@ -3,12 +3,12 @@ package exp
 import (
 	"context"
 	"log"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"bbrnash/internal/cc"
 	"bbrnash/internal/check"
 	"bbrnash/internal/core"
 	"bbrnash/internal/game"
@@ -62,8 +62,15 @@ type NESearchConfig struct {
 	N        int
 	Duration time.Duration
 	Seed     uint64
-	// X is the non-CUBIC algorithm (defaults to BBR).
-	X cc.Constructor
+	// X names the non-CUBIC algorithm in the cc registry ("" means "bbr").
+	X string
+	// Utility scores each strategy's payoff from its per-flow throughput
+	// and the shared queueing delay (the §4.3 extension). Nil is the
+	// paper's throughput-only game, whose walk starts from the model's
+	// predicted equilibrium. A non-nil utility's walk starts from N/2, since
+	// the model predicts throughput equilibria only, and its eps is scaled
+	// to the utility of a fair share.
+	Utility UtilityFunc
 	// EpsFraction widens the equilibrium condition: a switch only counts
 	// as an incentive if it gains more than EpsFraction of the fair share
 	// (defaults to 5%). The paper observes that near the NE the gains are
@@ -134,6 +141,10 @@ func FindNE(cfg NESearchConfig) (NESearchResult, error) {
 	if cfg.EpsFraction == 0 {
 		cfg.EpsFraction = 0.05
 	}
+	utility := cfg.Utility
+	if utility == nil {
+		utility = ThroughputUtility
+	}
 	cache := cfg.Cache
 	if cache == nil {
 		cache = runner.NewCache()
@@ -154,11 +165,13 @@ func FindNE(cfg NESearchConfig) (NESearchResult, error) {
 			Backend:  cfg.Backend,
 		}
 	}
-	type pair struct{ x, c units.Rate }
+	type pair struct{ x, c float64 }
 	// evalErr is the fallible payoff evaluation: panic-protected and
 	// reported under the distribution's canonical scenario key. ctx is the
 	// executing unit's context when the evaluation runs through MapCtx (so
 	// the watchdog sees its heartbeats) and the search context otherwise.
+	// What is memoized is the mix result, shared by every utility; the
+	// utility is applied per lookup.
 	evalErr := func(ctx context.Context, numX int) (pair, error) {
 		mix := mixAt(numX)
 		return runner.Protect(mix.key(), func() (pair, error) {
@@ -171,7 +184,10 @@ func FindNE(cfg NESearchConfig) (NESearchResult, error) {
 			} else {
 				sims.Add(1)
 			}
-			return pair{res.PerFlowX, res.PerFlowCubic}, nil
+			return pair{
+				x: utility(res.PerFlowX, res.MeanQueueDelay),
+				c: utility(res.PerFlowCubic, res.MeanQueueDelay),
+			}, nil
 		})
 	}
 	searchCtx := ctxOr(cfg.Ctx)
@@ -183,10 +199,15 @@ func FindNE(cfg NESearchConfig) (NESearchResult, error) {
 	}
 	g := &game.SymmetricBinary{
 		N:           cfg.N,
-		PayoffX:     func(k int) float64 { return float64(eval(k).x) },
-		PayoffCubic: func(k int) float64 { return float64(eval(k).c) },
+		PayoffX:     func(k int) float64 { return eval(k).x },
+		PayoffCubic: func(k int) float64 { return eval(k).c },
 	}
 	eps := game.Epsilon(float64(cfg.Capacity), cfg.N, cfg.EpsFraction)
+	if cfg.Utility != nil {
+		// Scale eps to the utility of a fair share so EpsFraction keeps
+		// its "fraction of what is at stake" meaning.
+		eps = cfg.EpsFraction * math.Abs(cfg.Utility(cfg.Capacity/units.Rate(cfg.N), 0))
+	}
 
 	if cfg.Exhaustive {
 		// An exhaustive scan evaluates every distribution anyway, so
@@ -213,13 +234,16 @@ func FindNE(cfg NESearchConfig) (NESearchResult, error) {
 		}, nil
 	}
 
-	// Walk from the model's predicted equilibrium, then report every
-	// equilibrium in the landing zone's neighbourhood.
+	// Walk from the model's predicted equilibrium (the midpoint under a
+	// custom utility), then report every equilibrium in the landing zone's
+	// neighbourhood.
 	start := cfg.N / 2
-	if pt, err := core.PredictNash(core.NashScenario{
-		Capacity: cfg.Capacity, Buffer: cfg.Buffer, RTT: cfg.RTT, N: cfg.N,
-	}, core.Synchronized); err == nil {
-		start = int(pt.BBRFlows + 0.5)
+	if cfg.Utility == nil {
+		if pt, err := core.PredictNash(core.NashScenario{
+			Capacity: cfg.Capacity, Buffer: cfg.Buffer, RTT: cfg.RTT, N: cfg.N,
+		}, core.Synchronized); err == nil {
+			start = int(pt.BBRFlows + 0.5)
+		}
 	}
 	ks, converged := walkNeighborhood(g, cfg.N, start, eps, 3*cfg.N)
 	if err := failed.get(); err != nil {
@@ -233,9 +257,9 @@ func FindNE(cfg NESearchConfig) (NESearchResult, error) {
 	}, nil
 }
 
-// walkNeighborhood is the walk-mode search core shared by FindNE and
-// FindNEUtility: follow unilateral switching incentives from start, then
-// report every equilibrium in the landing zone's ±2 neighbourhood.
+// walkNeighborhood is FindNE's walk-mode search core: follow unilateral
+// switching incentives from start, then report every equilibrium in the
+// landing zone's ±2 neighbourhood.
 // converged is FirstEquilibrium's verdict — false when the walk cycled or
 // exhausted maxSteps, in which case the neighbourhood is centred on
 // wherever the walk stopped rather than on an equilibrium, and the caller
@@ -285,19 +309,22 @@ type GroupNEConfig struct {
 	Sizes    []int
 	Duration time.Duration
 	Seed     uint64
-	X        cc.Constructor
+	// X names the non-CUBIC algorithm in the cc registry ("" means "bbr").
+	X string
 	// EpsFraction as in NESearchConfig.
 	EpsFraction float64
 	// Exhaustive enumerates the whole Π(Size+1) profile space; otherwise
 	// a greedy incentive walk is used.
 	Exhaustive bool
-	// Pool, Cache, Journal, Ctx, Audit and Trace as in NESearchConfig.
+	// Pool, Cache, Journal, Ctx, Audit, Trace and Backend as in
+	// NESearchConfig.
 	Pool    *runner.Pool
 	Cache   *runner.Cache
 	Journal *runner.Journal
 	Ctx     context.Context
 	Audit   *check.Auditor
 	Trace   *telemetry.Recorder
+	Backend string
 }
 
 // GroupNEResult is the outcome of a multi-RTT search.
@@ -341,6 +368,7 @@ func FindGroupNE(cfg GroupNEConfig) (GroupNEResult, error) {
 			RTTs:     cfg.RTTs,
 			Sizes:    cfg.Sizes,
 			NumX:     append([]int(nil), k...),
+			Backend:  cfg.Backend,
 		}
 		return runner.Protect(gcfg.key(), func() (pair, error) {
 			res, hit, err := runGroupsCached(ctx, gcfg, cache, cfg.Journal, cfg.Audit, cfg.Trace)

@@ -60,8 +60,7 @@ func ProfileSeed(base uint64, k []int) uint64 {
 // scenario.Spec, and cache entries, journal records, audit records and
 // failures all use the spec's canonical key.
 func runMixCached(ctx context.Context, cfg MixConfig, cache *runner.Cache, journal *runner.Journal, audit *check.Auditor, rec *telemetry.Recorder) (MixResult, bool, error) {
-	sp, override, canonical := cfg.spec()
-	res, hit, err := runSpecCachedOverride(ctx, sp, override, canonical, cache, journal, audit, rec)
+	res, hit, err := RunSpecCachedTraced(ctx, cfg.spec(), cache, journal, audit, rec)
 	if err != nil {
 		return MixResult{}, false, err
 	}
@@ -71,11 +70,11 @@ func runMixCached(ctx context.Context, cfg MixConfig, cache *runner.Cache, journ
 // runGroupsCached is RunGroups behind the memoizing cache, the resumption
 // journal and the invariant auditor.
 func runGroupsCached(ctx context.Context, cfg GroupConfig, cache *runner.Cache, journal *runner.Journal, audit *check.Auditor, rec *telemetry.Recorder) (GroupResult, bool, error) {
-	sp, override, canonical, err := cfg.spec()
+	sp, err := cfg.spec()
 	if err != nil {
 		return GroupResult{}, false, err
 	}
-	res, hit, err := runSpecCachedOverride(ctx, sp, override, canonical, cache, journal, audit, rec)
+	res, hit, err := RunSpecCachedTraced(ctx, sp, cache, journal, audit, rec)
 	if err != nil {
 		return GroupResult{}, false, err
 	}
@@ -137,37 +136,6 @@ func (s Scale) Sweep(seed uint64, n int, specAt func(i int) scenario.Spec) ([]Sw
 	return out, nil
 }
 
-// SweepMix is Sweep for MixConfig points, reporting the mix class view.
-// It shares Sweep's determinism and fault-tolerance contract; unlike
-// Sweep, it accepts non-registry X constructors (such points run fresh
-// and uncached).
-func (s Scale) SweepMix(seed uint64, n int, cfgAt func(i int) MixConfig) ([]MixResult, error) {
-	trials := s.Trials
-	if trials < 1 {
-		trials = 1
-	}
-	seeds := trialSeeds(seed, trials)
-	flat, err := runner.MapCtx(s.ctx(), s.Pool, n*trials, func(uctx context.Context, j int) (MixResult, error) {
-		cfg := cfgAt(j / trials)
-		cfg.Seed = seeds[j%trials]
-		if s.Backend != "" {
-			cfg.Backend = s.Backend
-		}
-		return runner.Protect(cfg.key(), func() (MixResult, error) {
-			res, _, err := runMixCached(uctx, cfg, s.Cache, s.Journal, s.Audit, s.Trace)
-			return res, err
-		})
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := make([]MixResult, n)
-	for i := range out {
-		out[i] = averageMix(flat[i*trials : (i+1)*trials])
-	}
-	return out, nil
-}
-
 // averageSpecs folds per-trial spec results into one sweep point with ng
 // groups (the spec's group count — a cached result with a drifted shape
 // degrades to empty classes). Per-flow stats are per-trial artifacts and
@@ -197,26 +165,4 @@ func averageSpecs(ng int, rs []SpecResult) SweepPoint {
 	pt.Utilization /= float64(len(rs))
 	pt.MeanQueueDelay /= time.Duration(len(rs))
 	return pt
-}
-
-// averageMix folds per-trial results into the class averages the figures
-// report. Per-flow stats are per-trial artifacts and are not aggregated.
-func averageMix(rs []MixResult) MixResult {
-	var acc MixResult
-	for _, r := range rs {
-		acc.PerFlowX += r.PerFlowX
-		acc.PerFlowCubic += r.PerFlowCubic
-		acc.AggX += r.AggX
-		acc.AggCubic += r.AggCubic
-		acc.Utilization += r.Utilization
-		acc.MeanQueueDelay += r.MeanQueueDelay
-	}
-	f := units.Rate(len(rs))
-	acc.PerFlowX /= f
-	acc.PerFlowCubic /= f
-	acc.AggX /= f
-	acc.AggCubic /= f
-	acc.Utilization /= float64(len(rs))
-	acc.MeanQueueDelay /= time.Duration(len(rs))
-	return acc
 }

@@ -69,22 +69,18 @@ func TestSweepMixUncachedMatchesCached(t *testing.T) {
 	cached.Cache = runner.NewCache()
 	uncached := testScale()
 
-	cfgAt := func(int) MixConfig {
-		c := smokeMix()
-		c.NumX, c.NumCubic = 2, 1
-		return c
-	}
-	a, err := cached.SweepMix(9, 1, cfgAt)
+	cfg := smokeMix()
+	cfg.NumX, cfg.NumCubic = 2, 1
+	a, err := cached.RunMixTrials(cfg, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := uncached.SweepMix(9, 1, cfgAt)
+	b, err := uncached.RunMixTrials(cfg, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a[0].AggX != b[0].AggX || a[0].AggCubic != b[0].AggCubic ||
-		a[0].MeanQueueDelay != b[0].MeanQueueDelay {
-		t.Errorf("cache/pool changed results: %+v vs %+v", a[0], b[0])
+	if a.AggX != b.AggX || a.AggCubic != b.AggCubic || a.MeanQueueDelay != b.MeanQueueDelay {
+		t.Errorf("cache/pool changed results: %+v vs %+v", a, b)
 	}
 }
 

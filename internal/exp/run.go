@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"time"
 
-	"bbrnash/internal/cc"
 	"bbrnash/internal/check"
 	"bbrnash/internal/fluid"
 	"bbrnash/internal/netsim"
@@ -62,14 +61,14 @@ func aggRate(stats []netsim.FlowStats) units.Rate {
 
 // RunSpec executes one scenario and reports per-group statistics.
 func RunSpec(sp scenario.Spec) (SpecResult, error) {
-	return runSpecOverride(context.Background(), sp, nil, nil)
+	return runSpec(context.Background(), sp, nil)
 }
 
 // RunSpecTraced is RunSpec with a telemetry recorder: the run is
 // instrumented and its trace written under the spec's canonical key before
 // returning. A nil recorder degrades to RunSpec exactly.
 func RunSpecTraced(ctx context.Context, sp scenario.Spec, rec *telemetry.Recorder) (SpecResult, error) {
-	return runSpecOverride(ctx, sp, nil, rec)
+	return runSpec(ctx, sp, rec)
 }
 
 // progressSlice is how much simulated time one execution chunk covers. The
@@ -79,44 +78,56 @@ func RunSpecTraced(ctx context.Context, sp scenario.Spec, rec *telemetry.Recorde
 // is what lets a stalled simulation be distinguished from a slow one.
 const progressSlice = time.Second
 
-// runSpecOverride is RunSpec with constructor substitution for algorithm
-// variants outside the registry (see netsim.BuildOverride). The simulation
-// executes in progressSlice chunks under ctx: cancellation is observed at
-// chunk boundaries and each boundary reports progress (see runner.Progress).
-//
-// With a recorder, the run is instrumented before it starts and its trace
-// is written — atomically, under the spec's canonical key — before this
-// function returns, which is what lets the cached path order trace files
-// ahead of journal records (see runSpecCachedOverride). Observation never
-// mutates simulation state, so a traced run's SpecResult is byte-identical
-// to an untraced one. Override runs have no canonical key and are never
-// traced.
-func runSpecOverride(ctx context.Context, sp scenario.Spec, override map[string]cc.Constructor, rec *telemetry.Recorder) (SpecResult, error) {
-	if sp.WithDefaults().Backend == scenario.BackendFluid {
-		return runSpecFluid(ctx, sp, override)
+// runChunked advances a backend through d of simulated time in
+// progressSlice chunks under ctx: cancellation is observed at chunk
+// boundaries and each boundary reports progress (see runner.Progress).
+func runChunked(ctx context.Context, d time.Duration, run func(time.Duration)) error {
+	for done := time.Duration(0); done < d; {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		step := min(progressSlice, d-done)
+		run(step)
+		done += step
+		runner.Progress(ctx, done)
 	}
-	n, flows, err := netsim.BuildOverride(sp, override)
+	return nil
+}
+
+// runSpec executes a spec on its backend in progressSlice chunks under ctx.
+//
+// With a recorder, a packet run is instrumented before it starts and its
+// trace is written — atomically, under the spec's canonical key — before
+// this function returns, which is what lets the cached path order trace
+// files ahead of journal records (see RunSpecCachedTraced). Observation
+// never mutates simulation state, so a traced run's SpecResult is
+// byte-identical to an untraced one.
+//
+// Fluid runs are never traced: telemetry instruments *netsim.Network event
+// flow, which a fixed-step integration does not have. Both the cached and
+// fresh paths land here, so fluid results are cached, journaled and
+// audited exactly like packet results, under keys that differ by the
+// spec's bk= field.
+func runSpec(ctx context.Context, sp scenario.Spec, rec *telemetry.Recorder) (SpecResult, error) {
+	sp = sp.WithDefaults()
+	if sp.Backend == scenario.BackendFluid {
+		m, err := fluid.New(sp)
+		if err != nil {
+			return SpecResult{}, err
+		}
+		if err := runChunked(ctx, sp.Duration, m.Run); err != nil {
+			return SpecResult{}, err
+		}
+		groups, link := m.Stats()
+		return SpecResult{Groups: groups, Link: link, Links: []netsim.LinkStats{link}}, nil
+	}
+	n, flows, err := netsim.Build(sp)
 	if err != nil {
 		return SpecResult{}, err
 	}
-	sp = sp.WithDefaults()
-	var cap *telemetry.Capture
-	traceKey := ""
-	if rec != nil && override == nil {
-		traceKey = sp.Key()
-		cap = rec.Attach(n, sp)
-	}
-	for done := time.Duration(0); done < sp.Duration; {
-		if err := ctx.Err(); err != nil {
-			return SpecResult{}, err
-		}
-		step := progressSlice
-		if rem := sp.Duration - done; rem < step {
-			step = rem
-		}
-		n.Run(step)
-		done += step
-		runner.Progress(ctx, done)
+	cap := rec.Attach(n, sp)
+	if err := runChunked(ctx, sp.Duration, n.Run); err != nil {
+		return SpecResult{}, err
 	}
 	res := SpecResult{Groups: make([][]netsim.FlowStats, len(flows)), Link: n.Link(), Links: n.PerLink()}
 	for gi, fs := range flows {
@@ -124,44 +135,12 @@ func runSpecOverride(ctx context.Context, sp scenario.Spec, override map[string]
 			res.Groups[gi] = append(res.Groups[gi], f.Stats())
 		}
 	}
-	if err := cap.Finish(traceKey); err != nil {
-		return SpecResult{}, err
-	}
-	return res, nil
-}
-
-// runSpecFluid executes a spec on the fluid-model backend under the same
-// chunked cancellation/heartbeat protocol as the packet path. Two
-// deliberate gaps: constructor overrides have no fluid form (the fluid
-// equations model registry algorithms, not arbitrary packet-engine
-// constructors), and fluid runs are never traced — telemetry instruments
-// *netsim.Network event flow, which a fixed-step integration does not
-// have. Both the cached and fresh paths land here, so fluid results are
-// cached, journaled and audited exactly like packet results, under keys
-// that differ by the spec's bk= field.
-func runSpecFluid(ctx context.Context, sp scenario.Spec, override map[string]cc.Constructor) (SpecResult, error) {
-	if override != nil {
-		return SpecResult{}, errors.New("exp: the fluid backend cannot run constructor overrides; use the packet backend for algorithm variants")
-	}
-	sp = sp.WithDefaults()
-	m, err := fluid.New(sp)
-	if err != nil {
-		return SpecResult{}, err
-	}
-	for done := time.Duration(0); done < sp.Duration; {
-		if err := ctx.Err(); err != nil {
+	if cap != nil {
+		if err := cap.Finish(sp.Key()); err != nil {
 			return SpecResult{}, err
 		}
-		step := progressSlice
-		if rem := sp.Duration - done; rem < step {
-			step = rem
-		}
-		m.Run(step)
-		done += step
-		runner.Progress(ctx, done)
 	}
-	groups, link := m.Stats()
-	return SpecResult{Groups: groups, Link: link, Links: []netsim.LinkStats{link}}, nil
+	return res, nil
 }
 
 // RunSpecCached is RunSpec behind the memoizing cache, the resumption
@@ -170,7 +149,7 @@ func runSpecFluid(ctx context.Context, sp scenario.Spec, override map[string]cc.
 // cached or journaled. Cached replays are audited too: a store written by
 // an older build should not smuggle a bad result past a strict run.
 func RunSpecCached(ctx context.Context, sp scenario.Spec, cache *runner.Cache, journal *runner.Journal, audit *check.Auditor) (SpecResult, bool, error) {
-	return runSpecCachedOverride(ctx, sp, nil, true, cache, journal, audit, nil)
+	return RunSpecCachedTraced(ctx, sp, cache, journal, audit, nil)
 }
 
 // RunSpecCachedTraced is RunSpecCached with a telemetry recorder: a fresh
@@ -179,13 +158,6 @@ func RunSpecCached(ctx context.Context, sp scenario.Spec, cache *runner.Cache, j
 // journal hits skip re-tracing (the files were written by whichever run
 // populated the store; a store warmed before tracing existed has no traces
 // for its prior entries). A nil recorder degrades to RunSpecCached exactly.
-func RunSpecCachedTraced(ctx context.Context, sp scenario.Spec, cache *runner.Cache, journal *runner.Journal, audit *check.Auditor, rec *telemetry.Recorder) (SpecResult, bool, error) {
-	return runSpecCachedOverride(ctx, sp, nil, true, cache, journal, audit, rec)
-}
-
-// runSpecCachedOverride threads an uncanonical spec (one whose constructors
-// come from an override map, so its key does not identify the run) past the
-// cache and journal: it is executed fresh and audited under the empty key.
 //
 // Store discipline: the cache is consulted first, then the journal (a
 // journal hit is promoted into the cache); a fresh result lands in both.
@@ -194,86 +166,56 @@ func RunSpecCachedTraced(ctx context.Context, sp scenario.Spec, cache *runner.Ca
 // write failures fail the unit — a journal that cannot persist must not let
 // the operator believe the sweep is resumable — while cache failures stay
 // silent as before.
-func runSpecCachedOverride(ctx context.Context, sp scenario.Spec, override map[string]cc.Constructor, canonical bool, cache *runner.Cache, journal *runner.Journal, audit *check.Auditor, rec *telemetry.Recorder) (res SpecResult, hit bool, err error) {
-	key := ""
-	if canonical {
-		key = sp.Key()
-		if cache.Get(key, &res) {
-			auditSpec(audit, key, sp, res)
-			if !journal.Has(key) {
-				if err := journal.Record(key, res); err != nil {
-					return SpecResult{}, false, err
-				}
+func RunSpecCachedTraced(ctx context.Context, sp scenario.Spec, cache *runner.Cache, journal *runner.Journal, audit *check.Auditor, rec *telemetry.Recorder) (res SpecResult, hit bool, err error) {
+	key := sp.Key()
+	if cache.Get(key, &res) {
+		auditSpec(audit, key, sp, res)
+		if !journal.Has(key) {
+			if err := journal.Record(key, res); err != nil {
+				return SpecResult{}, false, err
 			}
-			return res, true, nil
 		}
-		if journal.Get(key, &res) {
-			cache.Put(key, res)
-			auditSpec(audit, key, sp, res)
-			return res, true, nil
-		}
+		return res, true, nil
 	}
-	if !canonical {
-		rec = nil // an override run has no canonical identity to trace under
+	if journal.Get(key, &res) {
+		cache.Put(key, res)
+		auditSpec(audit, key, sp, res)
+		return res, true, nil
 	}
-	res, err = runSpecOverride(ctx, sp, override, rec)
+	res, err = runSpec(ctx, sp, rec)
 	if err != nil {
 		return SpecResult{}, false, err
 	}
-	if canonical {
-		cache.Put(key, res)
-		if err := journal.Record(key, res); err != nil {
-			return SpecResult{}, false, err
-		}
+	cache.Put(key, res)
+	if err := journal.Record(key, res); err != nil {
+		return SpecResult{}, false, err
 	}
 	auditSpec(audit, key, sp, res)
 	return res, false, nil
 }
 
-// specOf resolves the X constructor to a registry name. Constructors
-// outside the registry (test closures, option-wrapped variants) have no
-// canonical name: they run under the placeholder name "custom" with an
-// override map, and the scenario is uncacheable.
-func specOf(x cc.Constructor) (name string, override map[string]cc.Constructor, canonical bool) {
-	if x == nil {
-		return "bbr", nil, true // RunMix's default
+// xName resolves a config's X field to its registry name: empty means BBR.
+func xName(x string) string {
+	if x == "" {
+		return "bbr"
 	}
-	if n, ok := cc.NameOf(x); ok {
-		return n, nil, true
-	}
-	return "custom", map[string]cc.Constructor{"custom": x}, false
+	return x
 }
 
 // spec compiles the mix down to its scenario: group 0 is the X class,
 // group 1 the CUBIC class, both at the shared RTT, with the experiment
-// protocol's jitter parameters. canonical is false when X has no registry
-// name (the spec then carries an override and must not be cached).
-func (cfg MixConfig) spec() (sp scenario.Spec, override map[string]cc.Constructor, canonical bool) {
-	name, override, canonical := specOf(cfg.X)
-	sp = scenario.Spec{
-		Capacity:    cfg.Capacity,
-		Buffer:      cfg.Buffer,
-		AckJitter:   scenario.DefaultAckJitter,
-		StartJitter: scenario.DefaultStartJitter,
-		Duration:    cfg.Duration,
-		Seed:        cfg.Seed,
-		Backend:     cfg.Backend,
-		Groups: []scenario.Group{
-			{Algorithm: name, Count: cfg.NumX, RTT: cfg.RTT},
-			{Algorithm: "cubic", Count: cfg.NumCubic, RTT: cfg.RTT},
-		},
-	}
-	return sp, override, canonical
+// protocol's jitter parameters — scenario.Mix plus the run's seed and
+// backend, so NE payoffs and figure sweeps share cache entries.
+func (cfg MixConfig) spec() scenario.Spec {
+	sp := scenario.Mix(xName(cfg.X), cfg.NumX, cfg.NumCubic, cfg.Capacity, cfg.Buffer, cfg.RTT, cfg.Duration)
+	sp.Seed = cfg.Seed
+	sp.Backend = cfg.Backend
+	return sp
 }
 
-// key is the mix's canonical cache key, or "" when the scenario cannot be
-// canonically identified (non-registry X).
+// key is the mix's canonical cache key.
 func (cfg MixConfig) key() string {
-	sp, _, canonical := cfg.spec()
-	if !canonical {
-		return ""
-	}
-	return sp.Key()
+	return cfg.spec().Key()
 }
 
 // mixView projects a spec result back into the mix's class view: group 0
@@ -296,27 +238,40 @@ func mixView(res SpecResult) MixResult {
 	return out
 }
 
+// mixPoint projects an averaged sweep point of a mix spec into the mix's
+// class view. Per-flow stats are per-trial artifacts and stay empty.
+func mixPoint(pt SweepPoint) MixResult {
+	return MixResult{
+		PerFlowX:       pt.PerFlow[0],
+		PerFlowCubic:   pt.PerFlow[1],
+		AggX:           pt.Agg[0],
+		AggCubic:       pt.Agg[1],
+		Utilization:    pt.Utilization,
+		MeanQueueDelay: pt.MeanQueueDelay,
+	}
+}
+
 // spec compiles the multi-RTT run down to its scenario: RTT group g
 // becomes spec groups 2g (X class) and 2g+1 (CUBIC class). Both classes are
 // always present — zero-count groups are legal — so every profile of one
 // search shares a single key shape, and the X-before-CUBIC order within
 // each RTT group pins the per-flow jitter assignment.
-func (cfg GroupConfig) spec() (sp scenario.Spec, override map[string]cc.Constructor, canonical bool, err error) {
+func (cfg GroupConfig) spec() (scenario.Spec, error) {
 	if len(cfg.RTTs) == 0 || len(cfg.RTTs) != len(cfg.Sizes) || len(cfg.RTTs) != len(cfg.NumX) {
-		return sp, nil, false, errors.New("exp: RTTs, Sizes and NumX must be equal-length and non-empty")
+		return scenario.Spec{}, errors.New("exp: RTTs, Sizes and NumX must be equal-length and non-empty")
 	}
-	name, override, canonical := specOf(cfg.X)
+	x := xName(cfg.X)
 	groups := make([]scenario.Group, 0, 2*len(cfg.RTTs))
 	for g := range cfg.RTTs {
 		if cfg.NumX[g] < 0 || cfg.NumX[g] > cfg.Sizes[g] {
-			return sp, nil, false, fmt.Errorf("exp: group %d has NumX %d of %d", g, cfg.NumX[g], cfg.Sizes[g])
+			return scenario.Spec{}, fmt.Errorf("exp: group %d has NumX %d of %d", g, cfg.NumX[g], cfg.Sizes[g])
 		}
 		groups = append(groups,
-			scenario.Group{Algorithm: name, Count: cfg.NumX[g], RTT: cfg.RTTs[g]},
+			scenario.Group{Algorithm: x, Count: cfg.NumX[g], RTT: cfg.RTTs[g]},
 			scenario.Group{Algorithm: "cubic", Count: cfg.Sizes[g] - cfg.NumX[g], RTT: cfg.RTTs[g]},
 		)
 	}
-	sp = scenario.Spec{
+	return scenario.Spec{
 		Capacity:    cfg.Capacity,
 		Buffer:      cfg.Buffer,
 		AckJitter:   scenario.DefaultAckJitter,
@@ -325,15 +280,14 @@ func (cfg GroupConfig) spec() (sp scenario.Spec, override map[string]cc.Construc
 		Seed:        cfg.Seed,
 		Backend:     cfg.Backend,
 		Groups:      groups,
-	}
-	return sp, override, canonical, nil
+	}, nil
 }
 
 // key is the group run's canonical cache key, or "" when the config is
-// invalid or carries a non-registry X.
+// invalid.
 func (cfg GroupConfig) key() string {
-	sp, _, canonical, err := cfg.spec()
-	if err != nil || !canonical {
+	sp, err := cfg.spec()
+	if err != nil {
 		return ""
 	}
 	return sp.Key()

@@ -6,27 +6,11 @@ import (
 	"testing"
 	"time"
 
-	"bbrnash/internal/cc"
 	"bbrnash/internal/runner"
 	"bbrnash/internal/scenario"
 	"bbrnash/internal/telemetry"
 	"bbrnash/internal/units"
 )
-
-// constantWindow is a minimal unregistered algorithm, so a MixConfig using
-// it compiles to an override (non-canonical) run.
-type constantWindow struct{ cwnd units.Bytes }
-
-func (constantWindow) Name() string                    { return "const" }
-func (constantWindow) OnAck(cc.AckEvent)               {}
-func (constantWindow) OnLoss(cc.LossEvent)             {}
-func (constantWindow) OnSent(cc.SendEvent)             {}
-func (a constantWindow) CongestionWindow() units.Bytes { return a.cwnd }
-func (constantWindow) PacingRate() units.Rate          { return 0 }
-
-func constantWindowCtor(cwnd units.Bytes) cc.Constructor {
-	return func(cc.Params) cc.Algorithm { return constantWindow{cwnd: cwnd} }
-}
 
 func traceTestSpec() scenario.Spec {
 	capacity := 20 * units.Mbps
@@ -118,31 +102,5 @@ func TestJournalHitSkipsRetracing(t *testing.T) {
 	}
 	if rec2.Traces() != 0 {
 		t.Errorf("journal hit wrote %d traces; hits must skip re-tracing", rec2.Traces())
-	}
-}
-
-// Non-canonical runs (override constructors whose key does not identify the
-// simulation) must never be traced: a trace claiming a canonical key must
-// actually be that scenario.
-func TestOverrideRunsAreNotTraced(t *testing.T) {
-	cfg := MixConfig{
-		Capacity: 20 * units.Mbps,
-		Buffer:   units.BufferBytes(20*units.Mbps, 20*time.Millisecond, 2),
-		RTT:      20 * time.Millisecond,
-		Duration: 3 * time.Second,
-		Seed:     5,
-		X:        constantWindowCtor(8 * units.MSS),
-		NumX:     1,
-		NumCubic: 1,
-	}
-	rec, err := telemetry.NewRecorder(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := runMixCached(context.Background(), cfg, runner.NewCache(), nil, nil, rec); err != nil {
-		t.Fatal(err)
-	}
-	if rec.Traces() != 0 {
-		t.Errorf("override run wrote %d traces, want 0", rec.Traces())
 	}
 }

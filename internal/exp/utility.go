@@ -1,18 +1,22 @@
 package exp
 
 import (
-	"context"
-	"sync/atomic"
 	"time"
 
-	"bbrnash/internal/game"
-	"bbrnash/internal/runner"
 	"bbrnash/internal/units"
 )
 
 // UtilityFunc scores one flow's outcome: its average throughput and the
 // bottleneck's average queueing delay (shared by every flow regardless of
-// algorithm — the asymmetry §4.3 builds its argument on).
+// algorithm — the asymmetry §4.3 builds its argument on). Set one as
+// NESearchConfig.Utility to search for equilibria under it: a flow
+// switches algorithm when doing so raises its utility by more than eps.
+//
+// Because queueing delay is shared between CUBIC and X flows at the same
+// bottleneck, delay terms shift both strategies' utilities almost equally;
+// the paper conjectures — and the search confirms for linear utilities —
+// that equilibria stay near the throughput-only positions until the delay
+// weight dominates.
 type UtilityFunc func(throughput units.Rate, queueDelay time.Duration) float64
 
 // ThroughputUtility is the paper's default: utility is throughput alone.
@@ -26,110 +30,4 @@ func LinearUtility(alpha, gamma float64) UtilityFunc {
 	return func(throughput units.Rate, queueDelay time.Duration) float64 {
 		return alpha*throughput.Mbit() - gamma*float64(queueDelay.Milliseconds())
 	}
-}
-
-// FindNEUtility is FindNE with an arbitrary utility function: the §4.3
-// extension. A flow switches algorithm when doing so raises its utility by
-// more than eps (EpsFraction of the fair-share utility scale).
-//
-// Because queueing delay is shared between CUBIC and X flows at the same
-// bottleneck, delay terms shift both strategies' utilities almost equally;
-// the paper conjectures — and this search confirms for linear utilities —
-// that equilibria stay near the throughput-only positions until the delay
-// weight dominates.
-func FindNEUtility(cfg NESearchConfig, utility UtilityFunc) (NESearchResult, error) {
-	if utility == nil {
-		utility = ThroughputUtility
-	}
-	if cfg.EpsFraction == 0 {
-		cfg.EpsFraction = 0.05
-	}
-	cache := cfg.Cache
-	if cache == nil {
-		cache = runner.NewCache()
-	}
-	var sims, hits atomic.Int64
-	dur := nePayoffDuration(cfg.Duration)
-	seeds := trialSeeds(cfg.Seed, cfg.N+1)
-	type pair struct{ x, c float64 }
-	// What is memoized is the underlying MixResult — shared with FindNE's
-	// throughput-only searches — and the utility is recomputed per lookup.
-	evalErr := func(ctx context.Context, numX int) (pair, error) {
-		mix := MixConfig{
-			Capacity: cfg.Capacity,
-			Buffer:   cfg.Buffer,
-			RTT:      cfg.RTT,
-			Duration: dur,
-			Seed:     seeds[numX],
-			X:        cfg.X,
-			NumX:     numX,
-			NumCubic: cfg.N - numX,
-		}
-		return runner.Protect(mix.key(), func() (pair, error) {
-			res, hit, err := runMixCached(ctx, mix, cache, cfg.Journal, cfg.Audit, cfg.Trace)
-			if err != nil {
-				return pair{}, err
-			}
-			if hit {
-				hits.Add(1)
-			} else {
-				sims.Add(1)
-			}
-			return pair{
-				x: utility(res.PerFlowX, res.MeanQueueDelay),
-				c: utility(res.PerFlowCubic, res.MeanQueueDelay),
-			}, nil
-		})
-	}
-	searchCtx := ctxOr(cfg.Ctx)
-	var failed evalFailure
-	eval := func(numX int) pair {
-		p, err := evalErr(searchCtx, numX)
-		failed.note(err)
-		return p
-	}
-	g := &game.SymmetricBinary{
-		N:           cfg.N,
-		PayoffX:     func(k int) float64 { return eval(k).x },
-		PayoffCubic: func(k int) float64 { return eval(k).c },
-	}
-	// Scale eps to the utility of a fair share so EpsFraction keeps its
-	// "fraction of what is at stake" meaning.
-	fairUtil := utility(cfg.Capacity/units.Rate(cfg.N), 0)
-	if fairUtil < 0 {
-		fairUtil = -fairUtil
-	}
-	eps := cfg.EpsFraction * fairUtil
-
-	if cfg.Exhaustive {
-		if _, err := runner.MapCtx(searchCtx, cfg.Pool, cfg.N+1, func(uctx context.Context, numX int) (struct{}, error) {
-			_, err := evalErr(uctx, numX)
-			return struct{}{}, err
-		}); err != nil {
-			return NESearchResult{}, err
-		}
-		ks, err := g.Equilibria(eps)
-		if err != nil {
-			return NESearchResult{}, err
-		}
-		if err := failed.get(); err != nil {
-			return NESearchResult{}, err
-		}
-		return NESearchResult{
-			EquilibriaX: ks,
-			Simulations: int(sims.Load()),
-			CacheHits:   int(hits.Load()),
-			Converged:   true,
-		}, nil
-	}
-	ks, converged := walkNeighborhood(g, cfg.N, cfg.N/2, eps, 3*cfg.N)
-	if err := failed.get(); err != nil {
-		return NESearchResult{}, err
-	}
-	return NESearchResult{
-		EquilibriaX: ks,
-		Simulations: int(sims.Load()),
-		CacheHits:   int(hits.Load()),
-		Converged:   converged,
-	}, nil
 }

@@ -16,24 +16,12 @@ import (
 // The flows come back grouped in spec order (empty groups yield empty
 // slices), ready for per-class aggregation after Run.
 func Build(sp scenario.Spec) (*Network, [][]*Flow, error) {
-	return BuildOverride(sp, nil)
-}
-
-// BuildOverride is Build with constructor substitution: override maps
-// algorithm names to constructors consulted before the registry, letting
-// the harness run variants outside it. A spec needing an override has no
-// canonical identity and must not be cached under its key.
-func BuildOverride(sp scenario.Spec, override map[string]cc.Constructor) (*Network, [][]*Flow, error) {
 	sp = sp.WithDefaults()
 	if err := sp.ValidateTopology(); err != nil {
 		return nil, nil, err
 	}
 	ctors := make([]cc.Constructor, len(sp.Groups))
 	for i, g := range sp.Groups {
-		if ctor, ok := override[g.Algorithm]; ok {
-			ctors[i] = ctor
-			continue
-		}
 		ctor, err := cc.AlgorithmByName(g.Algorithm)
 		if err != nil {
 			return nil, nil, fmt.Errorf("scenario: group %d: %w", i, err)

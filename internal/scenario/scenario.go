@@ -124,9 +124,10 @@ func (s Spec) TotalFlows() int {
 }
 
 // ValidateTopology checks everything about a spec except that its
-// algorithm names resolve — the harness substitutes constructors for
-// unregistered names (netsim.BuildOverride), so name resolution is the
-// builder's job. Everyone else should call Validate.
+// algorithm names resolve. Name resolution belongs to the backend that
+// builds the spec: netsim.Build looks each name up in the cc registry for
+// the constructor it needs anyway, and the fluid backend accepts only the
+// algorithms it models. Everyone else should call Validate.
 func (s Spec) ValidateTopology() error {
 	s = s.WithDefaults()
 	if len(s.Links) > 0 {

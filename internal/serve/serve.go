@@ -224,6 +224,14 @@ func (s *Server) submit(sp scenario.Spec) (raw json.RawMessage, fl *flight, err 
 		s.deduped.Add(1)
 		return nil, fl, nil
 	}
+	// The key's flight may have finished since the unlocked lookup above:
+	// it memoizes its result before finish removes it under s.mu, so with
+	// the flight gone the cache now holds the answer.
+	if raw, ok := s.cfg.Cache.GetRaw(key); ok {
+		s.mu.Unlock()
+		s.instant.Add(1)
+		return raw, nil, nil
+	}
 	fl = &flight{key: key, spec: sp, done: make(chan struct{}), enqueued: time.Now()}
 	select {
 	case s.queue <- fl:

@@ -30,6 +30,9 @@ done
 # and parses the printed listen address. Sets SRV_PID and SRV_ADDR.
 start_server() {
     local log=$1; shift
+    # Create the log first: the background shell may not have opened it yet
+    # when the first sed below reads it.
+    : > "$log"
     "$tmp/bbrserve" -addr 127.0.0.1:0 "$@" > "$log" 2>&1 &
     SRV_PID=$!
     pids+=("$SRV_PID")

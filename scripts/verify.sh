@@ -18,6 +18,9 @@ go vet ./...
 echo "== go test ./..."
 go test ./...
 
+echo "== go -C bench test ./... (benchmark harness, incl. the smoke run checked against bench/golden.json)"
+go -C bench test ./...
+
 echo "== go test -race (runner, exp, check, scenario, netsim, telemetry, fluid, serve, game, adopt)"
 go test -race -timeout 1800s \
 	./internal/runner ./internal/exp ./internal/check ./internal/scenario ./internal/netsim \
