@@ -36,21 +36,15 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"net"
 	"net/http"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
-	"bbrnash/internal/check"
-	"bbrnash/internal/runner"
-	"bbrnash/internal/scenario"
+	"bbrnash/internal/cli"
 	"bbrnash/internal/serve"
-	"bbrnash/internal/telemetry"
 )
 
 func main() {
@@ -58,102 +52,57 @@ func main() {
 }
 
 func run() (code int) {
+	env := cli.New("bbrserve", cli.Strict|cli.Trace|cli.Report)
 	var (
 		addr         = flag.String("addr", "127.0.0.1:8080", "listen address (use :0 for an ephemeral port; the actual address is printed)")
-		cachePath    = flag.String("cache", "", "path to on-disk result cache ('' = in-memory only)")
-		resumePath   = flag.String("resume", "", "path to crash-safe resume journal ('' = no crash recovery)")
-		traceDir     = flag.String("trace", "", "write per-run traces (JSONL + CSV) into this directory ('' = no tracing)")
-		traceEvery   = flag.Duration("trace-interval", 0, "trace sampling interval (0 = default 100ms)")
-		workers      = flag.Int("workers", 0, "concurrent simulation workers (0 = GOMAXPROCS)")
 		queueDepth   = flag.Int("queue", 0, "submission queue depth; a full queue sheds with 429 (0 = 256)")
-		timeout      = flag.Duration("timeout", 0, "per-run stall watchdog: cancel a run making no progress for this long (0 = off)")
-		retries      = flag.Int("retries", 0, "retry a stalled or transiently failed run up to this many times")
 		deadline     = flag.Duration("deadline", 0, "how long one request waits for its result before 504 (0 = 2m; the run continues)")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "graceful drain bound on SIGTERM; past it in-flight runs are cancelled")
-		strict       = flag.Bool("strict", false, "audit every result against physical invariants; violations fail the submission")
-		reportPath   = flag.String("report", "", "write a machine-readable JSON service report on exit ('' = no report)")
 	)
-	flag.Parse()
+	env.Parse()
 
-	var (
-		rec     *telemetry.Recorder
-		cache   *runner.Cache
-		journal *runner.Journal
-		srv     *serve.Server
-		err     error
-	)
-	begin := time.Now()
-	if *reportPath != "" {
-		defer func() {
-			var pool *runner.Pool
-			if srv != nil {
-				pool = srv.Pool()
-			}
-			if err := telemetry.Collect("bbrserve", outcomeOf(code), time.Since(begin), pool, cache, journal, rec).Write(*reportPath); err != nil {
-				fmt.Fprintln(os.Stderr, "bbrserve:", err)
-			}
-		}()
+	defer func() { env.Close(code) }()
+	if err := env.Open(); err != nil {
+		return env.Fail(err)
 	}
-	if *traceDir != "" {
-		if rec, err = telemetry.NewRecorder(*traceDir); err != nil {
-			return fail(err)
-		}
-		rec.SetInterval(*traceEvery)
-	}
-	cache, err = runner.OpenCache(*cachePath, scenario.KeyVersion)
-	if err != nil {
-		return fail(err)
-	}
-	defer cache.Close()
-	journal, err = runner.OpenJournal(*resumePath, scenario.KeyVersion)
-	if err != nil {
-		return fail(err)
-	}
-	defer journal.Close()
-	defer saveCache(cache)
-	var audit *check.Auditor
-	if *strict {
-		audit = check.New()
-	}
-
-	srv = serve.New(serve.Config{
-		Cache:          cache,
-		Journal:        journal,
-		Recorder:       rec,
-		Audit:          audit,
-		Workers:        *workers,
+	srv := serve.New(serve.Config{
+		Cache:          env.Cache,
+		Journal:        env.Journal,
+		Recorder:       env.Trace,
+		Audit:          env.Audit,
+		Workers:        env.Workers,
 		QueueDepth:     *queueDepth,
-		Watchdog:       *timeout,
-		Retries:        *retries,
+		Watchdog:       env.Timeout,
+		Retries:        env.Retries,
 		RequestTimeout: *deadline,
 	})
+	// The service runs its own pool; the report reads that one.
+	env.Pool = srv.Pool()
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
-		return fail(err)
+		return env.Fail(err)
 	}
 	// The actual address, so -addr :0 callers (tests, the smoke script) can
 	// find the port. Printed to stdout and flushed before serving begins.
 	fmt.Printf("bbrserve: listening on http://%s (%d replayed journal entries, %d cached results)\n",
-		ln.Addr(), journal.Len(), cache.Len())
+		ln.Addr(), env.Journal.Len(), env.Cache.Len())
 
 	httpSrv := &http.Server{Handler: srv.Handler()}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 	select {
-	case <-ctx.Done():
-		stop()
+	case <-env.Ctx.Done():
+		env.StopSignals()
 		fmt.Fprintln(os.Stderr, "bbrserve: draining")
 	case err := <-serveErr:
-		return fail(err)
+		return env.Fail(err)
 	}
 
 	// Graceful drain: stop accepting connections, finish (and journal) what
 	// is in flight, answer or fail every waiter, then persist the cache via
-	// the deferred save.
+	// the deferred Close.
 	dctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 	defer cancel()
 	if err := httpSrv.Shutdown(dctx); err != nil {
@@ -167,30 +116,4 @@ func run() (code int) {
 	fmt.Printf("bbrserve: drained (%d completed, %d failed, %d shed, %d worker restarts)\n",
 		st.Completed, st.Failed, st.Shed, st.WorkerRestarts)
 	return 0
-}
-
-// saveCache persists results; deferred so it runs on every exit path,
-// including errors and interrupts.
-func saveCache(cache *runner.Cache) {
-	if err := cache.Save(); err != nil {
-		fmt.Fprintln(os.Stderr, "bbrserve: saving cache:", err)
-	}
-}
-
-// outcomeOf maps the process exit code to the service report's outcome.
-func outcomeOf(code int) string {
-	if code == 0 {
-		return "ok"
-	}
-	return "failed"
-}
-
-func fail(err error) int {
-	if errors.Is(err, runner.ErrStoreLocked) {
-		fmt.Fprintln(os.Stderr, "bbrserve:", err)
-		fmt.Fprintln(os.Stderr, "bbrserve: another process owns this store; point -cache/-resume elsewhere or stop it")
-		return 1
-	}
-	fmt.Fprintln(os.Stderr, "bbrserve:", err)
-	return 1
 }

@@ -40,23 +40,18 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
 	"strconv"
-	"strings"
-	"syscall"
 	"time"
 
-	"bbrnash/internal/check"
+	"bbrnash/internal/cli"
 	"bbrnash/internal/exp"
 	"bbrnash/internal/plot"
 	"bbrnash/internal/rng"
 	"bbrnash/internal/runner"
 	"bbrnash/internal/scenario"
-	"bbrnash/internal/telemetry"
 	"bbrnash/internal/units"
 )
 
@@ -65,46 +60,31 @@ func main() {
 }
 
 func run() (code int) {
+	env := cli.New("bbrsim", cli.Progress|cli.Profile|cli.Strict|cli.Trace|cli.Report|cli.Backend|cli.Algorithms)
 	var (
-		capMbps    = flag.Float64("capacity", 100, "bottleneck capacity in Mbps")
-		rttMs      = flag.Float64("rtt", 40, "base RTT in milliseconds")
-		bufBDP     = flag.Float64("buffer", 3, "buffer size in BDP multiples")
-		flows      = flag.String("flows", "bbr:1,cubic:1", "flow spec: name:count[,name:count...]")
-		duration   = flag.Duration("duration", 2*time.Minute, "flow duration")
-		seed       = flag.Uint64("seed", 1, "start-jitter seed (base seed with -runs > 1)")
-		jitter     = flag.Duration("jitter", 10*time.Millisecond, "max random start offset")
-		ackJitter  = flag.Duration("ackjitter", 0, "max per-packet ACK path delay variation")
-		specPath   = flag.String("scenario", "", "load the full scenario from this JSON file (topology flags ignored)")
-		backend    = flag.String("backend", "", "execution engine: packet or fluid ('' = scenario's own backend, default packet)")
-		runs       = flag.Int("runs", 1, "number of replicate runs with distinct derived seeds")
-		workers    = flag.Int("workers", 0, "parallel simulation workers (0 = GOMAXPROCS)")
-		cachePath  = flag.String("cache", "", "path to on-disk result cache ('' = no caching)")
-		resumePath = flag.String("resume", "", "path to crash-safe resume journal; an existing journal's completed runs are skipped ('' = no journal)")
-		timeout    = flag.Duration("timeout", 0, "per-run stall watchdog: cancel a run making no progress for this long (0 = off)")
-		retries    = flag.Int("retries", 0, "retry a stalled or transiently failed run up to this many times (retries re-derive the same seed)")
-		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		strict     = flag.Bool("strict", false, "audit replicate statistics against physical invariants; violations fail the run")
-		traceDir   = flag.String("trace", "", "write a per-replicate run trace (JSONL + CSV time series and events) into this directory ('' = no tracing)")
-		traceEvery = flag.Duration("trace-interval", 0, "trace sampling interval (0 = default 100ms)")
-		reportPath = flag.String("report", "", "write a machine-readable JSON run report to this file on exit ('' = no report)")
-		progress   = flag.Duration("progress", 0, "print a progress line to stderr this often during the run (0 = off)")
-		listAlgs   = flag.Bool("list-algorithms", false, "print the algorithm registry and exit")
+		capMbps   = flag.Float64("capacity", 100, "bottleneck capacity in Mbps")
+		rttMs     = flag.Float64("rtt", 40, "base RTT in milliseconds")
+		bufBDP    = flag.Float64("buffer", 3, "buffer size in BDP multiples")
+		flows     = flag.String("flows", "bbr:1,cubic:1", "flow spec: name:count[,name:count...]")
+		duration  = flag.Duration("duration", 2*time.Minute, "flow duration")
+		seed      = flag.Uint64("seed", 1, "start-jitter seed (base seed with -runs > 1)")
+		jitter    = flag.Duration("jitter", 10*time.Millisecond, "max random start offset")
+		ackJitter = flag.Duration("ackjitter", 0, "max per-packet ACK path delay variation")
+		specPath  = flag.String("scenario", "", "load the full scenario from this JSON file (topology flags ignored)")
+		runs      = flag.Int("runs", 1, "number of replicate runs with distinct derived seeds")
 	)
-	flag.Parse()
-
-	if *listAlgs {
-		fmt.Println(strings.Join(scenario.Algorithms(), "\n"))
+	if env.Parse() {
 		return 0
 	}
 
 	sp, err := buildSpec(*specPath, *capMbps, *rttMs, *bufBDP, *flows, *duration, *jitter, *ackJitter)
 	if err != nil {
-		return fail(err)
+		return env.Fail(err)
 	}
-	if *backend != "" {
-		sp.Backend = *backend
+	if env.Backend != "" {
+		sp.Backend = env.Backend
 		if err := sp.WithDefaults().ValidateTopology(); err != nil {
-			return fail(err)
+			return env.Fail(err)
 		}
 	}
 	if sp.Seed == 0 {
@@ -114,57 +94,10 @@ func run() (code int) {
 		*runs = 1
 	}
 
-	// The -report defer is registered before any component is built and
-	// reads the (nil-safe) components at exit, so interrupted and failed
-	// runs still leave a machine-readable record.
-	var (
-		rec     *telemetry.Recorder
-		cache   *runner.Cache
-		journal *runner.Journal
-		pool    *runner.Pool
-	)
-	begin := time.Now()
-	if *reportPath != "" {
-		defer func() {
-			writeReport(*reportPath, outcomeOf(code), time.Since(begin), pool, cache, journal, rec)
-		}()
+	defer func() { env.Close(code) }()
+	if err := env.Open(); err != nil {
+		return env.Fail(err)
 	}
-	if *traceDir != "" {
-		if rec, err = telemetry.NewRecorder(*traceDir); err != nil {
-			return fail(err)
-		}
-		rec.SetInterval(*traceEvery)
-	}
-	var prof *runner.CPUProfile
-	if *cpuProfile != "" {
-		if prof, err = runner.StartCPUProfile(*cpuProfile); err != nil {
-			return fail(err)
-		}
-	}
-	// Stop the profile through the same deferred single-exit cleanup that
-	// saves the cache: an exit path that skips it (audit failure, interrupt)
-	// would leave a truncated profile.
-	defer stopProfile(prof)
-	cache, err = runner.OpenCache(*cachePath, scenario.KeyVersion)
-	if err != nil {
-		return fail(err)
-	}
-	defer cache.Close()
-	journal, err = runner.OpenJournal(*resumePath, scenario.KeyVersion)
-	if err != nil {
-		return fail(err)
-	}
-	defer journal.Close()
-	var audit *check.Auditor
-	if *strict {
-		audit = check.New()
-	}
-
-	// SIGINT/SIGTERM cancel remaining replicates; the deferred save still
-	// persists every replicate that completed.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	defer saveCache(cache)
 
 	// Pre-derive every replicate's seed before any run starts, so the
 	// seed→run assignment is independent of worker count. A single run
@@ -177,24 +110,17 @@ func run() (code int) {
 		seeds[i] = r.Uint64()
 	}
 
-	pool = runner.NewPool(*workers).SetWatchdog(*timeout).SetRetry(*retries, time.Second)
-	if *progress > 0 {
-		pool.SetProgress(*progress, func(p runner.ProgressInfo) {
-			fmt.Fprintf(os.Stderr, "bbrsim: %d/%d replicates in %v (%d retries, %d stalls)\n",
-				p.Done, p.Total, p.Elapsed.Round(time.Second), p.Retries, p.Stalls)
-		})
-	}
 	start := time.Now()
-	results, err := runner.MapCtx(ctx, pool, *runs, func(uctx context.Context, i int) (exp.SpecResult, error) {
+	results, err := runner.MapCtx(env.Ctx, env.Pool, *runs, func(uctx context.Context, i int) (exp.SpecResult, error) {
 		run := sp
 		run.Seed = seeds[i]
 		return runner.Protect(run.Key(), func() (exp.SpecResult, error) {
-			res, _, err := exp.RunSpecCachedTraced(uctx, run, cache, journal, audit, rec)
+			res, _, err := exp.RunSpecCachedTraced(uctx, run, env.Cache, env.Journal, env.Audit, env.Trace)
 			return res, err
 		})
 	})
 	if err != nil {
-		return report(ctx, err)
+		return env.Fail(err)
 	}
 	elapsed := time.Since(start)
 
@@ -219,7 +145,7 @@ func run() (code int) {
 			resolved.MaxRTT(), sp.TotalFlows(), sp.Duration)
 	}
 	if *runs > 1 {
-		fmt.Printf(" x %d runs (%d workers)", *runs, pool.Workers())
+		fmt.Printf(" x %d runs (%d workers)", *runs, env.Pool.Workers())
 	}
 	fmt.Println()
 	if data, err := json.Marshal(sp); err == nil {
@@ -241,7 +167,7 @@ func run() (code int) {
 			}
 		}
 		if err := tbl.Render(os.Stdout); err != nil {
-			return fail(err)
+			return env.Fail(err)
 		}
 		if len(st.Links) > 1 {
 			for _, ls := range st.Links {
@@ -253,12 +179,12 @@ func run() (code int) {
 				100*st.Link.Utilization, st.Link.MeanQueueDelay.Round(100*time.Microsecond), st.Link.Drops)
 		}
 	}
-	fmt.Printf("(%d runs in %v wall time, %d cache hits", *runs, elapsed.Round(time.Millisecond), cache.Hits())
-	if *resumePath != "" {
-		fmt.Printf(", %d journal hits", journal.Hits())
+	fmt.Printf("(%d runs in %v wall time, %d cache hits", *runs, elapsed.Round(time.Millisecond), env.Cache.Hits())
+	if env.Journal != nil {
+		fmt.Printf(", %d journal hits", env.Journal.Hits())
 	}
 	fmt.Println(")")
-	return auditVerdict(audit)
+	return env.Verdict()
 }
 
 // buildSpec assembles the run's scenario: from the -scenario JSON file when
@@ -287,86 +213,4 @@ func buildSpec(path string, capMbps, rttMs, bufBDP float64, flows string,
 		return scenario.Spec{}, err
 	}
 	return sp, nil
-}
-
-// report explains a replicate failure: an interrupt exits 130, a failing
-// replicate is named by its canonical scenario key, a captured panic
-// includes its stack.
-func report(ctx context.Context, err error) int {
-	if ctx.Err() != nil && errors.Is(err, context.Canceled) {
-		fmt.Fprintln(os.Stderr, "bbrsim: interrupted; completed replicates cached (rerun with -resume to continue)")
-		return 130
-	}
-	var st *runner.StallError
-	if errors.As(err, &st) {
-		fmt.Fprintln(os.Stderr, "bbrsim:", err)
-		fmt.Fprintln(os.Stderr, "bbrsim: raise -timeout or add -retries if the run was merely slow")
-		return 1
-	}
-	var ue *runner.UnitError
-	if errors.As(err, &ue) && ue.Recovered != nil {
-		fmt.Fprintln(os.Stderr, "bbrsim:", err)
-		fmt.Fprintf(os.Stderr, "bbrsim: unit panic stack:\n%s", ue.Stack)
-		return 1
-	}
-	return fail(err)
-}
-
-// auditVerdict reports the -strict outcome.
-func auditVerdict(audit *check.Auditor) int {
-	if audit == nil {
-		return 0
-	}
-	vs := audit.Violations()
-	if len(vs) == 0 {
-		fmt.Println("strict audit: all invariants held")
-		return 0
-	}
-	for _, v := range vs {
-		fmt.Fprintf(os.Stderr, "bbrsim: strict: %s\n", v)
-	}
-	fmt.Fprintf(os.Stderr, "bbrsim: strict: %d invariant violation(s)\n", len(vs))
-	return 1
-}
-
-// saveCache persists replicate results; deferred so it runs on every exit
-// path, including errors and interrupts.
-func saveCache(cache *runner.Cache) {
-	if err := cache.Save(); err != nil {
-		fmt.Fprintln(os.Stderr, "bbrsim: saving cache:", err)
-	}
-}
-
-// stopProfile flushes and closes the -cpuprofile file; deferred alongside
-// saveCache so every exit path leaves a readable profile.
-func stopProfile(prof *runner.CPUProfile) {
-	if err := prof.Stop(); err != nil {
-		fmt.Fprintln(os.Stderr, "bbrsim:", err)
-	}
-}
-
-// outcomeOf maps the process exit code to the run report's outcome field.
-func outcomeOf(code int) string {
-	switch {
-	case code == 0:
-		return "ok"
-	case code == 130:
-		return "interrupted"
-	default:
-		return "failed"
-	}
-}
-
-// writeReport persists the -report JSON; deferred so interrupted and failed
-// runs still leave a record.
-func writeReport(path, outcome string, wall time.Duration,
-	pool *runner.Pool, cache *runner.Cache, journal *runner.Journal, rec *telemetry.Recorder) {
-	if err := telemetry.Collect("bbrsim", outcome, wall, pool, cache, journal, rec).Write(path); err != nil {
-		fmt.Fprintln(os.Stderr, "bbrsim:", err)
-	}
-}
-
-func fail(err error) int {
-	fmt.Fprintln(os.Stderr, "bbrsim:", err)
-	return 1
 }

@@ -12,27 +12,23 @@
 // throughput errors against the packet engine are reported along with a
 // grid summary. A point above -threshold is flagged as diverged — a
 // finding about where the fluid idealization breaks, never an error: the
-// exit code is 0 whenever the sweep itself completed. The report is
+// exit code is 0 whenever the sweep completed and its report was written
+// out. The report is
 // byte-identical at any -workers count, and -cache memoizes per-simulation
 // results, so a warmed figure cache satisfies the packet half for free.
 package main
 
 import (
-	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
 	"strconv"
 	"strings"
-	"syscall"
 	"time"
 
+	"bbrnash/internal/cli"
 	"bbrnash/internal/exp"
-	"bbrnash/internal/runner"
-	"bbrnash/internal/scenario"
 	"bbrnash/internal/units"
 )
 
@@ -40,58 +36,34 @@ func main() {
 	os.Exit(run())
 }
 
-func run() int {
+func run() (code int) {
+	env := cli.New("crossval", cli.Progress)
 	var (
-		capMbps    = flag.Float64("capacity", 40, "bottleneck capacity in Mbps")
-		rttMs      = flag.Float64("rtt", 40, "base RTT in milliseconds")
-		duration   = flag.Duration("duration", 2*time.Minute, "flow duration per grid point")
-		seed       = flag.Uint64("seed", 1, "base trial seed")
-		buffers    = flag.String("buffers", "", "comma-separated buffer depths in BDP ('' = the paper's 1–50 grid)")
-		mixes      = flag.String("mixes", "", "comma-separated bbr:cubic flow mixes, e.g. 1:1,2:2,4:4 ('' = default)")
-		threshold  = flag.Float64("threshold", 0, "relative error above which a point is flagged diverged (0 = default 0.25)")
-		trials     = flag.Int("trials", 1, "jittered trials averaged per grid point and backend")
-		workers    = flag.Int("workers", 0, "parallel simulation workers (0 = GOMAXPROCS)")
-		cachePath  = flag.String("cache", "", "path to on-disk result cache ('' = in-memory only)")
-		resumePath = flag.String("resume", "", "path to crash-safe resume journal ('' = no journal)")
-		timeout    = flag.Duration("timeout", 0, "per-simulation stall watchdog (0 = off)")
-		retries    = flag.Int("retries", 0, "retry a stalled or transiently failed simulation up to this many times")
-		outPath    = flag.String("out", "", "write the JSON report to this file ('' = stdout)")
-		progress   = flag.Duration("progress", 0, "print a progress line to stderr this often (0 = off)")
+		capMbps   = flag.Float64("capacity", 40, "bottleneck capacity in Mbps")
+		rttMs     = flag.Float64("rtt", 40, "base RTT in milliseconds")
+		duration  = flag.Duration("duration", 2*time.Minute, "flow duration per grid point")
+		seed      = flag.Uint64("seed", 1, "base trial seed")
+		buffers   = flag.String("buffers", "", "comma-separated buffer depths in BDP ('' = the paper's 1–50 grid)")
+		mixes     = flag.String("mixes", "", "comma-separated bbr:cubic flow mixes, e.g. 1:1,2:2,4:4 ('' = default)")
+		threshold = flag.Float64("threshold", 0, "relative error above which a point is flagged diverged (0 = default 0.25)")
+		trials    = flag.Int("trials", 1, "jittered trials averaged per grid point and backend")
+		outPath   = flag.String("out", "", "write the JSON report to this file ('' = stdout)")
 	)
-	flag.Parse()
+	env.Parse()
 
-	bufferBDPs, err := parseFloats(*buffers)
+	bufferBDPs, err := cli.ParseFloats(*buffers)
 	if err != nil {
-		return fail(fmt.Errorf("-buffers: %w", err))
+		return env.Fail(fmt.Errorf("-buffers: %w", err))
 	}
 	mixList, err := parseMixes(*mixes)
 	if err != nil {
-		return fail(fmt.Errorf("-mixes: %w", err))
+		return env.Fail(fmt.Errorf("-mixes: %w", err))
 	}
 
-	pool := runner.NewPool(*workers).SetWatchdog(*timeout).SetRetry(*retries, time.Second)
-	if *progress > 0 {
-		pool.SetProgress(*progress, func(p runner.ProgressInfo) {
-			fmt.Fprintf(os.Stderr, "crossval: %d/%d simulations in %v (%d retries, %d stalls)\n",
-				p.Done, p.Total, p.Elapsed.Round(time.Second), p.Retries, p.Stalls)
-		})
+	defer func() { env.Close(code) }()
+	if err := env.Open(); err != nil {
+		return env.Fail(err)
 	}
-	cache, err := runner.OpenCache(*cachePath, scenario.KeyVersion)
-	if err != nil {
-		return fail(err)
-	}
-	defer cache.Close()
-	journal, err := runner.OpenJournal(*resumePath, scenario.KeyVersion)
-	if err != nil {
-		return fail(err)
-	}
-	defer journal.Close()
-
-	// SIGINT/SIGTERM cancel the sweep; the deferred save still persists
-	// every simulation completed so far.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	defer saveCache(cache, *cachePath)
 
 	start := time.Now()
 	rep, err := exp.CrossValidate(exp.CrossValConfig{
@@ -106,28 +78,28 @@ func run() int {
 			Name:         "crossval",
 			FlowDuration: *duration,
 			Trials:       *trials,
-			Pool:         pool,
-			Cache:        cache,
-			Journal:      journal,
-			Ctx:          ctx,
+			Pool:         env.Pool,
+			Cache:        env.Cache,
+			Journal:      env.Journal,
+			Ctx:          env.Ctx,
 		},
 	})
 	if err != nil {
-		return report(ctx, err)
+		return env.Fail(err)
 	}
 
 	data, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
-		return fail(err)
+		return env.Fail(err)
 	}
 	data = append(data, '\n')
 	if *outPath != "" {
 		if err := os.WriteFile(*outPath, data, 0o644); err != nil {
-			return fail(err)
+			return env.Fail(err)
 		}
 		fmt.Printf("wrote %s\n", *outPath)
-	} else {
-		os.Stdout.Write(data)
+	} else if _, err := os.Stdout.Write(data); err != nil {
+		return env.Fail(fmt.Errorf("writing report: %w", err))
 	}
 	fmt.Fprintf(os.Stderr, "crossval: %d points, %d diverged (threshold %g), max rel err %.3f, mean %.3f, in %v\n",
 		rep.Summary.Points, rep.Summary.Diverged, rep.Threshold,
@@ -136,22 +108,6 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "crossval: worst point: %s\n", rep.Summary.WorstPoint)
 	}
 	return 0
-}
-
-// parseFloats parses a comma-separated float list; "" is nil (defaults).
-func parseFloats(s string) ([]float64, error) {
-	if s == "" {
-		return nil, nil
-	}
-	var out []float64
-	for _, f := range strings.Split(s, ",") {
-		v, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, v)
-	}
-	return out, nil
 }
 
 // parseMixes parses "bbr:cubic" count pairs; "" is nil (defaults).
@@ -179,38 +135,4 @@ func parseMixes(s string) ([][2]int, error) {
 		out = append(out, [2]int{nb, nc})
 	}
 	return out, nil
-}
-
-// report explains a sweep failure: an interrupt exits 130, a failing unit
-// is named by canonical scenario key, and a captured panic includes its
-// stack.
-func report(ctx context.Context, err error) int {
-	if ctx.Err() != nil && errors.Is(err, context.Canceled) {
-		fmt.Fprintln(os.Stderr, "crossval: interrupted; in-flight simulations drained, cache saved (rerun with -resume to skip completed simulations)")
-		return 130
-	}
-	var ue *runner.UnitError
-	if errors.As(err, &ue) && ue.Recovered != nil {
-		fmt.Fprintln(os.Stderr, "crossval:", err)
-		fmt.Fprintf(os.Stderr, "crossval: unit panic stack:\n%s", ue.Stack)
-		return 1
-	}
-	return fail(err)
-}
-
-// saveCache persists the memoized results; deferred so it runs on every
-// exit path, including errors and interrupts.
-func saveCache(cache *runner.Cache, path string) {
-	if err := cache.Save(); err != nil {
-		fmt.Fprintln(os.Stderr, "crossval: saving cache:", err)
-		return
-	}
-	if path != "" && cache.Misses() > 0 {
-		fmt.Fprintf(os.Stderr, "crossval: cache saved to %s (%d entries)\n", path, cache.Len())
-	}
-}
-
-func fail(err error) int {
-	fmt.Fprintln(os.Stderr, "crossval:", err)
-	return 1
 }

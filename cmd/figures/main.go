@@ -37,22 +37,15 @@
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
 	"path/filepath"
 	"strings"
-	"syscall"
 	"time"
 
-	"bbrnash/internal/check"
+	"bbrnash/internal/cli"
 	"bbrnash/internal/exp"
-	"bbrnash/internal/runner"
-	"bbrnash/internal/scenario"
-	"bbrnash/internal/telemetry"
 )
 
 func main() {
@@ -60,27 +53,16 @@ func main() {
 }
 
 func run() (code int) {
+	env := cli.New("figures", cli.Progress|cli.Profile|cli.Strict|cli.Trace|cli.Report|cli.Backend)
 	var (
-		figFlag    = flag.String("fig", "all", "comma-separated figure IDs (e.g. 1,3a,9f) or 'all'")
-		scaleFlag  = flag.String("scale", "quick", "experiment scale: full, quick or smoke")
-		backendF   = flag.String("backend", "", "execution engine for every simulation: packet or fluid ('' = packet)")
-		outFlag    = flag.String("out", "figures", "directory for CSV output ('' to skip CSVs)")
-		listFlag   = flag.Bool("list", false, "list available figures and exit")
-		width      = flag.Int("width", 72, "ASCII chart width")
-		height     = flag.Int("height", 18, "ASCII chart height")
-		workers    = flag.Int("workers", 0, "parallel simulation workers (0 = GOMAXPROCS)")
-		cachePath  = flag.String("cache", "", "path to on-disk result cache ('' = in-memory only)")
-		resumePath = flag.String("resume", "", "path to crash-safe resume journal; an existing journal's completed simulations are skipped ('' = no journal)")
-		timeout    = flag.Duration("timeout", 0, "per-simulation stall watchdog: cancel a unit making no progress for this long (0 = off)")
-		retries    = flag.Int("retries", 0, "retry a stalled or transiently failed simulation up to this many times (retries re-derive the same seed)")
-		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		strict     = flag.Bool("strict", false, "audit every simulation result against physical invariants; violations fail the run")
-		traceDir   = flag.String("trace", "", "write per-simulation run traces (JSONL + CSV time series and events) into this directory ('' = no tracing)")
-		traceEvery = flag.Duration("trace-interval", 0, "trace sampling interval (0 = default 100ms)")
-		reportPath = flag.String("report", "", "write a machine-readable JSON run report to this file on exit ('' = no report)")
-		progress   = flag.Duration("progress", 0, "print a progress line to stderr this often during each figure (0 = off)")
+		figFlag   = flag.String("fig", "all", "comma-separated figure IDs (e.g. 1,3a,9f) or 'all'")
+		scaleFlag = flag.String("scale", "quick", "experiment scale: full, quick or smoke")
+		outFlag   = flag.String("out", "figures", "directory for CSV output ('' to skip CSVs)")
+		listFlag  = flag.Bool("list", false, "list available figures and exit")
+		width     = flag.Int("width", 72, "ASCII chart width")
+		height    = flag.Int("height", 18, "ASCII chart height")
 	)
-	flag.Parse()
+	env.Parse()
 
 	if *listFlag {
 		for _, f := range exp.Figures() {
@@ -91,79 +73,19 @@ func run() (code int) {
 
 	scale, err := exp.ScaleByName(*scaleFlag)
 	if err != nil {
-		return fail(err)
+		return env.Fail(err)
 	}
-	if *backendF != "" {
-		if err := validBackend(*backendF); err != nil {
-			return fail(err)
-		}
-		scale.Backend = *backendF
+	defer func() { env.Close(code) }()
+	if err := env.Open(); err != nil {
+		return env.Fail(err)
 	}
-	// The -report defer is registered before any component is built and
-	// reads the (nil-safe) components at exit, so interrupted and failed
-	// runs still leave a machine-readable record.
-	begin := time.Now()
-	if *reportPath != "" {
-		defer func() {
-			if err := telemetry.Collect("figures", outcomeOf(code), time.Since(begin),
-				scale.Pool, scale.Cache, scale.Journal, scale.Trace).Write(*reportPath); err != nil {
-				fmt.Fprintln(os.Stderr, "figures:", err)
-			}
-		}()
-	}
-	if *traceDir != "" {
-		rec, err := telemetry.NewRecorder(*traceDir)
-		if err != nil {
-			return fail(err)
-		}
-		scale.Trace = rec.SetInterval(*traceEvery)
-	}
-	scale.Pool = runner.NewPool(*workers).SetWatchdog(*timeout).SetRetry(*retries, time.Second)
-	if *progress > 0 {
-		scale.Pool.SetProgress(*progress, func(p runner.ProgressInfo) {
-			fmt.Fprintf(os.Stderr, "figures: %d/%d simulations in %v (%d retries, %d stalls)\n",
-				p.Done, p.Total, p.Elapsed.Round(time.Second), p.Retries, p.Stalls)
-		})
-	}
-	cache, err := runner.OpenCache(*cachePath, scenario.KeyVersion)
-	if err != nil {
-		return fail(err)
-	}
-	defer cache.Close()
-	scale.Cache = cache
-	journal, err := runner.OpenJournal(*resumePath, scenario.KeyVersion)
-	if err != nil {
-		return fail(err)
-	}
-	defer journal.Close()
-	scale.Journal = journal
-	var audit *check.Auditor
-	if *strict {
-		audit = check.New()
-		scale.Audit = audit
-	}
-
-	// SIGINT/SIGTERM cancel the context: the sweep stops dispatching new
-	// simulations, in-flight units drain, and the deferred save below
-	// still persists every memoized payoff.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	scale.Ctx = ctx
-
-	// The cache is saved on every exit path — success, error or
-	// interrupt — so a failed multi-hour sweep keeps its warmed payoffs.
-	defer saveCache(cache, *cachePath)
-
-	var prof *runner.CPUProfile
-	if *cpuProfile != "" {
-		if prof, err = runner.StartCPUProfile(*cpuProfile); err != nil {
-			return fail(err)
-		}
-	}
-	// Stop the profile through the same deferred single-exit cleanup that
-	// saves the cache: an exit path that skips it (audit failure, interrupt)
-	// would leave a truncated profile.
-	defer stopProfile(prof)
+	scale.Backend = env.Backend
+	scale.Pool = env.Pool
+	scale.Cache = env.Cache
+	scale.Journal = env.Journal
+	scale.Trace = env.Trace
+	scale.Audit = env.Audit
+	scale.Ctx = env.Ctx
 
 	var figs []exp.Figure
 	if *figFlag == "all" {
@@ -172,7 +94,7 @@ func run() (code int) {
 		for _, id := range strings.Split(*figFlag, ",") {
 			f, err := exp.FigureByID(strings.TrimSpace(id))
 			if err != nil {
-				return fail(err)
+				return env.Fail(err)
 			}
 			figs = append(figs, f)
 		}
@@ -180,7 +102,7 @@ func run() (code int) {
 
 	if *outFlag != "" {
 		if err := os.MkdirAll(*outFlag, 0o755); err != nil {
-			return fail(err)
+			return env.Fail(err)
 		}
 	}
 
@@ -190,10 +112,10 @@ func run() (code int) {
 			f.ID, f.Title, scale.Name, scale.Pool.Workers())
 		start := time.Now()
 		jobs0, busy0 := scale.Pool.Jobs(), scale.Pool.Busy()
-		hits0, misses0 := cache.Hits(), cache.Misses()
+		hits0, misses0 := env.Cache.Hits(), env.Cache.Misses()
 		res, err := f.Generate(scale)
 		if err != nil {
-			return report(ctx, fmt.Errorf("figure %s: %w", f.ID, err))
+			return env.Fail(fmt.Errorf("figure %s: %w", f.ID, err))
 		}
 		for i, chart := range res.Charts {
 			fmt.Println(chart.RenderASCII(*width, *height))
@@ -205,14 +127,14 @@ func run() (code int) {
 				path := filepath.Join(*outFlag, name)
 				file, err := os.Create(path)
 				if err != nil {
-					return fail(err)
+					return env.Fail(err)
 				}
 				if err := chart.WriteCSV(file); err != nil {
 					file.Close()
-					return fail(err)
+					return env.Fail(err)
 				}
 				if err := file.Close(); err != nil {
-					return fail(err)
+					return env.Fail(err)
 				}
 				fmt.Printf("wrote %s\n", path)
 			}
@@ -223,97 +145,14 @@ func run() (code int) {
 		wall := time.Since(start)
 		fmt.Printf("figure %s done in %v (%d sims, %d cache hits%s)\n\n",
 			f.ID, wall.Round(time.Millisecond),
-			cache.Misses()-misses0, cache.Hits()-hits0,
+			env.Cache.Misses()-misses0, env.Cache.Hits()-hits0,
 			speedupNote(scale.Pool.Busy()-busy0, wall, scale.Pool.Jobs()-jobs0))
 	}
 	wall := time.Since(total)
 	fmt.Printf("all done in %v: %d jobs, %d unique sims, %d cache hits%s\n",
-		wall.Round(time.Millisecond), scale.Pool.Jobs(), cache.Misses(), cache.Hits(),
+		wall.Round(time.Millisecond), scale.Pool.Jobs(), env.Cache.Misses(), env.Cache.Hits(),
 		speedupNote(scale.Pool.Busy(), wall, scale.Pool.Jobs()))
-	return auditVerdict(audit)
-}
-
-// report explains a sweep failure: an interrupt is reported as such (exit
-// 130), a failing unit is named by canonical scenario key, and a captured
-// simulation panic includes its stack.
-func report(ctx context.Context, err error) int {
-	if ctx.Err() != nil && errors.Is(err, context.Canceled) {
-		fmt.Fprintln(os.Stderr, "figures: interrupted; in-flight simulations drained, partial figure discarded (rerun with -resume to skip completed simulations)")
-		return 130
-	}
-	var st *runner.StallError
-	if errors.As(err, &st) {
-		fmt.Fprintln(os.Stderr, "figures:", err)
-		fmt.Fprintln(os.Stderr, "figures: raise -timeout or add -retries if the simulation was merely slow")
-		return 1
-	}
-	var ue *runner.UnitError
-	if errors.As(err, &ue) && ue.Recovered != nil {
-		fmt.Fprintln(os.Stderr, "figures:", err)
-		fmt.Fprintf(os.Stderr, "figures: unit panic stack:\n%s", ue.Stack)
-		return 1
-	}
-	return fail(err)
-}
-
-// auditVerdict reports the -strict outcome: every recorded invariant
-// violation, keyed by scenario, fails the run.
-func auditVerdict(audit *check.Auditor) int {
-	if audit == nil {
-		return 0
-	}
-	vs := audit.Violations()
-	if len(vs) == 0 {
-		fmt.Println("strict audit: all invariants held")
-		return 0
-	}
-	for _, v := range vs {
-		fmt.Fprintf(os.Stderr, "figures: strict: %s\n", v)
-	}
-	fmt.Fprintf(os.Stderr, "figures: strict: %d invariant violation(s)\n", len(vs))
-	return 1
-}
-
-// saveCache persists the memoized results; deferred so it runs on every
-// exit path, including errors and interrupts.
-func saveCache(cache *runner.Cache, path string) {
-	if err := cache.Save(); err != nil {
-		fmt.Fprintln(os.Stderr, "figures: saving cache:", err)
-		return
-	}
-	if path != "" && cache.Misses() > 0 {
-		fmt.Printf("cache saved to %s (%d entries)\n", path, cache.Len())
-	}
-}
-
-// stopProfile flushes and closes the -cpuprofile file; deferred alongside
-// saveCache so every exit path leaves a readable profile.
-func stopProfile(prof *runner.CPUProfile) {
-	if err := prof.Stop(); err != nil {
-		fmt.Fprintln(os.Stderr, "figures:", err)
-	}
-}
-
-// outcomeOf maps the process exit code to the run report's outcome field.
-func outcomeOf(code int) string {
-	switch {
-	case code == 0:
-		return "ok"
-	case code == 130:
-		return "interrupted"
-	default:
-		return "failed"
-	}
-}
-
-// validBackend rejects a -backend value that names no execution engine.
-func validBackend(name string) error {
-	for _, b := range scenario.Backends() {
-		if name == b {
-			return nil
-		}
-	}
-	return fmt.Errorf("unknown backend %q (want %s)", name, strings.Join(scenario.Backends(), " or "))
+	return env.Verdict()
 }
 
 // speedupNote reports parallel efficiency: cumulative worker-busy time
@@ -324,9 +163,4 @@ func speedupNote(busy, wall time.Duration, jobs int64) string {
 		return ""
 	}
 	return fmt.Sprintf(", %.1fx speedup", float64(busy)/float64(wall))
-}
-
-func fail(err error) int {
-	fmt.Fprintln(os.Stderr, "figures:", err)
-	return 1
 }

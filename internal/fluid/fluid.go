@@ -170,9 +170,9 @@ type Model struct {
 	step     int64   // whole steps completed; model time is step·stp
 	grantedN int64   // total nanoseconds granted via Run
 
-	capBytes float64 // bottleneck capacity, bytes/s
-	buffer   float64 // bytes
-	mss      float64 // bytes
+	capBytes float64         // bottleneck capacity, bytes/s
+	buffer   float64         // bytes
+	mss      float64         // bytes
 	linkName string          // the modeled bottleneck link
 	faults   scenario.Faults // the bottleneck link's faults
 
@@ -551,11 +551,11 @@ func (m *Model) Stats() ([][]netsim.FlowStats, netsim.LinkStats) {
 		}
 		n := g.count
 		st := netsim.FlowStats{
-			Algorithm:  g.alg,
-			Delivered:  units.Bytes(g.delivered / n),
-			SentBytes:  units.Bytes(g.sent / n),
-			Lost:       int(g.dropped / (n * m.mss)),
-			MinRTT:     finiteDuration(g.rttMin),
+			Algorithm:          g.alg,
+			Delivered:          units.Bytes(g.delivered / n),
+			SentBytes:          units.Bytes(g.sent / n),
+			Lost:               int(g.dropped / (n * m.mss)),
+			MinRTT:             finiteDuration(g.rttMin),
 			MeanQueueOccupancy: units.Bytes(0),
 		}
 		if dur > 0 {

@@ -259,9 +259,9 @@ func TestArangeFigureGrids(t *testing.T) {
 		n            int
 		last         float64
 	}{
-		{1, 50, 2, 25, 49},    // Fig 1
-		{1, 30, 0.5, 59, 30},  // Fig 3
-		{1, 30, 1, 30, 30},    // Fig 4
+		{1, 50, 2, 25, 49},   // Fig 1
+		{1, 30, 0.5, 59, 30}, // Fig 3
+		{1, 30, 1, 30, 30},   // Fig 4
 	}
 	for _, c := range cases {
 		xs := Arange(c.lo, c.hi, c.step)
@@ -345,7 +345,7 @@ func TestBracketRootIn(t *testing.T) {
 	// spinning through maxExpand.
 	calls := 0
 	k := func(x float64) float64 { calls++; return 1 }
-	if _, _, err := BracketRootIn(k, 0, 10, 0, 10, 1 << 20); !errors.Is(err, ErrNoBracket) {
+	if _, _, err := BracketRootIn(k, 0, 10, 0, 10, 1<<20); !errors.Is(err, ErrNoBracket) {
 		t.Errorf("err = %v, want ErrNoBracket", err)
 	}
 	if calls > 8 {

@@ -8,18 +8,19 @@ import (
 )
 
 // CPUProfile is an in-progress CPU profile started by StartCPUProfile. Stop
-// it through the same single-exit cleanup path that saves the result cache:
-// a profile stopped by a deferred call that the process skips (os.Exit on a
-// signal, a -strict audit failure) is left truncated and unusable by
-// `go tool pprof`.
+// it through the same single-exit cleanup path that saves the result cache
+// (internal/cli's Env.Close): a profile stopped by a deferred call that the
+// process skips (os.Exit on a signal, a -strict audit failure) is left
+// truncated and unusable by `go tool pprof`.
 type CPUProfile struct {
 	f    *os.File
 	once sync.Once
 	err  error
 }
 
-// StartCPUProfile begins writing a CPU profile to path. It exists so every
-// command wires -cpuprofile identically.
+// StartCPUProfile begins writing a CPU profile to path. The commands'
+// -cpuprofile flag reaches it through internal/cli, which starts the
+// profile in Env.Open and stops it first thing in Env.Close.
 func StartCPUProfile(path string) (*CPUProfile, error) {
 	f, err := os.Create(path)
 	if err != nil {

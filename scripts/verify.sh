@@ -15,6 +15,14 @@ go build ./...
 echo "== go vet ./..."
 go vet ./...
 
+echo "== gofmt -l . (every Go file formatted)"
+unformatted=$(gofmt -l .)
+if [ -n "$unformatted" ]; then
+	echo "gofmt: these files need gofmt -w:" >&2
+	echo "$unformatted" >&2
+	exit 1
+fi
+
 echo "== go test ./..."
 go test ./...
 
