@@ -14,9 +14,11 @@
 // complete. Payoff simulations run on the fluid backend by default and
 // are memoized in -cache / journaled in -resume: rerunning with the same
 // journal replays the trajectory byte-identically without re-simulating,
-// even after a crash. The trajectory is byte-identical at any -workers
-// count. SIGINT/SIGTERM cancel the run gracefully; the cache is saved on
-// every exit path.
+// even after a crash. -workers runs each generation's payoffs — the
+// profile and its one-flow deviations — in parallel, so it speeds up every
+// generation, and -timeout/-retries guard every payoff; the trajectory is
+// byte-identical at any -workers count. SIGINT/SIGTERM cancel the run
+// gracefully; the cache is saved on every exit path.
 package main
 
 import (

@@ -9,11 +9,15 @@
 // generation the population's mixture is scaled down to a simulatable flow
 // profile, evaluated through the experiment harness (internal/exp, fluid
 // backend by default, memoized by canonical scenario key), and agents
-// revise strategy under replicator dynamics or noisy best response. Both
-// dynamics are serial and seeded, so a trajectory is byte-identical at any
-// worker count; the worker pool only accelerates the final fixed-point
-// check's deviation payoffs, which are cached by key and therefore
-// order-insensitive.
+// revise strategy under replicator dynamics or noisy best response.
+//
+// A generation's profile and all of its one-flow deviations are known
+// before any of them runs, so they are evaluated as one batch on the
+// worker pool, as are the final fixed-point check's. The profiles of a
+// batch are distinct and each payoff is a pure function of its profile,
+// so the batch's results do not depend on how its units interleave. The
+// revision rules then run serially and seeded, which makes a trajectory
+// byte-identical at any worker count.
 package adopt
 
 import (
@@ -101,8 +105,8 @@ type Config struct {
 	// revision draws of noisy best response.
 	Seed uint64
 	// Backend selects the payoff engine (default fluid — a 2-minute
-	// payoff simulation costs ~20ms there, which is what makes 10⁵ agents
-	// × 100 generations a minutes-scale run).
+	// payoff simulation costs ~7–14 ms there, which is what makes 10⁵
+	// agents × 100 generations a seconds-scale run).
 	Backend string
 	// EpsFraction widens the equilibrium condition exactly as in
 	// exp.NESearchConfig: a gain only counts as an incentive if it
@@ -116,8 +120,10 @@ type Config struct {
 	// simulations); Result.FixedPoint is then false and meaningless.
 	SkipCheck bool
 
-	// Pool parallelizes the fixed-point check's deviation payoffs; nil
-	// means serial. The trajectory is identical at any worker count.
+	// Pool runs each batch of payoffs — a generation's profile and its
+	// deviations, or the fixed-point check's — and its watchdog and
+	// retries guard every payoff; nil means serial. The trajectory is
+	// identical at any worker count.
 	Pool *runner.Pool
 	// Cache memoizes payoff simulations by canonical scenario key (nil:
 	// a run-local cache still deduplicates revisited mixtures).
@@ -291,11 +297,9 @@ func Run(cfg Config) (Result, error) {
 	res := Result{Trajectory: make([]Record, 0, cfg.Generations+1)}
 	for gen := 0; gen <= cfg.Generations; gen++ {
 		sim := probedSimCounts(cfg, pop)
-		pay, err := ev.payoffs(cfg.Ctx, sim)
-		if err != nil {
-			return Result{}, err
-		}
-		gain, err := ev.deviationGains(cfg.Ctx, sim, pay)
+		// No revision step follows the final record, so nothing would
+		// read its deviation gains.
+		pay, gain, err := ev.generation(cfg.Ctx, sim, gen < cfg.Generations)
 		if err != nil {
 			return Result{}, err
 		}
@@ -466,8 +470,8 @@ func probedSimCounts(cfg Config, pop Population) [][]int {
 // is a per-class eps-equilibrium of the scaled game: for each class, no
 // single flow gains more than eps (EpsFraction of the fair share) by
 // switching algorithm, other classes frozen. Deviation payoffs are
-// pre-warmed through the pool — the one place workers help — and the
-// per-class checks then read the cache serially.
+// pre-warmed as one pooled batch, and the per-class checks then read the
+// cache serially.
 func (ev *evaluator) fixedPoint(cfg Config, pop Population) (bool, error) {
 	nc, na := len(cfg.Classes), len(cfg.Algorithms)
 	weights := make([]float64, nc*na)
@@ -495,14 +499,11 @@ func (ev *evaluator) fixedPoint(cfg Config, pop Population) (bool, error) {
 			profiles = append(profiles, p)
 		}
 	}
-	if _, err := runner.MapCtx(cfg.Ctx, cfg.Pool, len(profiles), func(uctx context.Context, i int) (struct{}, error) {
-		_, err := ev.payoffs(uctx, profiles[i])
-		return struct{}{}, err
-	}); err != nil {
+	if _, err := ev.batch(cfg.Ctx, profiles); err != nil {
 		return false, err
 	}
 
-	eps := cfg.EpsFraction * (cfg.Capacity / units.Rate(cfg.SimFlows)).Mbit()
+	eps := cfg.epsMbps()
 	var evalErr error
 	for c := range base {
 		n := sum(base[c])
@@ -634,41 +635,70 @@ func (ev *evaluator) spec(counts [][]int) scenario.Spec {
 	}
 }
 
-// deviationGains computes the revision signal at one evaluated profile:
-// gain[c][a][t] is how much one class-c flow of algorithm a would gain by
-// switching to t — its payoff in the post-switch profile minus its current
-// one, the exact comparison the equilibrium checks make. Deviation
-// profiles recur along a trajectory and are cached by canonical key, so
-// steady states cost no fresh simulations.
-func (ev *evaluator) deviationGains(ctx context.Context, sim [][]int, pay [][]float64) ([][][]float64, error) {
+// generation evaluates one generation's profile and, when withGains is
+// set, its revision signal: gain[c][a][t] is how much one class-c flow of
+// algorithm a would gain by switching to t — its payoff in the
+// post-switch profile minus its current one, the exact comparison the
+// equilibrium checks make. The profile and all of its one-flow deviations
+// are known up front, so they run as one pooled batch. Deviation profiles
+// recur along a trajectory and are cached by canonical key, so steady
+// states cost no fresh simulations.
+func (ev *evaluator) generation(ctx context.Context, sim [][]int, withGains bool) ([][]float64, [][][]float64, error) {
+	type move struct{ c, a, t int }
+	var moves []move
+	profiles := [][][]int{sim}
+	if withGains {
+		for c := range sim {
+			for a := range sim[c] {
+				if sim[c][a] == 0 {
+					continue // no flow of a to move (probes make this rare)
+				}
+				for t := range sim[c] {
+					if t == a {
+						continue
+					}
+					dev := make([][]int, len(sim))
+					for c2 := range sim {
+						dev[c2] = append([]int(nil), sim[c2]...)
+					}
+					dev[c][a]--
+					dev[c][t]++
+					moves = append(moves, move{c, a, t})
+					profiles = append(profiles, dev)
+				}
+			}
+		}
+	}
+	pays, err := ev.batch(ctx, profiles)
+	if err != nil {
+		return nil, nil, err
+	}
+	pay := pays[0]
+	if !withGains {
+		return pay, nil, nil
+	}
 	na := len(ev.cfg.Algorithms)
 	gain := make([][][]float64, len(sim))
 	for c := range sim {
 		gain[c] = make([][]float64, na)
-		for a := range sim[c] {
+		for a := range gain[c] {
 			gain[c][a] = make([]float64, na)
-			if sim[c][a] == 0 {
-				continue // no flow of a to move (probes make this rare)
-			}
-			for t := 0; t < na; t++ {
-				if t == a {
-					continue
-				}
-				dev := make([][]int, len(sim))
-				for c2 := range sim {
-					dev[c2] = append([]int(nil), sim[c2]...)
-				}
-				dev[c][a]--
-				dev[c][t]++
-				devPay, err := ev.payoffs(ctx, dev)
-				if err != nil {
-					return nil, err
-				}
-				gain[c][a][t] = devPay[c][t] - pay[c][a]
-			}
 		}
 	}
-	return gain, nil
+	for i, mv := range moves {
+		gain[mv.c][mv.a][mv.t] = pays[i+1][mv.c][mv.t] - pay[mv.c][mv.a]
+	}
+	return pay, gain, nil
+}
+
+// batch evaluates profiles as one fan-out on Config.Pool (serially when it
+// is nil), so the pool's watchdog and retries guard every payoff. The
+// profiles of one batch are distinct, so no key is simulated twice however
+// the units interleave.
+func (ev *evaluator) batch(ctx context.Context, profiles [][][]int) ([][][]float64, error) {
+	return runner.MapCtx(ctx, ev.cfg.Pool, len(profiles), func(uctx context.Context, i int) ([][]float64, error) {
+		return ev.payoffs(uctx, profiles[i])
+	})
 }
 
 // payoffs evaluates one flow-count matrix and reports pay[c][a]: algorithm

@@ -66,7 +66,8 @@ func TestProbedSimCountsKeepsProbes(t *testing.T) {
 }
 
 // testConfig is a fast fluid-backend run: each distinct mixture costs one
-// ~20ms two-minute fluid simulation.
+// ~7ms two-minute fluid simulation, and each generation's profile and
+// deviations run as one batch on cfg.Pool.
 func testConfig() Config {
 	capacity := 50 * units.Mbps
 	rtt := 40 * time.Millisecond
@@ -95,9 +96,10 @@ func trajectoryBytes(t *testing.T, res Result) []byte {
 	return buf.Bytes()
 }
 
-// The trajectory must be byte-identical at any worker count: the dynamics
-// are serial and the only pooled work (fixed-point deviation payoffs) is
-// cached by canonical key.
+// The trajectory must be byte-identical at any worker count: every pooled
+// batch (a generation's profile and deviations, the fixed-point check's)
+// evaluates distinct keys whose payoffs do not depend on execution order,
+// and the revision rules that consume them run serially.
 func TestRunDeterministicAcrossWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -139,6 +141,52 @@ func TestRunDeterministicAcrossWorkers(t *testing.T) {
 	}
 	if !bytes.Equal(trajectoryBytes(t, resC), trajectoryBytes(t, resD)) {
 		t.Error("replicator trajectories differ across worker counts")
+	}
+}
+
+// The final record starts no revision step, so its deviation profiles are
+// never evaluated: a zero-generation run without the fixed-point check
+// evaluates exactly its one base profile.
+func TestFinalGenerationSkipsDeviations(t *testing.T) {
+	cfg := testConfig()
+	cfg.Generations = 0
+	cfg.SkipCheck = true
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Simulations + res.CacheHits; got != 1 {
+		t.Errorf("evaluated %d profiles (%d simulated, %d cached), want 1", got, res.Simulations, res.CacheHits)
+	}
+}
+
+// Every generation's payoffs run through the pool, and a batch never
+// simulates one key twice: the pool's job count is the run's payoff count,
+// and the simulated/cached split is the same at any worker count.
+func TestGenerationsUsePool(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	run := func(workers int) Result {
+		t.Helper()
+		cfg := testConfig()
+		cfg.SkipCheck = true
+		cfg.Pool = runner.NewPool(workers)
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := cfg.Pool.Jobs(), int64(res.Simulations+res.CacheHits); got != want {
+			t.Errorf("%d workers: pool ran %d jobs for %d payoffs", workers, got, want)
+		}
+		return res
+	}
+	serial := run(1)
+	run(2)
+	wide := run(runtime.GOMAXPROCS(0))
+	if serial.Simulations != wide.Simulations || serial.CacheHits != wide.CacheHits {
+		t.Errorf("1 worker: %d simulated, %d cached; %d workers: %d simulated, %d cached",
+			serial.Simulations, serial.CacheHits, runtime.GOMAXPROCS(0), wide.Simulations, wide.CacheHits)
 	}
 }
 

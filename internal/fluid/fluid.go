@@ -86,7 +86,7 @@ func stepFor(sp scenario.Spec) float64 {
 			stp = s
 		}
 	}
-	return math.Max(stp, 1e-5)
+	return max(stp, 1e-5)
 }
 
 // group is the aggregate state of one spec group: Count identical flows
@@ -98,11 +98,13 @@ type group struct {
 	start float64 // activation time, seconds
 
 	// Loss-based window state (cubic, reno). w is the per-flow window in
-	// bytes; wmax the pre-backoff plateau CUBIC curves toward; epoch the
-	// time of the last backoff (the CUBIC time origin); lastBackoff gates
-	// the one-backoff-per-RTT rule.
+	// bytes; wmax the pre-backoff plateau CUBIC curves toward; k CUBIC's
+	// time from epoch to that plateau; epoch the time of the last backoff
+	// (the CUBIC time origin); lastBackoff gates the one-backoff-per-RTT
+	// rule.
 	w           float64
 	wmax        float64
+	k           float64
 	epoch       float64
 	lastBackoff float64
 
@@ -137,10 +139,19 @@ func (g *group) beta() float64 {
 	return cubicBeta
 }
 
+// setPlateau sets wmax and, for CUBIC, the curve's K = ∛(wmax·(1−β)/(C·MSS)):
+// K changes only with wmax, so grow never takes a cube root.
+func (g *group) setPlateau(wmax, mss float64) {
+	g.wmax = wmax
+	if g.alg == "cubic" {
+		g.k = math.Cbrt(wmax * (1 - cubicBeta) / (cubicC * mss))
+	}
+}
+
 // backoff applies one multiplicative decrease at time t.
 func (g *group) backoff(t float64, mss float64) {
-	g.wmax = g.w
-	g.w = math.Max(g.w*g.beta(), mss)
+	g.setPlateau(g.w, mss)
+	g.w = max(g.w*g.beta(), mss)
 	g.epoch = t
 	g.lastBackoff = t
 }
@@ -152,9 +163,8 @@ func (g *group) grow(t, dt, rttNow, mss float64) {
 	switch g.alg {
 	case "cubic":
 		c := cubicC * mss // bytes/s³
-		k := math.Cbrt(g.wmax * (1 - cubicBeta) / c)
 		te := t - g.epoch
-		g.w = math.Max(c*(te-k)*(te-k)*(te-k)+g.wmax, mss)
+		g.w = max(c*(te-g.k)*(te-g.k)*(te-g.k)+g.wmax, mss)
 	case "reno":
 		g.w += mss * dt / rttNow
 	}
@@ -302,8 +312,8 @@ func New(sp scenario.Spec) (*Model, error) {
 			// Fair-share initial conditions: the window that carries the
 			// share at base RTT, entering mid-epoch so growth resumes from
 			// it (wmax = w/β puts the plateau just above).
-			g.w = math.Max(share*g.rtt, m.mss)
-			g.wmax = g.w / g.beta()
+			g.w = max(share*g.rtt, m.mss)
+			g.setPlateau(g.w/g.beta(), m.mss)
 			g.epoch = g.start
 			g.lastBackoff = g.start
 		default:
@@ -383,11 +393,11 @@ func (m *Model) advance() {
 		rttMax := 0.0
 		for _, g := range m.groups {
 			if g.alg == "bbr" && g.count > 0 && t >= g.start {
-				rttMax = math.Max(rttMax, g.rtt+qTotal/cEff)
+				rttMax = max(rttMax, g.rtt+qTotal/cEff)
 			}
 		}
 		if rttMax > 0 {
-			m.probeUntil = t + math.Max(probeDuration, rttMax)
+			m.probeUntil = t + max(probeDuration, rttMax)
 		}
 	}
 	m.probing = t < m.probeUntil
@@ -411,13 +421,13 @@ func (m *Model) advance() {
 			// Stats: time-weighted RTT while active.
 			g.rttAcc += rttNow * dt
 			g.activeTime += dt
-			g.rttMin = math.Min(g.rttMin, rttNow)
+			g.rttMin = min(g.rttMin, rttNow)
 			// BBR's min-RTT window watches continuously; its estimate
 			// absorbs new lows immediately and rises only when a cycle
 			// closes (below).
 			if g.alg == "bbr" {
-				g.winMin = math.Min(g.winMin, rttNow)
-				g.rttEst = math.Min(g.rttEst, rttNow)
+				g.winMin = min(g.winMin, rttNow)
+				g.rttEst = min(g.rttEst, rttNow)
 			}
 		}
 		inflows[i] = a * dt
@@ -454,9 +464,9 @@ func (m *Model) advance() {
 	// service by presence share, clamp to the buffer, and attribute the
 	// clamp's excess (drop-tail loss) by arrival share.
 	avail := qTotal + inflowTotal
-	served := math.Min(avail, cEff*dt)
+	served := min(avail, cEff*dt)
 	left := avail - served
-	overflow := math.Max(left-m.buffer, 0)
+	overflow := max(left-m.buffer, 0)
 	for i, g := range m.groups {
 		present := g.q + inflows[i]
 		var servedI, overflowI float64
@@ -469,7 +479,7 @@ func (m *Model) advance() {
 		m.servedBy[i] = servedI
 		g.delivered += servedI
 		g.dropped += overflowI
-		g.q = math.Max(present-servedI-overflowI, 0)
+		g.q = max(present-servedI-overflowI, 0)
 	}
 	m.deliveredTotal += served
 	m.overflowPkts += overflow / m.mss
@@ -516,24 +526,24 @@ func (m *Model) advance() {
 			}
 		}
 		if probeEnded && !math.IsInf(g.winMin, 1) {
-			g.rttEst = math.Max(g.winMin, g.rtt)
+			g.rttEst = max(g.winMin, g.rtt)
 			g.winMin = math.Inf(1)
 		}
 	}
 
 	// Link and per-group queue statistics for the step.
 	m.qIntAcc += qAfter * dt
-	m.qMaxSeen = math.Max(m.qMaxSeen, qAfter)
+	m.qMaxSeen = max(m.qMaxSeen, qAfter)
 	delay := qAfter / cEff
 	m.delayAcc += delay * dt
-	m.delayMax = math.Max(m.delayMax, delay)
+	m.delayMax = max(m.delayMax, delay)
 	for _, g := range m.groups {
 		if g.count == 0 || t < g.start {
 			continue
 		}
 		g.qAcc += g.q * dt
-		g.qMin = math.Min(g.qMin, g.q)
-		g.qMax = math.Max(g.qMax, g.q)
+		g.qMin = min(g.qMin, g.q)
+		g.qMax = max(g.qMax, g.q)
 	}
 }
 

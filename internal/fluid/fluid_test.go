@@ -1,6 +1,9 @@
 package fluid
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"math"
 	"reflect"
@@ -84,6 +87,129 @@ func TestGoldenSteadyState(t *testing.T) {
 	const want = "agg=0x1.30ef26e90032ap+25 util=0x1.ff983c7bb1ab4p-01 drops=34302"
 	if got != want {
 		t.Errorf("golden steady state drifted:\ngot  %s\nwant %s", got, want)
+	}
+}
+
+// goldenGrid is the spec grid TestGoldenGrid pins. Where
+// TestGoldenSteadyState follows one clean single-RTT BBR/CUBIC trajectory,
+// the grid drives every branch the step takes: each algorithm alone and
+// mixed, every fault kind, late starts, a 0.5 ms step (10 ms class) next
+// to an 80 ms class, buffers from 1 to 20 BDP, and an empty group.
+func goldenGrid() []scenario.Spec {
+	const rtt = 40 * time.Millisecond
+	g := func(alg string, n int) scenario.Group {
+		return scenario.Group{Algorithm: alg, Count: n, RTT: rtt}
+	}
+	at := func(gr scenario.Group, rtt, start time.Duration) scenario.Group {
+		gr.RTT, gr.Start = rtt, start
+		return gr
+	}
+	spec := func(bufBDP float64, f scenario.Faults, groups ...scenario.Group) scenario.Spec {
+		capacity := 40 * units.Mbps
+		maxRTT := time.Duration(0)
+		for _, gr := range groups {
+			maxRTT = max(maxRTT, gr.RTT)
+		}
+		return scenario.Spec{
+			Capacity: capacity,
+			Buffer:   units.BufferBytes(capacity, maxRTT, bufBDP),
+			Duration: 30 * time.Second,
+			Backend:  scenario.BackendFluid,
+			Faults:   f,
+			Groups:   groups,
+		}
+	}
+	clean := scenario.Faults{}
+	loss := scenario.Faults{LossRate: 0.001}
+	flap := scenario.Faults{FlapPeriod: 4 * time.Second, FlapDepth: 0.4}
+	burst := scenario.Faults{BurstEvery: 5 * time.Second, BurstLen: 10}
+	all := scenario.Faults{LossRate: 0.0005, FlapPeriod: 6 * time.Second, FlapDepth: 0.3,
+		BurstEvery: 7 * time.Second, BurstLen: 6}
+	return []scenario.Spec{
+		spec(2, clean, g("cubic", 3)),
+		spec(2, clean, g("reno", 3)),
+		spec(2, clean, g("bbr", 3)),
+		spec(1, clean, g("cubic", 1)),
+		spec(1, clean, g("bbr", 2), g("cubic", 2)),
+		spec(20, clean, g("bbr", 2), g("cubic", 2)),
+		spec(4, clean, g("bbr", 2), g("reno", 2)),
+		spec(4, clean, g("cubic", 2), g("reno", 2)),
+		spec(1, clean, g("cubic", 2), g("reno", 2), g("bbr", 2)),
+		spec(20, clean, g("cubic", 2), g("reno", 2), g("bbr", 2)),
+		spec(4, loss, g("bbr", 2), g("cubic", 2)),
+		spec(4, loss, g("cubic", 2), g("reno", 2)),
+		spec(4, flap, g("bbr", 2), g("cubic", 2)),
+		spec(20, flap, g("reno", 2), g("bbr", 2)),
+		spec(4, burst, g("cubic", 2), g("bbr", 2)),
+		spec(2, burst, g("reno", 3)),
+		spec(6, all, g("cubic", 2), g("reno", 2), g("bbr", 2)),
+		spec(4, clean, g("bbr", 2), at(g("cubic", 2), rtt, 8*time.Second)),
+		spec(4, clean, g("cubic", 2), at(g("bbr", 2), rtt, 12*time.Second)),
+		spec(1, clean, at(g("cubic", 2), 10*time.Millisecond, 0), at(g("bbr", 2), 80*time.Millisecond, 0)),
+		spec(20, clean, at(g("bbr", 2), 10*time.Millisecond, 0), at(g("cubic", 2), 80*time.Millisecond, 0),
+			at(g("reno", 1), 80*time.Millisecond, 0)),
+		spec(3, loss, at(g("reno", 2), 10*time.Millisecond, 0), at(g("cubic", 2), 80*time.Millisecond, 5*time.Second)),
+		spec(4, clean, g("cubic", 0), g("bbr", 2), g("reno", 0), g("cubic", 2)),
+		sixGroupSpec(),
+	}
+}
+
+// sixGroupSpec is a faulted two-RTT-class spec with every algorithm in each
+// class: the widest per-step workload, shared by the grid golden and the
+// allocation guard.
+func sixGroupSpec() scenario.Spec {
+	capacity := 100 * units.Mbps
+	var groups []scenario.Group
+	for _, rtt := range []time.Duration{20 * time.Millisecond, 80 * time.Millisecond} {
+		for _, alg := range []string{"cubic", "reno", "bbr"} {
+			groups = append(groups, scenario.Group{Algorithm: alg, Count: 2, RTT: rtt})
+		}
+	}
+	return scenario.Spec{
+		Capacity: capacity,
+		Buffer:   units.BufferBytes(capacity, 80*time.Millisecond, 5),
+		Duration: 30 * time.Second,
+		Backend:  scenario.BackendFluid,
+		Faults: scenario.Faults{LossRate: 0.0005, FlapPeriod: 5 * time.Second, FlapDepth: 0.3,
+			BurstEvery: 9 * time.Second, BurstLen: 8},
+		Groups: groups,
+	}
+}
+
+// TestGoldenGrid pins the whole grid to one SHA-256 over the JSON-encoded
+// Stats of every spec. JSON carries each float64 in its shortest
+// round-trip form, so a single flipped bit in any reported value changes
+// the digest. Like TestGoldenSteadyState, a failure means
+// the integration changed and every fluid cache entry is stale.
+func TestGoldenGrid(t *testing.T) {
+	h := sha256.New()
+	enc := json.NewEncoder(h)
+	for i, sp := range goldenGrid() {
+		gs, link := runStats(t, sp, 0)
+		if err := enc.Encode(struct {
+			Groups [][]netsim.FlowStats
+			Link   netsim.LinkStats
+		}{gs, link}); err != nil {
+			t.Fatalf("spec %d: %v", i, err)
+		}
+	}
+	const want = "43cdf9860e282ce8474982f9733d8a36237d7f2c61740c90e7de39b8cdda1983"
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Errorf("golden grid drifted:\ngot  %s\nwant %s", got, want)
+	}
+}
+
+// TestRunZeroAllocs guards the step's allocation-free contract (see
+// Model): once built, advancing the widest spec — six groups, two RTT
+// classes, every fault kind — allocates nothing.
+func TestRunZeroAllocs(t *testing.T) {
+	m, err := New(sixGroupSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Run(time.Second)
+	if allocs := testing.AllocsPerRun(5, func() { m.Run(time.Second) }); allocs != 0 {
+		t.Fatalf("Run allocated %.1f times per simulated second; want 0", allocs)
 	}
 }
 

@@ -34,9 +34,10 @@ go test -race -timeout 1800s \
 	./internal/runner ./internal/exp ./internal/check ./internal/scenario ./internal/netsim \
 	./internal/telemetry ./internal/fluid ./internal/serve ./internal/game ./internal/adopt
 
-echo "== engine benchmark smoke + allocation guard"
+echo "== engine benchmark smoke + allocation guards (packet engine, fluid step)"
 go test ./internal/netsim -run TestSteadyStateZeroAllocs \
 	-bench 'BenchmarkEngine|BenchmarkTopology' -benchtime 1x -count=1
+go test ./internal/fluid -run TestRunZeroAllocs -count=1
 
 echo "== topology example smoke (multi-bottleneck specs under -strict audit)"
 for ex in examples/parkinglot-3link.json examples/access-core.json; do
