@@ -7,9 +7,13 @@
 //	nash -capacity 100 -rtt 40 -buffer 5 -n 20 -alg bbr -verify -scale quick
 //	nash -n 30 -verify -workers 8 -cache results.json -strict
 //
-// With -verify, the payoff-table simulations fan out across -workers
-// cores and memoize per-scenario results in -cache; neither affects the
-// equilibria found (see DESIGN.md, "Parallel execution & determinism").
+// With -verify, every payoff simulation runs on the -workers pool and
+// memoizes per-scenario results in -cache. The full scale's exhaustive
+// scan fans the whole payoff table out; the quick and smoke scales' walk
+// runs the rows it is certain to read two or three at a time and the
+// rest one by one. Neither flag affects the equilibria found or the
+// simulation and cache-hit counts (see DESIGN.md, "Parallel execution &
+// determinism").
 // SIGINT/SIGTERM cancel the search gracefully — in-flight simulations
 // drain and the cache is saved on every exit path, so an interrupted
 // exhaustive scan keeps its warmed payoff table. -strict audits every

@@ -81,8 +81,11 @@ type NESearchConfig struct {
 	// and then checks that point's neighbourhood. The walk evaluates far
 	// fewer distributions (each evaluation is one simulation).
 	Exhaustive bool
-	// Pool parallelizes the payoff-table build of exhaustive scans; nil
-	// means serial. Results are identical at any worker count.
+	// Pool runs every payoff lookup as a unit, so its watchdog and retries
+	// guard each one and Jobs counts them. Exhaustive scans build the whole
+	// payoff table in one batch; the walk batches only rows it is certain
+	// to read and looks up the rest one at a time. Nil means serial.
+	// Results, Simulations and CacheHits are identical at any worker count.
 	Pool *runner.Pool
 	// Cache memoizes payoff simulations by canonical scenario key. When
 	// nil, a search-local cache still deduplicates repeated distribution
@@ -168,8 +171,7 @@ func FindNE(cfg NESearchConfig) (NESearchResult, error) {
 	type pair struct{ x, c float64 }
 	// evalErr is the fallible payoff evaluation: panic-protected and
 	// reported under the distribution's canonical scenario key. ctx is the
-	// executing unit's context when the evaluation runs through MapCtx (so
-	// the watchdog sees its heartbeats) and the search context otherwise.
+	// executing pool unit's context, so the watchdog sees its heartbeats.
 	// What is memoized is the mix result, shared by every utility; the
 	// utility is applied per lookup.
 	evalErr := func(ctx context.Context, numX int) (pair, error) {
@@ -192,10 +194,17 @@ func FindNE(cfg NESearchConfig) (NESearchResult, error) {
 	}
 	searchCtx := ctxOr(cfg.Ctx)
 	var failed evalFailure
+	// held keeps a walk batch's payoff pairs until the walk first reads
+	// their row. That read consumes the held pair instead of looking the
+	// row up again, so a batched lookup replaces the serial walk's first
+	// lookup of the row and Simulations and CacheHits do not move.
+	held := make(map[int]pair)
 	eval := func(numX int) pair {
-		p, err := evalErr(searchCtx, numX)
-		failed.note(err)
-		return p
+		if p, ok := held[numX]; ok {
+			delete(held, numX)
+			return p
+		}
+		return lookupBatch(searchCtx, cfg.Pool, &failed, []int{numX}, evalErr)[0]
 	}
 	g := &game.SymmetricBinary{
 		N:           cfg.N,
@@ -211,12 +220,14 @@ func FindNE(cfg NESearchConfig) (NESearchResult, error) {
 
 	if cfg.Exhaustive {
 		// An exhaustive scan evaluates every distribution anyway, so
-		// build the whole payoff table up front through the pool; the
+		// build the whole payoff table up front in one batch; the
 		// enumeration below is then pure cache hits.
-		if _, err := runner.MapCtx(searchCtx, cfg.Pool, cfg.N+1, func(uctx context.Context, numX int) (struct{}, error) {
-			_, err := evalErr(uctx, numX)
-			return struct{}{}, err
-		}); err != nil {
+		rows := make([]int, cfg.N+1)
+		for i := range rows {
+			rows[i] = i
+		}
+		lookupBatch(searchCtx, cfg.Pool, &failed, rows, evalErr)
+		if err := failed.get(); err != nil {
 			return NESearchResult{}, err
 		}
 		ks, err := g.Equilibria(eps)
@@ -245,7 +256,11 @@ func FindNE(cfg NESearchConfig) (NESearchResult, error) {
 			start = int(pt.BBRFlows + 0.5)
 		}
 	}
-	ks, converged := walkNeighborhood(g, cfg.N, start, eps, 3*cfg.N)
+	ks, converged := walkNeighborhood(g, start, eps, 3*cfg.N, func(rows []int) {
+		for i, p := range lookupBatch(searchCtx, cfg.Pool, &failed, rows, evalErr) {
+			held[rows[i]] = p
+		}
+	})
 	if err := failed.get(); err != nil {
 		return NESearchResult{}, err
 	}
@@ -265,20 +280,75 @@ func FindNE(cfg NESearchConfig) (NESearchResult, error) {
 // wherever the walk stopped rather than on an equilibrium, and the caller
 // must surface that instead of passing the neighbourhood off as the answer
 // (the pre-fix code discarded it).
-func walkNeighborhood(g *game.SymmetricBinary, n, start int, eps float64, maxSteps int) (ks []int, converged bool) {
-	k, ok := g.FirstEquilibrium(start, eps, maxSteps)
-	if !ok {
+//
+// batch receives rows (distributions) the walk has not read yet but is
+// certain to read, so the caller can look them up together. There are two
+// such points. Before the walk, the start pair: FirstEquilibrium's first
+// comparison reads rows s and s+1, where s is start clamped to [0, N], or
+// N−1 and N when s = N. After a
+// converged walk lands at k, rows k−3, k−2 and k+2: IsEquilibrium(k−2)
+// evaluates both operands of its first comparison and IsEquilibrium(k+2)
+// reads X(k+2). Every other read depends on a comparison's outcome, and
+// nothing the walk might not read is batched, so a caller that lets a
+// batched lookup stand in for the row's first read makes exactly the
+// serial walk's lookups.
+func walkNeighborhood(g *game.SymmetricBinary, start int, eps float64, maxSteps int, batch func(rows []int)) (ks []int, converged bool) {
+	// w is g with its reads recorded, so that no batch repeats a lookup.
+	n := g.N
+	read := make([]bool, n+1)
+	w := &game.SymmetricBinary{
+		N:           n,
+		PayoffX:     func(k int) float64 { read[k] = true; return g.PayoffX(k) },
+		PayoffCubic: func(k int) float64 { read[k] = true; return g.PayoffCubic(k) },
+	}
+	prefetch := func(rows ...int) {
+		var unread []int
+		for _, r := range rows {
+			if r >= 0 && r <= n && !read[r] {
+				unread = append(unread, r)
+			}
+		}
+		if len(unread) > 0 {
+			batch(unread)
+		}
+	}
+	if s := min(max(start, 0), n); s < n {
+		prefetch(s, s+1)
+	} else if n >= 1 {
+		prefetch(n-1, n)
+	}
+	k, ok := w.FirstEquilibrium(start, eps, maxSteps)
+	if ok {
+		prefetch(k-3, k-2, k+2)
+	} else {
 		log.Printf("exp: NE walk from %d did not converge within %d steps (stopped at %d); reporting that point's ±2 neighbourhood only", start, maxSteps, k)
 	}
 	for cand := k - 2; cand <= k+2; cand++ {
 		if cand < 0 || cand > n {
 			continue
 		}
-		if g.IsEquilibrium(cand, eps) {
+		if w.IsEquilibrium(cand, eps) {
 			ks = append(ks, cand)
 		}
 	}
 	return ks, ok
+}
+
+// lookupBatch is an NE search's one payoff-lookup path: it evaluates rows
+// as one runner.MapCtx batch on pool, so each lookup is a pool unit that
+// the pool's watchdog and retries guard and Jobs counts. A nil pool runs
+// the batch serially. A failed batch is noted in failed and reads as
+// zero payoffs, as a failed lookup always has: game callbacks cannot
+// return errors, so the search reports the failure when it ends.
+func lookupBatch[R, P any](ctx context.Context, pool *runner.Pool, failed *evalFailure, rows []R, eval func(context.Context, R) (P, error)) []P {
+	ps, err := runner.MapCtx(ctx, pool, len(rows), func(uctx context.Context, i int) (P, error) {
+		return eval(uctx, rows[i])
+	})
+	if err != nil {
+		failed.note(err)
+		return make([]P, len(rows))
+	}
+	return ps
 }
 
 // nePayoffDuration enforces the paper's two-minute protocol on equilibrium
@@ -386,8 +456,7 @@ func FindGroupNE(cfg GroupNEConfig) (GroupNEResult, error) {
 	searchCtx := ctxOr(cfg.Ctx)
 	var failed evalFailure
 	eval := func(k []int) pair {
-		p, err := evalErr(searchCtx, k)
-		failed.note(err)
+		p := lookupBatch(searchCtx, cfg.Pool, &failed, [][]int{k}, evalErr)[0]
 		if p.x == nil || p.c == nil {
 			p = pair{x: make([]units.Rate, len(k)), c: make([]units.Rate, len(k))}
 		}
@@ -408,12 +477,9 @@ func FindGroupNE(cfg GroupNEConfig) (GroupNEResult, error) {
 
 	if cfg.Exhaustive {
 		// The exhaustive enumeration touches every profile, so build the
-		// whole payoff table up front through the pool.
-		profiles := enumerateProfiles(cfg.Sizes)
-		if _, err := runner.MapCtx(searchCtx, cfg.Pool, len(profiles), func(uctx context.Context, i int) (struct{}, error) {
-			_, err := evalErr(uctx, profiles[i])
-			return struct{}{}, err
-		}); err != nil {
+		// whole payoff table up front in one batch.
+		lookupBatch(searchCtx, cfg.Pool, &failed, enumerateProfiles(cfg.Sizes), evalErr)
+		if err := failed.get(); err != nil {
 			return GroupNEResult{}, err
 		}
 		ks, err := g.Equilibria(eps)

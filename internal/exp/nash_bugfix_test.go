@@ -37,7 +37,7 @@ func TestWalkNeighborhoodSurfacesNonConvergence(t *testing.T) {
 		PayoffX:     func(k int) float64 { return 100 }, // always switch to X
 		PayoffCubic: func(k int) float64 { return 0 },
 	}
-	ks, converged := walkNeighborhood(g, 50, 0, 0, 5)
+	ks, converged := walkNeighborhood(g, 0, 0, 5, func([]int) {})
 	if converged {
 		t.Fatal("a walk cut off after 5 of 50 required steps claimed convergence")
 	}
@@ -53,7 +53,7 @@ func TestWalkNeighborhoodSurfacesNonConvergence(t *testing.T) {
 		PayoffX:     func(k int) float64 { return 40 / float64(k) },
 		PayoffCubic: func(k int) float64 { return 60 / float64(10-k+1) },
 	}
-	ks, converged = walkNeighborhood(g2, 10, 5, 0, 30)
+	ks, converged = walkNeighborhood(g2, 5, 0, 30, func([]int) {})
 	if !converged {
 		t.Fatal("converging walk reported non-convergence")
 	}

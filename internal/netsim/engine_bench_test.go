@@ -86,6 +86,23 @@ func engineScenarios() map[string]scenario.Spec {
 				{Algorithm: "cubic", Count: 10, RTT: 80 * time.Millisecond},
 			},
 		},
+		// deep50: the NE search's deepest buffer (Fig 9's 50 BDP) at its
+		// flow count. The queue takes seconds to drain, so dropped packets
+		// wait that long for loss detection: the drop-train regime, where
+		// live packets outgrow Presize's arena. The allocation guard runs
+		// it; BenchmarkEngine's three-scenario list does not.
+		"deep50": {
+			Capacity:    50 * units.Mbps,
+			Buffer:      units.BufferBytes(50*units.Mbps, 40*time.Millisecond, 50),
+			AckJitter:   scenario.DefaultAckJitter,
+			StartJitter: scenario.DefaultStartJitter,
+			Duration:    time.Hour,
+			Seed:        5,
+			Groups: []scenario.Group{
+				{Algorithm: "bbr", Count: 25, RTT: 40 * time.Millisecond},
+				{Algorithm: "cubic", Count: 25, RTT: 40 * time.Millisecond},
+			},
+		},
 	}
 }
 

@@ -117,11 +117,13 @@ func (f *Flow) trySend() {
 			}
 			f.nextSend = f.nextSend.Add(f.paceStep)
 		}
-		f.sendPacket(now, mss)
+		f.sendPacket(now)
 	}
 }
 
-func (f *Flow) sendPacket(now eventsim.Time, size units.Bytes) {
+// sendPacket transmits one MSS-sized segment.
+func (f *Flow) sendPacket(now eventsim.Time) {
+	size := f.net.cfg.MSS
 	if f.inflight == 0 {
 		// Restarting from idle: reset the rate-estimator epoch.
 		f.firstSent = now
@@ -130,7 +132,6 @@ func (f *Flow) sendPacket(now eventsim.Time, size units.Bytes) {
 	p := f.net.newPacket()
 	p.flow = f
 	p.seq = f.nextSeq
-	p.size = size
 	p.sentAt = now
 	p.delivered = f.delivered
 	p.deliveredTime = f.deliveredTime
@@ -147,8 +148,8 @@ func (f *Flow) sendPacket(now eventsim.Time, size units.Bytes) {
 // packetDeparted is called when the packet crosses the last link of its
 // path; the receiver will see it one forward propagation later. Throughput
 // is counted here.
-func (f *Flow) packetDeparted(p *packet) {
-	f.arrived.Add(float64(p.size))
+func (f *Flow) packetDeparted() {
+	f.arrived.Add(float64(f.net.cfg.MSS))
 }
 
 // ackAdvance moves the packet's acknowledgment to the next reverse link on
@@ -166,8 +167,9 @@ func (f *Flow) ackAdvance(p *packet) {
 // ackArrived processes the acknowledgement for p at the sender.
 func (f *Flow) ackArrived(p *packet) {
 	now := f.net.loop.Now()
-	f.inflight -= p.size
-	f.delivered += p.size
+	mss := f.net.cfg.MSS
+	f.inflight -= mss
+	f.delivered += mss
 	f.deliveredTime = now
 
 	rtt := now.Sub(p.sentAt)
@@ -193,7 +195,7 @@ func (f *Flow) ackArrived(p *packet) {
 	f.alg.OnAck(cc.AckEvent{
 		Now:       now,
 		Seq:       p.seq,
-		Bytes:     p.size,
+		Bytes:     mss,
 		SentAt:    p.sentAt,
 		RTT:       rtt,
 		Inflight:  f.inflight,
@@ -214,12 +216,13 @@ func (f *Flow) packetDropped(p *packet, queueDelay time.Duration) {
 
 func (f *Flow) lossDetected(p *packet) {
 	now := f.net.loop.Now()
-	f.inflight -= p.size
+	mss := f.net.cfg.MSS
+	f.inflight -= mss
 	f.lost.Add(1)
 	f.alg.OnLoss(cc.LossEvent{
 		Now:      now,
 		Seq:      p.seq,
-		Bytes:    p.size,
+		Bytes:    mss,
 		SentAt:   p.sentAt,
 		Inflight: f.inflight,
 	})

@@ -93,7 +93,8 @@ func (l *link) enqueue(p *packet) {
 		p.flow.packetDropped(p, l.queueDelay())
 		return
 	}
-	if l.waitingBytes+p.size > l.buffer {
+	mss := l.net.cfg.MSS
+	if l.waitingBytes+mss > l.buffer {
 		// Drop-tail.
 		l.drops.Add(1)
 		l.observeDrop(now, p, false)
@@ -102,9 +103,9 @@ func (l *link) enqueue(p *packet) {
 	}
 	p.enqueuedAt = now
 	l.waiting = append(l.waiting, p)
-	l.waitingBytes += p.size
+	l.waitingBytes += mss
 	l.occupancy.Set(now, float64(l.waitingBytes))
-	p.flow.queued.Add(now, float64(p.size))
+	p.flow.queued.Add(now, float64(mss))
 	if !l.busy {
 		l.startService()
 	}
@@ -147,7 +148,7 @@ func (l *link) startService() {
 		l.waiting = append(l.waiting[:0], l.waiting[l.head:]...)
 		l.head = 0
 	}
-	size := p.size
+	size := l.net.cfg.MSS
 	doneKind := evServiceDone
 	if l.rev {
 		size = units.AckBytes
@@ -183,15 +184,16 @@ func (l *link) startService() {
 // after one base RTT (plus jitter and modeled ACK-loss delays) otherwise.
 func (l *link) serviceDone(p *packet) {
 	now := l.net.loop.Now()
+	mss := l.net.cfg.MSS
 	l.busy = false
-	l.departed.Add(float64(p.size))
+	l.departed.Add(float64(mss))
 	l.delay.Observe(float64(now.Sub(p.enqueuedAt)))
 	f := p.flow
 	if int(p.hop)+1 < len(f.path) {
 		p.hop++
 		f.path[p.hop].enqueue(p)
 	} else {
-		f.packetDeparted(p)
+		f.packetDeparted()
 		ackDelay := f.rtt
 		if j := l.net.cfg.AckJitter; j > 0 {
 			ackDelay += l.net.rng.Duration(j)
@@ -209,7 +211,7 @@ func (l *link) serviceDone(p *packet) {
 			if alr := pl.faults.AckLossRate; alr > 0 {
 				for l.net.rng.Float64() < alr {
 					pl.ackLost.Add(1)
-					ackDelay += pl.rate.TimeToSend(p.size)
+					ackDelay += pl.rate.TimeToSend(mss)
 				}
 			}
 		}
