@@ -23,12 +23,9 @@ import (
 	"bbrnash/internal/cc/bbr"
 	"bbrnash/internal/cc/cubic"
 	"bbrnash/internal/core"
-	"bbrnash/internal/eventsim"
 	"bbrnash/internal/exp"
 	"bbrnash/internal/netsim"
 	"bbrnash/internal/numeric"
-	"bbrnash/internal/runner"
-	"bbrnash/internal/scenario"
 	"bbrnash/internal/units"
 )
 
@@ -128,15 +125,6 @@ func BenchmarkNashPredict(b *testing.B) {
 		if _, err := core.PredictNashRegion(ns); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkMaxFilter measures the windowed-max filter BBR leans on.
-func BenchmarkMaxFilter(b *testing.B) {
-	f := cc.NewMaxFilter(10)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f.Update(eventsim.Time(i), float64(i%97))
 	}
 }
 
@@ -319,71 +307,6 @@ func abs(v float64) float64 {
 		return -v
 	}
 	return v
-}
-
-// Runner benchmarks: the same sweep through the parallel fan-out at one
-// worker and at GOMAXPROCS workers, so BENCH_*.json captures the speedup
-// trajectory. Each op runs the sweep twice against a fresh cache — the
-// second pass is served from memory — so "cache-hit-rate" reports the
-// memoization half of the optimization (0.5 = every rerun scenario hit).
-
-// runnerSweep is the benchmark workload: a 4-point buffer sweep, two
-// jittered trials per point, short flows.
-func runnerSweep(b *testing.B, s exp.Scale) {
-	_, err := s.Sweep(21, 4, func(i int) scenario.Spec {
-		return scenario.Mix("bbr", 1, 1, 50*units.Mbps,
-			units.BufferBytes(50*units.Mbps, 40*time.Millisecond, float64(2*i+1)),
-			40*time.Millisecond, 4*time.Second)
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-}
-
-// runnerScale builds the workload's scale at the given worker count with a
-// fresh cache.
-func runnerScale(workers int) exp.Scale {
-	return exp.Scale{
-		Trials: 2,
-		Pool:   runner.NewPool(workers),
-		Cache:  runner.NewCache(),
-	}
-}
-
-func BenchmarkRunnerSerial(b *testing.B) {
-	var hitRate float64
-	for i := 0; i < b.N; i++ {
-		s := runnerScale(1)
-		runnerSweep(b, s)
-		runnerSweep(b, s)
-		hitRate = s.Cache.HitRate()
-	}
-	b.ReportMetric(hitRate, "cache-hit-rate")
-}
-
-func BenchmarkRunnerParallel(b *testing.B) {
-	// Serial baseline for the speedup metric, measured outside the timer.
-	start := time.Now()
-	serial := runnerScale(1)
-	runnerSweep(b, serial)
-	runnerSweep(b, serial)
-	baseline := time.Since(start)
-
-	var hitRate float64
-	b.ResetTimer()
-	start = time.Now()
-	for i := 0; i < b.N; i++ {
-		s := runnerScale(0) // GOMAXPROCS workers
-		runnerSweep(b, s)
-		runnerSweep(b, s)
-		hitRate = s.Cache.HitRate()
-	}
-	perOp := time.Since(start) / time.Duration(b.N)
-	b.StopTimer()
-	b.ReportMetric(hitRate, "cache-hit-rate")
-	if perOp > 0 {
-		b.ReportMetric(float64(baseline)/float64(perOp), "speedup")
-	}
 }
 
 // BenchmarkScalingLargeN probes §5's open question — do the predictions

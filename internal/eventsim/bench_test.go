@@ -7,9 +7,10 @@ import (
 
 func BenchmarkScheduleRun(b *testing.B) {
 	var l Loop
+	nop := fn(func() {})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		l.After(time.Microsecond, func() {})
+		l.AfterEvent(time.Microsecond, 0, nop)
 		if l.Pending() > 1024 {
 			l.RunFor(2 * time.Millisecond)
 		}
@@ -19,7 +20,7 @@ func BenchmarkScheduleRun(b *testing.B) {
 
 func BenchmarkTimerRearm(b *testing.B) {
 	var l Loop
-	tm := NewTimer(&l, func() {})
+	tm := newTimer(&l, func() {})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tm.ArmAfter(time.Millisecond)

@@ -5,24 +5,26 @@
 // tie-break by sequence number), which makes simulations reproducible
 // independent of map iteration or scheduler behaviour.
 //
-// The queue is typed and allocation-free: events are flat records in a
-// pooled arena, and hot-path events dispatch through a (Kind, Handler)
-// pair instead of a heap-allocated closure. Scheduling a typed event
-// allocates nothing once the arena has reached its steady-state size; the
-// closure form (Schedule, After) remains for cold paths that fire a
-// handful of times per run.
+// The queue is typed and allocation-free: every event is a flat
+// (Kind, Handler) record in a pooled arena, dispatched by one
+// target.OnEvent(kind) call. Scheduling allocates nothing once the arena
+// has reached its steady-state size.
 //
-// Ordering is maintained by a two-tier structure chosen by benchmark (see
-// DESIGN §13): events within the near horizon — the vast majority: packet
-// service completions, ACK arrivals, loss detections, pacer fires — live
-// in a calendar queue (a timing wheel of per-bucket lists kept sorted by
-// (at, seq), with an occupancy bitmap for O(1) next-bucket scans), while
-// the few far-future events (fault chains, flow restarts) live in an
-// indexed 4-ary min-heap. Both tiers support in-place cancellation, so
-// stale timer generations are removed rather than left to no-op and
-// Pending and Processed count live events only. Dequeue compares the two
-// tiers' minima on the full (at, seq) key, so the execution order is
-// exactly the single-queue order.
+// Ordering is maintained by a three-tier structure chosen by benchmark (see
+// DESIGN §13). A single-slot fast lane (ScheduleNext) holds the most
+// frequent event, a link's next service completion. Events within the near
+// horizon — the bulk: other service completions, ACK arrivals, pacer fires,
+// most loss detections — live in a calendar queue (a timing wheel of
+// per-bucket lists kept sorted by (at, seq), with an occupancy bitmap for
+// O(1) next-bucket scans). Events past the wheel's ~268ms horizon live in
+// an indexed 4-ary min-heap: fault edges, flow restarts, and loss
+// detections scheduled a deep buffer's drain ahead. On the NE search's
+// payoff shape that is 0–2.5% of events, peaking at 8,050 heap entries at
+// 50 BDP. The wheel and the heap support in-place cancellation, so stale
+// timer generations are removed rather than left to no-op and Pending and
+// Processed count live events only. Dequeue compares the three tiers'
+// minima on the full (at, seq) key, so the execution order is exactly the
+// single-queue order.
 package eventsim
 
 import (
@@ -64,15 +66,9 @@ func (t Time) String() string {
 	return t.Duration().String()
 }
 
-// Kind discriminates typed events for a Handler's dispatch switch.
-// Non-negative kinds belong to the caller; negative values are reserved by
-// the engine (closure events, timers).
+// Kind discriminates events for a Handler's dispatch switch. Its values
+// belong wholly to the caller: the engine only stores and passes them back.
 type Kind int32
-
-const (
-	kindFunc  Kind = -1 // record carries a fn closure
-	kindTimer Kind = -2 // record's target is a *Timer
-)
 
 // Handler receives typed events. Implementations are typically small
 // pooled objects (a packet, a flow) that switch on the kind; storing a
@@ -117,7 +113,6 @@ type record struct {
 	at     Time
 	seq    uint64
 	target Handler
-	fn     func()
 	kind   Kind
 	pos    int32
 	prev   int32 // bucket-list links (wheel residents only); -1 terminates
@@ -151,10 +146,6 @@ type Loop struct {
 	fastKind   Kind
 	fastTarget Handler
 	fastLive   bool
-
-	// heapOnly forces every event into the far heap; benchmarks use it to
-	// compare the pure-heap and calendar configurations on equal terms.
-	heapOnly bool
 }
 
 // Now returns the current simulation time.
@@ -195,7 +186,7 @@ func (l *Loop) Reserve(n int) {
 		copy(free, l.free)
 		l.free = free
 	}
-	if l.buckets == nil && !l.heapOnly {
+	if l.buckets == nil {
 		l.initWheel()
 	}
 }
@@ -211,7 +202,7 @@ func (l *Loop) initWheel() {
 }
 
 // alloc takes a free arena slot (or grows the arena) and stamps its payload.
-func (l *Loop) alloc(kind Kind, target Handler, fn func()) int32 {
+func (l *Loop) alloc(kind Kind, target Handler) int32 {
 	var idx int32
 	if n := len(l.free); n > 0 {
 		idx = l.free[n-1]
@@ -223,12 +214,11 @@ func (l *Loop) alloc(kind Kind, target Handler, fn func()) int32 {
 	r := &l.recs[idx]
 	r.kind = kind
 	r.target = target
-	r.fn = fn
 	return idx
 }
 
-// release returns a slot to the free list. The slot's target and fn are
-// left in place — alloc overwrites them on reuse, and the free list is LIFO
+// release returns a slot to the free list. The slot's target is left in
+// place — alloc overwrites it on reuse, and the free list is LIFO
 // so a released slot is the next one recycled. A handler can be retained at
 // most until the queue next reaches the slot, which in a running simulation
 // is the very next schedule.
@@ -246,14 +236,12 @@ func (l *Loop) insert(idx int32, at Time) {
 	r := &l.recs[idx]
 	r.at = at
 	r.seq = l.seq
-	if !l.heapOnly {
-		if l.buckets == nil {
-			l.initWheel()
-		}
-		if (at>>wheelShift)-(l.now>>wheelShift) < wheelBuckets {
-			l.wheelInsert(idx, r)
-			return
-		}
+	if l.buckets == nil {
+		l.initWheel()
+	}
+	if (at>>wheelShift)-(l.now>>wheelShift) < wheelBuckets {
+		l.wheelInsert(idx, r)
+		return
 	}
 	l.heapPush(entry{at: at, seq: r.seq, idx: idx})
 }
@@ -487,12 +475,12 @@ func (l *Loop) detach(idx int32) {
 }
 
 // schedule stamps and enqueues an event, returning its arena slot.
-func (l *Loop) schedule(at Time, kind Kind, target Handler, fn func()) int32 {
+func (l *Loop) schedule(at Time, kind Kind, target Handler) int32 {
 	if at < l.now {
 		panic(fmt.Sprintf("eventsim: scheduling event at %v before now %v", at, l.now))
 	}
 	l.seq++
-	idx := l.alloc(kind, target, fn)
+	idx := l.alloc(kind, target)
 	l.insert(idx, at)
 	return idx
 }
@@ -509,31 +497,15 @@ func (l *Loop) reschedule(idx int32, at Time) {
 	l.insert(idx, at)
 }
 
-// Schedule runs fn at absolute time at. Scheduling in the past panics: it is
-// always a logic error in the caller, and silently reordering time would
-// corrupt a simulation. The closure form allocates on the caller's side;
-// per-packet paths should use ScheduleEvent instead.
-func (l *Loop) Schedule(at Time, fn func()) {
-	l.schedule(at, kindFunc, nil, fn)
-}
-
-// After runs fn after delay d from the current time. Negative delays are
-// treated as zero.
-func (l *Loop) After(d time.Duration, fn func()) {
-	if d < 0 {
-		d = 0
-	}
-	l.Schedule(l.now.Add(d), fn)
-}
-
-// ScheduleEvent enqueues a typed event: at time at, target.OnEvent(kind) is
+// ScheduleEvent enqueues an event: at time at, target.OnEvent(kind) is
 // called. Nothing is allocated once the queue has reached steady-state
-// size. The kind must be non-negative; negative kinds are reserved.
+// size. Scheduling in the past panics: it is always a logic error in the
+// caller, and silently reordering time would corrupt a simulation.
 func (l *Loop) ScheduleEvent(at Time, kind Kind, target Handler) {
-	l.schedule(at, kind, target, nil)
+	l.schedule(at, kind, target)
 }
 
-// AfterEvent enqueues a typed event after delay d from the current time.
+// AfterEvent enqueues an event after delay d from the current time.
 // Negative delays are treated as zero.
 func (l *Loop) AfterEvent(d time.Duration, kind Kind, target Handler) {
 	if d < 0 {
@@ -542,7 +514,7 @@ func (l *Loop) AfterEvent(d time.Duration, kind Kind, target Handler) {
 	l.ScheduleEvent(l.now.Add(d), kind, target)
 }
 
-// ScheduleNext enqueues a typed event through the single-slot fast lane:
+// ScheduleNext enqueues an event through the single-slot fast lane:
 // no arena record, no wheel or heap insertion, one compare at dispatch.
 // At most one fast-lane event may be pending per loop; scheduling a second
 // panics. It exists for the tightest recurring event a simulation has —
@@ -599,25 +571,10 @@ func (l *Loop) min() (idx int32, fast bool) {
 	return idx, fast
 }
 
-// Peek reports the next event in the queue without executing it: its time,
-// kind and target (nil kind/target for closure events). Dispatch code uses
-// it to coalesce work across consecutive same-target events.
-func (l *Loop) Peek() (at Time, kind Kind, target Handler, ok bool) {
-	idx, fast := l.min()
-	if fast {
-		return l.fastAt, l.fastKind, l.fastTarget, true
-	}
-	if idx < 0 {
-		return 0, 0, nil, false
-	}
-	r := &l.recs[idx]
-	return r.at, r.kind, r.target, true
-}
-
 // PeekSameInstant reports the earliest pending event if and only if its
 // deadline is exactly the current instant; ok is false when the next event
-// lies in the future. Unlike Peek it costs a constant handful of loads —
-// a same-instant wheel event can only live at the head of the clock's own
+// lies in the future. It costs a constant handful of loads — a
+// same-instant wheel event can only live at the head of the clock's own
 // bucket — so dispatch code can afford it on every event when coalescing
 // consecutive same-instant work.
 func (l *Loop) PeekSameInstant() (kind Kind, target Handler, ok bool) {
@@ -673,16 +630,12 @@ func (l *Loop) Run(until Time) uint64 {
 			break
 		}
 		l.now = r.at
-		kind, target, fn := r.kind, r.target, r.fn
-		// Detach the record before dispatch: the callback may schedule,
+		kind, target := r.kind, r.target
+		// Detach the record before dispatch: the handler may schedule,
 		// cancel or re-arm freely against a consistent queue.
 		l.detach(idx)
 		l.release(idx)
-		if fn != nil {
-			fn()
-		} else {
-			target.OnEvent(kind)
-		}
+		target.OnEvent(kind)
 		n++
 		l.count++
 	}
@@ -699,41 +652,21 @@ func (l *Loop) RunFor(d time.Duration) uint64 { return l.Run(l.now.Add(d)) }
 // tests; simulations should normally bound time with Run.
 func (l *Loop) Drain() uint64 { return l.Run(Never) }
 
-// Timer is a cancellable, re-armable scheduled callback. A Timer may be
-// re-armed from within its own callback. Re-arming moves the pending entry
+// Timer is a cancellable, re-armable scheduled event. A Timer may be
+// re-armed from within its own handler. Re-arming moves the pending entry
 // within the queue and stopping removes it — a stale deadline never remains
-// behind to no-op. The zero value is invalid; use NewTimer, or embed a
-// Timer and call Init.
+// behind to no-op. The zero value is invalid; embed a Timer and call Init.
 type Timer struct {
 	loop   *Loop
-	fn     func()
-	target Handler // typed form: fires target.OnEvent(kind) when fn is nil
+	target Handler
 	kind   Kind
 	id     int32 // arena slot of the pending event, or -1
 	at     Time
 }
 
-// NewTimer creates a timer on l that runs fn when it fires.
-func NewTimer(l *Loop, fn func()) *Timer {
-	t := &Timer{}
-	t.Init(l, fn)
-	return t
-}
-
-// Init prepares an embedded timer in place, equivalent to NewTimer without
-// the allocation. It must be called exactly once, before any Arm.
-func (t *Timer) Init(l *Loop, fn func()) {
-	t.loop = l
-	t.fn = fn
-	t.id = -1
-	t.at = Never
-}
-
-// InitEvent prepares an embedded timer that fires target.OnEvent(kind)
-// instead of a closure — the typed analogue of Init, avoiding the closure
-// allocation per timer owner. Like Init it must be called exactly once,
-// before any Arm.
-func (t *Timer) InitEvent(l *Loop, kind Kind, target Handler) {
+// Init prepares an embedded timer in place: when it fires, it calls
+// target.OnEvent(kind). It must be called exactly once, before any Arm.
+func (t *Timer) Init(l *Loop, kind Kind, target Handler) {
 	t.loop = l
 	t.kind = kind
 	t.target = target
@@ -741,16 +674,12 @@ func (t *Timer) InitEvent(l *Loop, kind Kind, target Handler) {
 	t.at = Never
 }
 
-// OnEvent runs the callback of a timer event popped by the loop. The slot
-// is cleared first so the callback may immediately re-arm. It implements
+// OnEvent runs the handler of a timer event popped by the loop. The slot
+// is cleared first so the handler may immediately re-arm. It implements
 // Handler; callers never invoke it directly.
 func (t *Timer) OnEvent(Kind) {
 	t.id = -1
 	t.at = Never
-	if t.fn != nil {
-		t.fn()
-		return
-	}
 	t.target.OnEvent(t.kind)
 }
 
@@ -762,7 +691,7 @@ func (t *Timer) Arm(at Time) {
 		t.loop.reschedule(t.id, at)
 		return
 	}
-	t.id = t.loop.schedule(at, kindTimer, t, nil)
+	t.id = t.loop.schedule(at, t.kind, t)
 }
 
 // ArmAfter sets the timer to fire after d from now.

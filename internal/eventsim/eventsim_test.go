@@ -10,9 +10,9 @@ import (
 func TestRunOrdersByTime(t *testing.T) {
 	var l Loop
 	var got []int
-	l.Schedule(At(3*time.Millisecond), func() { got = append(got, 3) })
-	l.Schedule(At(1*time.Millisecond), func() { got = append(got, 1) })
-	l.Schedule(At(2*time.Millisecond), func() { got = append(got, 2) })
+	l.ScheduleEvent(At(3*time.Millisecond), 0, fn(func() { got = append(got, 3) }))
+	l.ScheduleEvent(At(1*time.Millisecond), 0, fn(func() { got = append(got, 1) }))
+	l.ScheduleEvent(At(2*time.Millisecond), 0, fn(func() { got = append(got, 2) }))
 	l.Run(At(time.Second))
 	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
 		t.Errorf("execution order = %v", got)
@@ -25,7 +25,7 @@ func TestFIFOTieBreak(t *testing.T) {
 	at := At(5 * time.Millisecond)
 	for i := 0; i < 10; i++ {
 		i := i
-		l.Schedule(at, func() { got = append(got, i) })
+		l.ScheduleEvent(at, 0, fn(func() { got = append(got, i) }))
 	}
 	l.Drain()
 	for i, v := range got {
@@ -38,7 +38,7 @@ func TestFIFOTieBreak(t *testing.T) {
 func TestRunStopsAtUntil(t *testing.T) {
 	var l Loop
 	ran := false
-	l.Schedule(At(2*time.Second), func() { ran = true })
+	l.ScheduleEvent(At(2*time.Second), 0, fn(func() { ran = true }))
 	n := l.Run(At(time.Second))
 	if n != 0 || ran {
 		t.Error("event beyond until should not run")
@@ -55,7 +55,7 @@ func TestRunStopsAtUntil(t *testing.T) {
 func TestClockAdvancesToEventTime(t *testing.T) {
 	var l Loop
 	var seen Time
-	l.Schedule(At(7*time.Millisecond), func() { seen = l.Now() })
+	l.ScheduleEvent(At(7*time.Millisecond), 0, fn(func() { seen = l.Now() }))
 	l.Drain()
 	if seen != At(7*time.Millisecond) {
 		t.Errorf("Now inside event = %v, want 7ms", seen)
@@ -64,23 +64,23 @@ func TestClockAdvancesToEventTime(t *testing.T) {
 
 func TestSchedulePastPanics(t *testing.T) {
 	var l Loop
-	l.Schedule(At(time.Second), func() {})
+	l.ScheduleEvent(At(time.Second), 0, fn(func() {}))
 	l.Run(At(2 * time.Second))
 	defer func() {
 		if recover() == nil {
 			t.Error("scheduling in the past did not panic")
 		}
 	}()
-	l.Schedule(At(time.Millisecond), func() {})
+	l.ScheduleEvent(At(time.Millisecond), 0, fn(func() {}))
 }
 
 func TestAfterNegativeDelay(t *testing.T) {
 	var l Loop
 	ran := false
-	l.After(-time.Second, func() { ran = true })
+	l.AfterEvent(-time.Second, 0, fn(func() { ran = true }))
 	l.Drain()
 	if !ran {
-		t.Error("After with negative delay never ran")
+		t.Error("AfterEvent with negative delay never ran")
 	}
 }
 
@@ -91,10 +91,10 @@ func TestEventsScheduleEvents(t *testing.T) {
 	recurse = func() {
 		depth++
 		if depth < 100 {
-			l.After(time.Millisecond, recurse)
+			l.AfterEvent(time.Millisecond, 0, fn(recurse))
 		}
 	}
-	l.After(0, recurse)
+	l.AfterEvent(0, 0, fn(recurse))
 	l.Run(At(time.Second))
 	if depth != 100 {
 		t.Errorf("depth = %d, want 100", depth)
@@ -108,7 +108,7 @@ func TestRunForIsRelative(t *testing.T) {
 	var l Loop
 	count := 0
 	for i := 1; i <= 10; i++ {
-		l.Schedule(At(time.Duration(i)*time.Second), func() { count++ })
+		l.ScheduleEvent(At(time.Duration(i)*time.Second), 0, fn(func() { count++ }))
 	}
 	l.RunFor(5 * time.Second)
 	if count != 5 {
@@ -123,7 +123,7 @@ func TestRunForIsRelative(t *testing.T) {
 func TestPending(t *testing.T) {
 	var l Loop
 	for i := 0; i < 4; i++ {
-		l.Schedule(At(time.Duration(i)*time.Second), func() {})
+		l.ScheduleEvent(At(time.Duration(i)*time.Second), 0, fn(func() {}))
 	}
 	if l.Pending() != 4 {
 		t.Errorf("Pending = %d, want 4", l.Pending())
@@ -141,7 +141,7 @@ func TestOrderProperty(t *testing.T) {
 		var fired []Time
 		for _, d := range delays {
 			at := At(time.Duration(d%1e6) * time.Microsecond)
-			l.Schedule(at, func() { fired = append(fired, l.Now()) })
+			l.ScheduleEvent(at, 0, fn(func() { fired = append(fired, l.Now()) }))
 		}
 		l.Drain()
 		if len(fired) != len(delays) {
@@ -157,7 +157,7 @@ func TestOrderProperty(t *testing.T) {
 func TestTimerFires(t *testing.T) {
 	var l Loop
 	fired := 0
-	tm := NewTimer(&l, func() { fired++ })
+	tm := newTimer(&l, func() { fired++ })
 	tm.ArmAfter(10 * time.Millisecond)
 	l.RunFor(time.Second)
 	if fired != 1 {
@@ -171,7 +171,7 @@ func TestTimerFires(t *testing.T) {
 func TestTimerStop(t *testing.T) {
 	var l Loop
 	fired := 0
-	tm := NewTimer(&l, func() { fired++ })
+	tm := newTimer(&l, func() { fired++ })
 	tm.ArmAfter(10 * time.Millisecond)
 	tm.Stop()
 	l.RunFor(time.Second)
@@ -183,7 +183,7 @@ func TestTimerStop(t *testing.T) {
 func TestTimerRearmReplacesDeadline(t *testing.T) {
 	var l Loop
 	var firedAt []Time
-	tm := NewTimer(&l, func() { firedAt = append(firedAt, l.Now()) })
+	tm := newTimer(&l, func() { firedAt = append(firedAt, l.Now()) })
 	tm.ArmAfter(10 * time.Millisecond)
 	tm.ArmAfter(20 * time.Millisecond) // replaces the 10ms deadline
 	l.RunFor(time.Second)
@@ -196,7 +196,7 @@ func TestTimerRearmFromCallback(t *testing.T) {
 	var l Loop
 	count := 0
 	var tm *Timer
-	tm = NewTimer(&l, func() {
+	tm = newTimer(&l, func() {
 		count++
 		if count < 5 {
 			tm.ArmAfter(time.Millisecond)

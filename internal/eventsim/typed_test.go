@@ -32,36 +32,12 @@ func TestTypedEventsDispatchByKind(t *testing.T) {
 	}
 }
 
-// Typed and closure events scheduled for the same instant interleave in
-// scheduling order: the FIFO tie-break spans both representations.
-func TestTypedAndClosureEventsShareTieBreak(t *testing.T) {
-	var l Loop
-	r := &recorder{loop: &l}
-	var order []int
-	at := At(5 * time.Millisecond)
-	l.Schedule(at, func() { order = append(order, 0) })
-	l.ScheduleEvent(at, Kind(1), funcTarget{func(k Kind) { order = append(order, int(k)) }})
-	l.Schedule(at, func() { order = append(order, 2) })
-	l.ScheduleEvent(at, Kind(3), funcTarget{func(k Kind) { order = append(order, int(k)) }})
-	l.Drain()
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("mixed-representation tie-break broken: %v", order)
-		}
-	}
-	_ = r
-}
-
-type funcTarget struct{ f func(Kind) }
-
-func (t funcTarget) OnEvent(k Kind) { t.f(k) }
-
 // Satellite regression: a stopped timer's event leaves the queue
 // immediately — it must not linger until its original deadline inflating
 // Pending, and a re-arm must move the entry rather than add one.
 func TestTimerStopRemovesPendingEvent(t *testing.T) {
 	var l Loop
-	tm := NewTimer(&l, func() {})
+	tm := newTimer(&l, func() {})
 	tm.ArmAfter(10 * time.Millisecond)
 	if l.Pending() != 1 {
 		t.Fatalf("Pending after Arm = %d, want 1", l.Pending())
@@ -92,33 +68,15 @@ func TestTimerStopRemovesPendingEvent(t *testing.T) {
 func TestTimerRearmTakesFreshSequence(t *testing.T) {
 	var l Loop
 	var order []string
-	tm := NewTimer(&l, func() { order = append(order, "timer") })
+	tm := newTimer(&l, func() { order = append(order, "timer") })
 	at := At(10 * time.Millisecond)
 	tm.Arm(at)
-	l.Schedule(at, func() { order = append(order, "a") })
+	l.ScheduleEvent(at, 0, fn(func() { order = append(order, "a") }))
 	tm.Arm(at) // re-arm to the same instant: now logically after "a"
-	l.Schedule(at, func() { order = append(order, "b") })
+	l.ScheduleEvent(at, 0, fn(func() { order = append(order, "b") }))
 	l.Drain()
 	if len(order) != 3 || order[0] != "a" || order[1] != "timer" || order[2] != "b" {
 		t.Errorf("order = %v, want [a timer b]", order)
-	}
-}
-
-func TestPeek(t *testing.T) {
-	var l Loop
-	if _, _, _, ok := l.Peek(); ok {
-		t.Fatal("Peek on empty loop reported an event")
-	}
-	r := &recorder{loop: &l}
-	l.ScheduleEvent(At(4*time.Millisecond), 5, r)
-	l.ScheduleEvent(At(2*time.Millisecond), 1, r)
-	at, kind, target, ok := l.Peek()
-	if !ok || at != At(2*time.Millisecond) || kind != 1 || target != Handler(r) {
-		t.Fatalf("Peek = (%v, %d, %v, %v)", at, kind, target, ok)
-	}
-	l.Drain()
-	if _, _, _, ok := l.Peek(); ok {
-		t.Fatal("Peek after drain reported an event")
 	}
 }
 
@@ -149,9 +107,9 @@ func TestIndexedHeapStress(t *testing.T) {
 	var fired []Time
 	tms := make([]*Timer, timers)
 	for i := range tms {
-		tms[i] = NewTimer(&l, func() { fired = append(fired, l.Now()) })
+		tms[i] = newTimer(&l, func() { fired = append(fired, l.Now()) })
 	}
-	// A deterministic pseudo-random walk of arms, stops and closures.
+	// A deterministic pseudo-random walk of arms, stops and one-off events.
 	state := uint64(0x9e3779b97f4a7c15)
 	next := func(n int) int {
 		state ^= state << 13
@@ -167,7 +125,7 @@ func TestIndexedHeapStress(t *testing.T) {
 		case 1:
 			tm.Stop()
 		case 2:
-			l.After(time.Duration(next(5000))*time.Microsecond, func() { fired = append(fired, l.Now()) })
+			l.AfterEvent(time.Duration(next(5000))*time.Microsecond, 0, fn(func() { fired = append(fired, l.Now()) }))
 		}
 		if step%97 == 0 {
 			l.RunFor(time.Duration(next(2000)) * time.Microsecond)

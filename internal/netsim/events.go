@@ -2,15 +2,13 @@ package netsim
 
 import "bbrnash/internal/eventsim"
 
-// Typed event kinds for the per-packet path. Every simulated packet's
-// lifecycle — service completion at each link, ACK return, loss
-// detection — is scheduled as a typed event with the packet itself as the
-// target, so the hot path allocates no closures: scheduling writes a flat
-// record into the loop's arena and dispatch is a switch below. Flow-level
-// edges (start, transfer restart) use the same mechanism with the Flow as
-// target. Cold, self-rescheduling chains (fault flaps and bursts, the
-// telemetry samplers) stay on the closure API; they fire a handful of times
-// per simulated second and their closures are allocated once at setup.
+// Event kinds. Every event the network schedules is a typed (kind, target)
+// record, so scheduling writes a flat record into the loop's arena and
+// allocates nothing. A simulated packet's lifecycle — service completion
+// at each link, ACK return, loss detection — targets the packet itself;
+// flow edges (start, transfer restart, pacer fire) target the Flow; fault
+// edges target the link; sampler ticks target their sampler. Dispatch is
+// the switches below and the samplers' tick handlers.
 const (
 	// evServiceDone fires when the packet finishes transmission at a
 	// forward link (p.hop indexes the flow's path).
@@ -38,6 +36,13 @@ const (
 	// queue has its information recovered (the queue has drained) and
 	// moves on to the next reverse hop.
 	evAckAdvance
+	// evSample fires a flow or link sampler's periodic tick.
+	evSample
+	// evFlap fires at each edge of a link's capacity flap, every half
+	// period.
+	evFlap
+	// evBurst fires when a link's next burst-loss episode begins.
+	evBurst
 )
 
 // OnEvent dispatches the packet-targeted event kinds. packet implements
@@ -69,5 +74,15 @@ func (f *Flow) OnEvent(k eventsim.Kind) {
 		f.restart()
 	case evPacerFire:
 		f.trySend()
+	}
+}
+
+// OnEvent dispatches the link-targeted fault edges.
+func (l *link) OnEvent(k eventsim.Kind) {
+	switch k {
+	case evFlap:
+		l.flap()
+	case evBurst:
+		l.burst()
 	}
 }

@@ -155,6 +155,16 @@ func TestFlapBoundsThroughput(t *testing.T) {
 	}
 }
 
+// TestFlapPeriodUnder2nsRejected: a 1ns flap period has a zero half period,
+// so its rate change would reschedule itself at the same instant and the
+// run would never finish. Build must refuse the spec instead.
+func TestFlapPeriodUnder2nsRejected(t *testing.T) {
+	sp := faultedSpec(scenario.Faults{FlapPeriod: time.Nanosecond, FlapDepth: 0.5})
+	if _, _, err := Build(sp); err == nil {
+		t.Fatal("Build accepted a 1ns flap period")
+	}
+}
+
 // TestBurstEpisodes: every burst episode claims exactly BurstLen arrivals,
 // so with backlogged flows the injected-drop count is episodes x length.
 func TestBurstEpisodes(t *testing.T) {

@@ -40,11 +40,12 @@ type link struct {
 	step     time.Duration
 
 	// Topology identity and per-link fault state.
-	name   string
-	rev    bool  // reverse-direction ACK link
-	twin   *link // forward link's reverse twin (nil without one)
-	fast   bool  // eligible for the loop's single-slot ScheduleNext lane
-	faults scenario.Faults
+	name    string
+	rev     bool  // reverse-direction ACK link
+	twin    *link // forward link's reverse twin (nil without one)
+	fast    bool  // eligible for the loop's single-slot ScheduleNext lane
+	flapLow bool  // in a capacity flap's reduced-rate half period
+	faults  scenario.Faults
 
 	burstRemaining int
 
@@ -79,6 +80,29 @@ func (l *link) injectDrop() bool {
 	}
 	r := l.faults.LossRate
 	return r > 0 && l.net.rng.Float64() < r
+}
+
+// flap is one edge of the capacity flap's square wave: it toggles the
+// effective rate between capacity and the flap's low rate and schedules the
+// next edge half a period later.
+func (l *link) flap() {
+	l.flapLow = !l.flapLow
+	if l.flapLow {
+		l.rate = l.faults.MinCapacity(l.capacity)
+	} else {
+		l.rate = l.capacity
+	}
+	if h := l.net.rateHook; h != nil {
+		h(RateEvent{Time: l.net.loop.Now(), Link: l.name, Rate: l.rate})
+	}
+	l.net.loop.AfterEvent(l.faults.FlapPeriod/2, evFlap, l)
+}
+
+// burst opens a burst-loss episode — the next BurstLen arrivals are
+// dropped — and schedules the next one.
+func (l *link) burst() {
+	l.burstRemaining = l.faults.BurstLen
+	l.net.loop.AfterEvent(l.faults.BurstEvery, evBurst, l)
 }
 
 // enqueue accepts or drops an arriving data packet.

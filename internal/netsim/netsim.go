@@ -215,34 +215,12 @@ func New(cfg Config) (*Network, error) {
 // all.
 func (n *Network) scheduleFaults() {
 	for _, l := range n.links {
-		l := l
 		f := l.faults
 		if f.FlapDepth > 0 && f.FlapPeriod > 0 {
-			half := f.FlapPeriod / 2
-			low := units.Rate(float64(l.capacity) * (1 - f.FlapDepth))
-			up := true
-			var toggle func()
-			toggle = func() {
-				up = !up
-				if up {
-					l.rate = l.capacity
-				} else {
-					l.rate = low
-				}
-				if h := n.rateHook; h != nil {
-					h(RateEvent{Time: n.loop.Now(), Link: l.name, Rate: l.rate})
-				}
-				n.loop.After(half, toggle)
-			}
-			n.loop.After(half, toggle)
+			n.loop.AfterEvent(f.FlapPeriod/2, evFlap, l)
 		}
 		if f.BurstLen > 0 && f.BurstEvery > 0 {
-			var episode func()
-			episode = func() {
-				l.burstRemaining = f.BurstLen
-				n.loop.After(f.BurstEvery, episode)
-			}
-			n.loop.After(f.BurstEvery, episode)
+			n.loop.AfterEvent(f.BurstEvery, evBurst, l)
 		}
 	}
 }
@@ -350,11 +328,11 @@ func (n *Network) AddFlow(fc FlowConfig) (*Flow, error) {
 			f.ackPath = append(f.ackPath, t)
 		}
 	}
-	// The type assertion happens once here, not per event; the pacer's
-	// method-value closure is the flow's only per-flow allocation beyond
-	// the struct itself, and arming it never allocates again.
+	// The type assertion happens once here, not per event. The pacer is a
+	// timer embedded in the flow that fires evPacerFire on it, so arming
+	// it never allocates.
 	f.reporter, _ = alg.(cc.StateReporter)
-	f.pacer.InitEvent(&n.loop, evPacerFire, f)
+	f.pacer.Init(&n.loop, evPacerFire, f)
 	n.flows = append(n.flows, f)
 	n.loop.ScheduleEvent(eventsim.At(fc.Start), evFlowStart, f)
 	return f, nil

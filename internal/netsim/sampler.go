@@ -44,19 +44,24 @@ func NewSampler(f *Flow, interval time.Duration) *Sampler {
 		interval = 100 * time.Millisecond
 	}
 	s := &Sampler{flow: f, interval: interval, lastSeen: f.arrived.Total()}
-	var tick func()
-	tick = func() {
-		if s.detached {
-			return
-		}
-		s.take()
-		if f.Finished() {
-			return
-		}
-		f.net.loop.After(interval, tick)
-	}
-	f.net.loop.After(interval, tick)
+	f.net.loop.AfterEvent(interval, evSample, (*flowTick)(s))
 	return s
+}
+
+// flowTick is a Sampler as its tick's event target. A distinct type keeps
+// the OnEvent method off Sampler's exported method set.
+type flowTick Sampler
+
+func (t *flowTick) OnEvent(eventsim.Kind) {
+	s := (*Sampler)(t)
+	if s.detached {
+		return
+	}
+	s.take()
+	if s.flow.Finished() {
+		return
+	}
+	s.flow.net.loop.AfterEvent(s.interval, evSample, t)
 }
 
 // Detach stops the sampler: the next pending tick becomes a no-op and
@@ -170,16 +175,21 @@ func newLinkSampler(n *Network, l *link, interval time.Duration) *LinkSampler {
 		interval = 100 * time.Millisecond
 	}
 	s := &LinkSampler{net: n, link: l, interval: interval, lastSeen: l.departed.Total()}
-	var tick func()
-	tick = func() {
-		if s.detached {
-			return
-		}
-		s.take()
-		n.loop.After(interval, tick)
-	}
-	n.loop.After(interval, tick)
+	n.loop.AfterEvent(interval, evSample, (*linkTick)(s))
 	return s
+}
+
+// linkTick is a LinkSampler as its tick's event target, keeping OnEvent
+// off LinkSampler's exported method set.
+type linkTick LinkSampler
+
+func (t *linkTick) OnEvent(eventsim.Kind) {
+	s := (*LinkSampler)(t)
+	if s.detached {
+		return
+	}
+	s.take()
+	s.net.loop.AfterEvent(s.interval, evSample, t)
 }
 
 // LinkName names the sampled link.

@@ -32,7 +32,8 @@ type Faults struct {
 	FlapPeriod time.Duration
 	// FlapDepth is the fractional capacity reduction during the low phase:
 	// the link serves at Capacity·(1−FlapDepth), in [0, 1). A positive
-	// depth requires a positive FlapPeriod.
+	// depth requires a FlapPeriod of at least 2ns, so that the half period
+	// between rate changes is nonzero.
 	FlapDepth float64
 	// BurstEvery schedules burst-loss episodes: every BurstEvery of
 	// simulated time, the next BurstLen arriving data packets are dropped.
@@ -62,8 +63,11 @@ func (f Faults) Validate() error {
 	if f.FlapPeriod < 0 {
 		return fmt.Errorf("scenario: negative flap period %v", f.FlapPeriod)
 	}
-	if f.FlapDepth > 0 && f.FlapPeriod <= 0 {
-		return fmt.Errorf("scenario: flap depth %v needs a positive flap period", f.FlapDepth)
+	// The flap changes rate every FlapPeriod/2. Below 2ns that rounds to
+	// zero and the rate change would reschedule itself at the same instant
+	// forever.
+	if f.FlapDepth > 0 && f.FlapPeriod < 2*time.Nanosecond {
+		return fmt.Errorf("scenario: flap depth %v needs a flap period of at least 2ns, got %v", f.FlapDepth, f.FlapPeriod)
 	}
 	if f.BurstEvery < 0 {
 		return fmt.Errorf("scenario: negative burst interval %v", f.BurstEvery)

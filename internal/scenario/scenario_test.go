@@ -269,6 +269,7 @@ func TestValidate(t *testing.T) {
 		{"ack loss rate one", func(s *Spec) { s.Faults.AckLossRate = 1 }},
 		{"flap depth one", func(s *Spec) { s.Faults.FlapDepth = 1; s.Faults.FlapPeriod = time.Second }},
 		{"flap depth without period", func(s *Spec) { s.Faults.FlapDepth = 0.5 }},
+		{"flap period under 2ns", func(s *Spec) { s.Faults.FlapDepth = 0.5; s.Faults.FlapPeriod = time.Nanosecond }},
 		{"negative flap period", func(s *Spec) { s.Faults.FlapPeriod = -time.Second }},
 		{"burst length without interval", func(s *Spec) { s.Faults.BurstLen = 4 }},
 		{"negative burst length", func(s *Spec) { s.Faults.BurstLen = -1; s.Faults.BurstEvery = time.Second }},

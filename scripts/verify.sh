@@ -26,6 +26,9 @@ fi
 echo "== go test ./..."
 go test ./...
 
+echo "== event-queue differential fuzz (FuzzLoopOrder, 10 s)"
+go test ./internal/eventsim -run '^$' -fuzz '^FuzzLoopOrder$' -fuzztime 10s
+
 echo "== go -C bench test ./... (benchmark harness, incl. the smoke run checked against bench/golden.json)"
 go -C bench test ./...
 
