@@ -126,7 +126,13 @@ func (c *Cubic) congestionAvoidance(e cc.AckEvent) {
 		c.beginEpoch(e.Now, segs, segs)
 	}
 	t := e.Now.Sub(c.epochStart).Seconds()
-	target := ScalingC*math.Pow(t-c.k, 3) + c.wMax
+	// The cube by multiplication is bit-identical to the standard
+	// library's Pow(d, 3), which squares and multiplies the frexp mantissa
+	// for an integer exponent and scales by an exact power of two, at a
+	// fraction of the cost. The explicit conversion keeps the compiler
+	// from fusing the last product into the multiply-add.
+	d := t - c.k
+	target := ScalingC*float64(d*d*d) + c.wMax
 
 	// RFC 8312 §4.4: limit target growth to 1.5x cwnd per RTT.
 	if target > 1.5*segs {

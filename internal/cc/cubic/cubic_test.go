@@ -9,6 +9,7 @@ import (
 	"bbrnash/internal/cc/cctest"
 	"bbrnash/internal/cc/reno"
 	"bbrnash/internal/eventsim"
+	"bbrnash/internal/rng"
 	"bbrnash/internal/units"
 )
 
@@ -27,6 +28,27 @@ func TestBackoffFactorIs0_7(t *testing.T) {
 	want := units.Bytes(float64(100*units.MSS) * Beta)
 	if got := c.CongestionWindow(); math.Abs(float64(got-want)) > 1 {
 		t.Errorf("cwnd after loss = %v, want %v", got, want)
+	}
+}
+
+// TestCubeByMultiplicationExact pins congestionAvoidance's cube to the
+// standard library's Pow bit for bit on CUBIC's own domain: d = t − K with
+// t an epoch age on the nanosecond grid in [0, 600 s) and K in [0, 100 s),
+// plus both zeros. The domain never yields a subnormal cube, where the two
+// could round differently.
+func TestCubeByMultiplicationExact(t *testing.T) {
+	check := func(d float64) {
+		if got, want := float64(d*d*d), math.Pow(d, 3); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("d = %v: d*d*d = %v (%#x), Pow(d, 3) = %v (%#x)",
+				d, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+	check(0)
+	check(math.Copysign(0, -1))
+	r := rng.New(1)
+	for i := 0; i < 1_000_000; i++ {
+		age := r.Duration(600 * time.Second).Seconds()
+		check(age - r.Range(0, 100))
 	}
 }
 

@@ -22,9 +22,11 @@
 // payoff shape that is 0–2.5% of events, peaking at 8,050 heap entries at
 // 50 BDP. The wheel and the heap support in-place cancellation, so stale
 // timer generations are removed rather than left to no-op and Pending and
-// Processed count live events only. Dequeue compares the three tiers'
-// minima on the full (at, seq) key, so the execution order is exactly the
-// single-queue order.
+// Processed count live events only. A timer re-armed at the deadline it
+// already holds (the pacer, on nearly every ACK) usually keeps its place
+// in its wheel bucket and only draws a fresh sequence number. Dequeue
+// compares the three tiers' minima on the full (at, seq) key, so the
+// execution order is exactly the single-queue order.
 package eventsim
 
 import (
@@ -341,7 +343,9 @@ func (l *Loop) wheelRemove(idx int32) {
 // the wheel is empty. Wheel residents are always within one rotation ahead
 // of the clock, so the first occupied bucket in ring order from the
 // current bucket holds the minimum, and its sorted head is the event. The
-// bitmap turns the ring scan into a handful of word reads.
+// bitmap turns the ring scan into a handful of word reads, and the same
+// one-rotation bound gives the found bucket's virtual index from its ring
+// distance to the clock's bucket, without loading the record.
 func (l *Loop) wheelMin() int32 {
 	if l.wheelLive == 0 {
 		return -1
@@ -356,10 +360,9 @@ func (l *Loop) wheelMin() int32 {
 	for {
 		if word != 0 {
 			b := w<<6 + bits.TrailingZeros64(word)
-			idx := l.buckets[b]
-			l.minVB = int64(l.recs[idx].at >> wheelShift)
+			l.minVB = int64(l.now>>wheelShift) + int64((b-start)&(wheelBuckets-1))
 			l.minValid = true
-			return idx
+			return l.buckets[b]
 		}
 		w++
 		if w == len(l.bits) {
@@ -488,9 +491,23 @@ func (l *Loop) schedule(at Time, kind Kind, target Handler) int32 {
 // reschedule moves a pending event to a new deadline in place, stamping a
 // fresh sequence number — exactly the tie-break a cancel-and-reschedule
 // would produce, without touching the free list.
+//
+// A re-arm at the deadline a wheel resident already holds (the pacer's
+// common case: every ACK re-arms it at an unchanged next-send time) only
+// draws the new sequence number and keeps its place. The fresh seq is the
+// largest ever drawn, so the record still sorts after everything ahead of
+// it in its bucket, and before its successor as long as that successor's
+// deadline is later — exactly where detach plus insert would put it. A
+// successor at the same deadline would now sort first, so that case takes
+// the full path.
 func (l *Loop) reschedule(idx int32, at Time) {
 	if at < l.now {
 		panic(fmt.Sprintf("eventsim: scheduling event at %v before now %v", at, l.now))
+	}
+	if r := &l.recs[idx]; r.at == at && r.pos == posWheel && (r.next < 0 || l.recs[r.next].at != at) {
+		l.seq++
+		r.seq = l.seq
+		return
 	}
 	l.detach(idx)
 	l.seq++
@@ -545,22 +562,10 @@ func (l *Loop) min() (idx int32, fast bool) {
 		at, seq, fast = l.fastAt, l.fastSeq, true
 	}
 	idx = -1
-	if l.wheelLive > 0 {
-		// Same-instant shortcut: no wheel event can precede now, so a head
-		// at exactly now in the clock's own bucket is the wheel minimum
-		// without a bitmap scan. Event cascades (ACK bursts, drop trains)
-		// hit this constantly.
-		widx := int32(-1)
-		if h := l.buckets[int((l.now>>wheelShift)&(wheelBuckets-1))]; h >= 0 && l.recs[h].at == l.now {
-			widx = h
-		} else {
-			widx = l.wheelMin()
-		}
-		if widx >= 0 {
-			r := &l.recs[widx]
-			if r.at < at || (r.at == at && r.seq < seq) {
-				at, seq, idx, fast = r.at, r.seq, widx, false
-			}
+	if widx := l.wheelMin(); widx >= 0 {
+		r := &l.recs[widx]
+		if r.at < at || (r.at == at && r.seq < seq) {
+			at, seq, idx, fast = r.at, r.seq, widx, false
 		}
 	}
 	if len(l.heap) > 0 {

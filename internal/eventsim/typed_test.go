@@ -80,6 +80,25 @@ func TestTimerRearmTakesFreshSequence(t *testing.T) {
 	}
 }
 
+// A re-arm at the deadline the timer already holds keeps the timer's place
+// in its bucket but still draws a fresh sequence number: it now fires after
+// a fast-lane event scheduled at the same instant in between, and before a
+// bucket successor with a later deadline.
+func TestTimerRearmSameDeadlineInPlace(t *testing.T) {
+	var l Loop
+	var order []string
+	tm := newTimer(&l, func() { order = append(order, "timer") })
+	at := At(10 * time.Millisecond)
+	tm.Arm(at)
+	l.ScheduleEvent(at+1, 0, fn(func() { order = append(order, "later") }))
+	l.ScheduleNext(at, 0, fn(func() { order = append(order, "fast") }))
+	tm.Arm(at)
+	l.Drain()
+	if len(order) != 3 || order[0] != "fast" || order[1] != "timer" || order[2] != "later" {
+		t.Errorf("order = %v, want [fast timer later]", order)
+	}
+}
+
 // Reserve pre-sizes the arena: scheduling within the reserved population
 // must not allocate.
 func TestReservePreventsGrowth(t *testing.T) {

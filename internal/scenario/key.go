@@ -27,7 +27,14 @@ const KeyVersion = "v5"
 const KeyPrefix = "scenario|" + KeyVersion + "|"
 
 // fx renders a float64 exactly (hex mantissa), keeping keys canonical.
-func fx(v float64) string { return strconv.FormatFloat(v, 'x', -1, 64) }
+// Negative zero renders as zero: the file form omits a zero field, so a
+// spec read with -0 re-parses as 0, and both must be one scenario.
+func fx(v float64) string {
+	if v == 0 {
+		v = 0 // -0 == 0, so this turns -0 into +0
+	}
+	return strconv.FormatFloat(v, 'x', -1, 64)
+}
 
 // Key is the canonical deterministic encoding of the spec — everything a
 // simulation's output is a function of, in one fixed order. It is *the*

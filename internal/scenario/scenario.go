@@ -135,6 +135,9 @@ func (s Spec) ValidateTopology() error {
 			return err
 		}
 	} else {
+		if err := (Link{Capacity: s.Capacity, Buffer: s.Buffer}).checkFinite(); err != nil {
+			return fmt.Errorf("scenario: %w", err)
+		}
 		if s.Capacity <= 0 {
 			return fmt.Errorf("scenario: non-positive capacity %v", s.Capacity)
 		}

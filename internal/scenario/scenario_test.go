@@ -2,6 +2,8 @@ package scenario
 
 import (
 	"encoding/json"
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -148,6 +150,48 @@ func TestKeyDefaultsResolved(t *testing.T) {
 	}
 }
 
+// TestKeyNegativeZero: a field written as -0 is the same scenario as one
+// written as 0 (or left out). Both bodies share one key, and the key
+// survives the file form, which omits zero fields.
+func TestKeyNegativeZero(t *testing.T) {
+	const groups = `"groups": [{"algorithm": "bbr", "count": 1, "rtt": "40ms"}]`
+	const link = `"links": [{"name": "l0", "capacity_mbps": 50, "buffer_bytes": 100000, "reverse": {"capacity_bps": %s}}],
+		"groups": [{"algorithm": "bbr", "count": 1, "rtt": "40ms", "path": ["l0"]}]`
+	for _, form := range []string{
+		`{"capacity_mbps": 50, "buffer_bytes": 100000, "duration": "1s", "faults": {"loss_rate": %s}, ` + groups + `}`,
+		`{"capacity_mbps": 50, "buffer_bytes": 100000, "duration": "1s", "faults": {"ack_loss_rate": %s}, ` + groups + `}`,
+		`{"capacity_mbps": 50, "buffer_bytes": 100000, "duration": "1s", "faults": {"flap_depth": %s}, ` + groups + `}`,
+		`{"duration": "1s", ` + link + `}`,
+	} {
+		keys := make([]string, 2)
+		for i, zero := range []string{"-0", "0"} {
+			body := fmt.Sprintf(form, zero)
+			var sp Spec
+			if err := json.Unmarshal([]byte(body), &sp); err != nil {
+				t.Fatalf("%s: %v", body, err)
+			}
+			if err := sp.Validate(); err != nil {
+				t.Fatalf("%s: %v", body, err)
+			}
+			keys[i] = sp.Key()
+			data, err := json.Marshal(sp)
+			if err != nil {
+				t.Fatalf("%s: %v", body, err)
+			}
+			var back Spec
+			if err := json.Unmarshal(data, &back); err != nil {
+				t.Fatalf("%s: %v", data, err)
+			}
+			if got := back.Key(); got != keys[i] {
+				t.Errorf("%s: key drifts through %s:\n got %q\nwant %q", body, data, got, keys[i])
+			}
+		}
+		if keys[0] != keys[1] {
+			t.Errorf("-0 and 0 key apart:\n %q\n %q", keys[0], keys[1])
+		}
+	}
+}
+
 // randomSpec draws a structurally arbitrary spec — including values no
 // experiment would use — to exercise the JSON round-trip.
 func randomSpec(r *rng.Source) Spec {
@@ -274,12 +318,36 @@ func TestValidate(t *testing.T) {
 		{"burst length without interval", func(s *Spec) { s.Faults.BurstLen = 4 }},
 		{"negative burst length", func(s *Spec) { s.Faults.BurstLen = -1; s.Faults.BurstEvery = time.Second }},
 		{"negative burst interval", func(s *Spec) { s.Faults.BurstEvery = -time.Second }},
+		{"NaN capacity", func(s *Spec) { s.Capacity = units.Rate(math.NaN()) }},
+		{"NaN buffer", func(s *Spec) { s.Buffer = units.Bytes(math.NaN()) }},
 	}
 	for _, tc := range cases {
 		sp := validSpec()
 		tc.mutate(&sp)
 		if err := sp.Validate(); err == nil {
 			t.Errorf("%s: accepted", tc.name)
+		}
+	}
+	// Bodies that decode but must not validate: capacities and buffers
+	// that overflow to +Inf, top-level, per link and on a reverse twin.
+	// A spec holding +Inf has no JSON form to be emitted in.
+	const groups = `"groups": [{"algorithm": "bbr", "count": 1, "rtt": "40ms"}]`
+	const linkGroups = `"groups": [{"algorithm": "bbr", "count": 1, "rtt": "40ms", "path": ["l0"]}]`
+	for _, body := range []string{
+		`{"capacity_mbps": 1e303, "buffer_bytes": 100000, "duration": "1s", ` + groups + `}`,
+		`{"capacity_mbps": 50, "buffer_bdp": 1e306, "buffer_bdp_rtt": "40ms", "duration": "1s", ` + groups + `}`,
+		`{"duration": "1s", "links": [{"name": "l0", "capacity_mbps": 1e303, "buffer_bytes": 100000}], ` + linkGroups + `}`,
+		`{"duration": "1s", "links": [{"name": "l0", "capacity_mbps": 50, "buffer_bdp": 1e306, "buffer_bdp_rtt": "40ms"}], ` + linkGroups + `}`,
+		`{"duration": "1s", "links": [{"name": "l0", "capacity_mbps": 50, "buffer_bytes": 100000,
+			"reverse": {"capacity_mbps": 1e303, "buffer_bytes": 6400}}], ` + linkGroups + `}`,
+	} {
+		var sp Spec
+		if err := json.Unmarshal([]byte(body), &sp); err != nil {
+			t.Errorf("%s: decode: %v", body, err)
+			continue
+		}
+		if err := sp.Validate(); err == nil || !strings.Contains(err.Error(), "non-finite") {
+			t.Errorf("%s: err = %v, want a non-finite rejection", body, err)
 		}
 	}
 	if err := validSpec().Validate(); err != nil {

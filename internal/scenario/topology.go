@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"bbrnash/internal/units"
@@ -43,6 +44,27 @@ type Link struct {
 
 // HasReverse reports whether the link has a reverse-direction twin.
 func (l Link) HasReverse() bool { return l.RevCapacity > 0 }
+
+// checkFinite rejects a NaN or infinite capacity or buffer in either
+// direction. The range checks alone let both through (NaN fails every
+// comparison and +Inf passes every lower bound), and neither has a JSON
+// form, so a spec holding one could not be written out and read back.
+func (l Link) checkFinite() error {
+	for _, f := range [...]struct {
+		name string
+		v    float64
+	}{
+		{"capacity", float64(l.Capacity)},
+		{"buffer", float64(l.Buffer)},
+		{"reverse capacity", float64(l.RevCapacity)},
+		{"reverse buffer", float64(l.RevBuffer)},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("non-finite %s %v", f.name, f.v)
+		}
+	}
+	return nil
+}
 
 // validLinkName reports whether a link name uses only the characters safe
 // for canonical keys and trace records.
@@ -140,6 +162,9 @@ func (s Spec) validateLinks() error {
 			return fmt.Errorf("scenario: duplicate link name %q", l.Name)
 		}
 		seen[l.Name] = true
+		if err := l.checkFinite(); err != nil {
+			return fmt.Errorf("scenario: link %q: %w", l.Name, err)
+		}
 		if l.Capacity <= 0 {
 			return fmt.Errorf("scenario: link %q: non-positive capacity %v", l.Name, l.Capacity)
 		}

@@ -3,6 +3,7 @@ package scenario
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -227,6 +228,16 @@ func TestTopologyValidate(t *testing.T) {
 			s.Links[0].RevBuffer = 10
 		}, "below one ACK"},
 		{"reverse buffer without capacity", func(s *Spec) { s.Links[0].RevBuffer = 1000 }, "reverse buffer without reverse capacity"},
+		{"NaN link capacity", func(s *Spec) { s.Links[1].Capacity = units.Rate(math.NaN()) }, "non-finite capacity"},
+		{"infinite link buffer", func(s *Spec) { s.Links[1].Buffer = units.Bytes(math.Inf(1)) }, "non-finite buffer"},
+		{"infinite reverse capacity", func(s *Spec) {
+			s.Links[0].RevCapacity = units.Rate(math.Inf(1))
+			s.Links[0].RevBuffer = 6400
+		}, "non-finite reverse capacity"},
+		{"NaN reverse buffer", func(s *Spec) {
+			s.Links[0].RevCapacity = units.Mbps
+			s.Links[0].RevBuffer = units.Bytes(math.NaN())
+		}, "non-finite reverse buffer"},
 	}
 	for _, tc := range cases {
 		sp := parkingLotSpec()

@@ -96,7 +96,19 @@ func (r Rate) String() string {
 
 // BytesIn reports how many bytes are transmitted at rate r over d.
 func (r Rate) BytesIn(d time.Duration) Bytes {
-	return Bytes(r.BytesPerSecond() * d.Seconds())
+	return Bytes(r.BytesPerSecond() * seconds(d))
+}
+
+// seconds returns d.Seconds() bit for bit, cheaper for the sub-second
+// durations the per-ACK rate arithmetic sees. Seconds splits d into whole
+// seconds and a remainder and returns float64(sec) + float64(nsec)/1e9;
+// below one second sec is 0, and adding zero to the remainder's quotient
+// leaves it unchanged, so one division gives the same float.
+func seconds(d time.Duration) float64 {
+	if -time.Second < d && d < time.Second {
+		return float64(d) / 1e9
+	}
+	return d.Seconds()
 }
 
 // TimeToSend reports how long transmitting b bytes takes at rate r.
@@ -115,7 +127,7 @@ func RateOver(b Bytes, d time.Duration) Rate {
 	if d <= 0 {
 		return 0
 	}
-	return Rate(float64(b) * 8 / d.Seconds())
+	return Rate(float64(b) * 8 / seconds(d))
 }
 
 // BDP reports the bandwidth-delay product of a path with bottleneck rate c

@@ -5,6 +5,8 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"bbrnash/internal/rng"
 )
 
 func almost(a, b, tol float64) bool {
@@ -76,6 +78,34 @@ func TestRateBytesIn(t *testing.T) {
 	// 100 ms at 80 Mbps is 1 MB.
 	if got := (80 * Mbps).BytesIn(100 * time.Millisecond); !almost(float64(got), 1e6, 1e-9) {
 		t.Errorf("BytesIn = %v, want 1e6", got)
+	}
+}
+
+// TestSecondsMatchesDurationSeconds pins seconds to Duration.Seconds bit
+// for bit, so RateOver and BytesIn give the floats they gave when they
+// called Seconds: at zero, around the one-second split and at the int64
+// extremes, then on seeded draws across the sub-second range and the full
+// int64 range.
+func TestSecondsMatchesDurationSeconds(t *testing.T) {
+	check := func(d time.Duration) {
+		if got, want := seconds(d), d.Seconds(); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("seconds(%d) = %v (%#x), Seconds() = %v (%#x)",
+				int64(d), got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+	for _, d := range []time.Duration{
+		0, 1, -1,
+		time.Second - 1, -(time.Second - 1),
+		time.Second, -time.Second,
+		time.Second + 1, -(time.Second + 1),
+		math.MinInt64, math.MaxInt64,
+	} {
+		check(d)
+	}
+	r := rng.New(1)
+	for i := 0; i < 500_000; i++ {
+		check(time.Duration(r.Intn(int(2*time.Second-1))) - (time.Second - 1))
+		check(time.Duration(r.Uint64()))
 	}
 }
 

@@ -29,6 +29,9 @@ go test ./...
 echo "== event-queue differential fuzz (FuzzLoopOrder, 10 s)"
 go test ./internal/eventsim -run '^$' -fuzz '^FuzzLoopOrder$' -fuzztime 10s
 
+echo "== spec JSON round-trip fuzz (FuzzSpecJSON, 10 s)"
+go test ./internal/scenario -run '^$' -fuzz '^FuzzSpecJSON$' -fuzztime 10s
+
 echo "== go -C bench test ./... (benchmark harness, incl. the smoke run checked against bench/golden.json)"
 go -C bench test ./...
 
