@@ -16,7 +16,8 @@
 // journal replays the trajectory byte-identically without re-simulating,
 // even after a crash. -workers runs each generation's payoffs — the
 // profile and its one-flow deviations — in parallel, so it speeds up every
-// generation, and -timeout/-retries guard every payoff; the trajectory is
+// generation, and -timeout/-retries guard every payoff. It also bounds how
+// many RTT classes best response revises at once. The trajectory is
 // byte-identical at any -workers count. SIGINT/SIGTERM cancel the run
 // gracefully; the cache is saved on every exit path.
 package main

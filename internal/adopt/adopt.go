@@ -15,8 +15,11 @@
 // before any of them runs, so they are evaluated as one batch on the
 // worker pool, as are the final fixed-point check's. The profiles of a
 // batch are distinct and each payoff is a pure function of its profile,
-// so the batch's results do not depend on how its units interleave. The
-// revision rules then run serially and seeded, which makes a trajectory
+// so the batch's results do not depend on how its units interleave. A
+// profile the run has already evaluated is served from the run's own
+// payoff table. Best response then revises each class on its own seeded
+// stream, the classes concurrently and each writing only its own row;
+// replicator dynamics revise serially. Either way a trajectory is
 // byte-identical at any worker count.
 package adopt
 
@@ -24,6 +27,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -122,11 +126,13 @@ type Config struct {
 
 	// Pool runs each batch of payoffs — a generation's profile and its
 	// deviations, or the fixed-point check's — and its watchdog and
-	// retries guard every payoff; nil means serial. The trajectory is
-	// identical at any worker count.
+	// retries guard every payoff; nil means serial. Its worker count also
+	// bounds how many classes best response revises at once. The
+	// trajectory is identical at any worker count.
 	Pool *runner.Pool
-	// Cache memoizes payoff simulations by canonical scenario key (nil:
-	// a run-local cache still deduplicates revisited mixtures).
+	// Cache memoizes payoff simulations by canonical scenario key across
+	// runs (nil: a fresh in-memory cache). Within one run each distinct
+	// profile reaches it once: the run's payoff table serves revisits.
 	Cache *runner.Cache
 	// Journal write-ahead-logs completed payoff simulations for
 	// crash-safe resumption; rerunning with the same journal replays the
@@ -162,7 +168,8 @@ type Result struct {
 	// classes frozen, via game.MultiSymmetric).
 	FixedPoint bool
 	// Simulations and CacheHits count this run's payoff evaluations that
-	// ran fresh versus came from the cache or journal.
+	// ran fresh versus did not: a hit came from the cache or journal, or
+	// is a revisit the run's payoff table served.
 	Simulations int
 	CacheHits   int
 }
@@ -395,17 +402,25 @@ func stepReplicator(cfg Config, pop Population, pay [][]float64, gain [][][]floa
 // ReviseProb it switches to its best deviation target — the algorithm
 // whose one-flow-switch payoff gain is largest, ties to the lowest index —
 // when that gain exceeds eps (revision inertia), except that with
-// probability Noise it explores uniformly. Agents are visited in fixed
-// (class, algorithm, agent) order and the per-class draw streams are
-// pre-split serially, so the step is deterministic in the seed.
+// probability Noise it explores uniformly. The per-class draw streams are
+// split first, serially in class order; each class then visits its agents
+// in fixed (algorithm, agent) order on its own stream and writes only its
+// own row, so the classes revise concurrently, on at most Pool.Workers()
+// goroutines, and the step is deterministic in the seed.
 func stepBestResponse(cfg Config, pop Population, gain [][][]float64, root *rng.Source) Population {
 	s := len(cfg.Algorithms)
-	eps := cfg.epsMbps()
+	eps, revise, noise := cfg.epsMbps(), cfg.ReviseProb, cfg.Noise
+	srcs := make([]*rng.Source, len(pop.Counts))
+	for c := range srcs {
+		srcs[c] = root.Split()
+	}
 	next := make([][]int, len(pop.Counts))
-	for c, counts := range pop.Counts {
-		src := root.Split()
-		next[c] = make([]int, s)
-		for a, k := range counts {
+	forEach(cfg.Pool.Workers(), len(pop.Counts), func(c int) {
+		// Draw from a copy on this goroutine's stack: sibling streams are
+		// allocated side by side, and a shared cache line would serialize
+		// the classes' draws.
+		src, row := *srcs[c], make([]int, s)
+		for a, k := range pop.Counts[c] {
 			best, bestGain := a, 0.0
 			for t := 0; t < s; t++ {
 				if t != a && gain[c][a][t] > bestGain {
@@ -415,20 +430,48 @@ func stepBestResponse(cfg Config, pop Population, gain [][][]float64, root *rng.
 			if bestGain <= eps {
 				best = a // sub-eps gain: not worth switching for
 			}
+			kept, switched := 0, 0
 			for i := 0; i < k; i++ {
-				if src.Float64() >= cfg.ReviseProb {
-					next[c][a]++ // keeps its algorithm this generation
+				if src.Float64() >= revise {
+					kept++ // keeps its algorithm this generation
 					continue
 				}
-				if cfg.Noise > 0 && src.Float64() < cfg.Noise {
-					next[c][src.Intn(s)]++
+				if noise > 0 && src.Float64() < noise {
+					row[src.Intn(s)]++
 					continue
 				}
-				next[c][best]++
+				switched++
 			}
+			row[a] += kept
+			row[best] += switched
 		}
-	}
+		next[c] = row
+	})
 	return Population{Counts: next}
+}
+
+// forEach calls fn(0), …, fn(n-1) on at most workers goroutines and
+// returns when every call has.
+func forEach(workers, n int, fn func(i int)) {
+	workers = min(workers, n)
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			fn(i)
+		}
+		return
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+				fn(i)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // probedSimCounts scales the population census down to the simulated flow
@@ -471,7 +514,7 @@ func probedSimCounts(cfg Config, pop Population) [][]int {
 // single flow gains more than eps (EpsFraction of the fair share) by
 // switching algorithm, other classes frozen. Deviation payoffs are
 // pre-warmed as one pooled batch, and the per-class checks then read the
-// cache serially.
+// run's payoff table serially.
 func (ev *evaluator) fixedPoint(cfg Config, pop Population) (bool, error) {
 	nc, na := len(cfg.Classes), len(cfg.Algorithms)
 	weights := make([]float64, nc*na)
@@ -592,15 +635,33 @@ func sum(xs []int) int {
 // per-run simulation/hit accounting (per-run, not global-counter deltas —
 // the same discipline exp.FindNE uses after the cross-search attribution
 // fix).
+//
+// table is the run's payoff table: every profile this run has evaluated,
+// by canonical key, the way game.SymmetricBinary memoizes one NE search. A
+// profile's first lookup goes through the cache, the journal or a fresh
+// simulation; a revisit is audited as a cache hit would be and served
+// from the table, with no decode. The table lives and dies with the run:
+// it has no file, no eviction and no counters of its own, and errors are
+// never stored.
 type evaluator struct {
 	cfg  Config
 	dur  time.Duration
 	sims atomic.Int64
 	hits atomic.Int64
+
+	mu    sync.Mutex
+	table map[string]evaluated
+}
+
+// evaluated is one table entry: the result, kept to audit revisits, and
+// the payoffs derived from it.
+type evaluated struct {
+	res exp.SpecResult
+	pay [][]float64
 }
 
 func newEvaluator(cfg Config) *evaluator {
-	return &evaluator{cfg: cfg, dur: exp.PayoffDuration(cfg.Duration)}
+	return &evaluator{cfg: cfg, dur: exp.PayoffDuration(cfg.Duration), table: make(map[string]evaluated)}
 }
 
 // spec compiles one (class, algorithm) flow-count matrix to its scenario:
@@ -703,23 +764,38 @@ func (ev *evaluator) batch(ctx context.Context, profiles [][][]int) ([][][]float
 
 // payoffs evaluates one flow-count matrix and reports pay[c][a]: algorithm
 // a's mean per-flow throughput in class c, in Mbps (0 for empty cells).
+// Callers share the returned rows and must not modify them.
 func (ev *evaluator) payoffs(ctx context.Context, counts [][]int) ([][]float64, error) {
 	sp := ev.spec(counts)
-	res, err := runner.Protect(sp.Key(), func() (exp.SpecResult, error) {
+	key := sp.Key()
+	return runner.Protect(key, func() ([][]float64, error) {
+		ev.mu.Lock()
+		e, seen := ev.table[key]
+		ev.mu.Unlock()
+		if seen {
+			exp.AuditSpec(ev.cfg.Audit, key, sp, e.res)
+			ev.hits.Add(1)
+			return e.pay, nil
+		}
 		res, hit, err := exp.RunSpecCachedTraced(ctx, sp, ev.cfg.Cache, ev.cfg.Journal, ev.cfg.Audit, ev.cfg.Trace)
 		if err != nil {
-			return exp.SpecResult{}, err
+			return nil, err
 		}
 		if hit {
 			ev.hits.Add(1)
 		} else {
 			ev.sims.Add(1)
 		}
-		return res, nil
+		pay := ev.payoffsOf(counts, res)
+		ev.mu.Lock()
+		ev.table[key] = evaluated{res: res, pay: pay}
+		ev.mu.Unlock()
+		return pay, nil
 	})
-	if err != nil {
-		return nil, err
-	}
+}
+
+// payoffsOf derives pay[c][a] from a profile's result.
+func (ev *evaluator) payoffsOf(counts [][]int, res exp.SpecResult) [][]float64 {
 	na := len(ev.cfg.Algorithms)
 	pay := make([][]float64, len(counts))
 	for c := range counts {
@@ -740,5 +816,5 @@ func (ev *evaluator) payoffs(ctx context.Context, counts [][]int) ([][]float64, 
 			pay[c][a] = (agg / units.Rate(len(stats))).Mbit()
 		}
 	}
-	return pay, nil
+	return pay
 }

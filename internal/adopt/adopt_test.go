@@ -2,12 +2,16 @@ package adopt
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"path/filepath"
 	"reflect"
 	"runtime"
 	"testing"
 	"time"
 
+	"bbrnash/internal/check"
+	"bbrnash/internal/exp"
 	"bbrnash/internal/runner"
 	"bbrnash/internal/units"
 )
@@ -141,6 +145,141 @@ func TestRunDeterministicAcrossWorkers(t *testing.T) {
 	}
 	if !bytes.Equal(trajectoryBytes(t, resC), trajectoryBytes(t, resD)) {
 		t.Error("replicator trajectories differ across worker counts")
+	}
+}
+
+// twoClassConfig is a two-class (20/80 ms), three-algorithm best-response
+// run: one revision row per class, which is what the revision step runs
+// concurrently.
+func twoClassConfig() Config {
+	capacity := 50 * units.Mbps
+	return Config{
+		Capacity:    capacity,
+		Buffer:      units.BufferBytes(capacity, 40*time.Millisecond, 3),
+		Classes:     []Class{{RTT: 20 * time.Millisecond, Weight: 1}, {RTT: 80 * time.Millisecond, Weight: 1}},
+		Algorithms:  []string{"cubic", "reno", "bbr"},
+		Agents:      10000,
+		Generations: 15,
+		Dynamics:    BestResponse,
+		Noise:       0.05,
+		ReviseProb:  0.7,
+		Seed:        11,
+	}
+}
+
+// The two-class revision step runs its classes concurrently, each on its
+// own pre-split stream and writing only its own row. Its trajectory is
+// pinned to the one the serial step produced, with a nil pool and at 1, 2
+// and GOMAXPROCS workers, and so are the simulated/cached counts. The
+// nil-pool run fills the cache and the pooled runs replay it, which keeps
+// the test cheap enough for verify.sh to repeat under the race detector.
+func TestRunTwoClassRevisionPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	const (
+		wantSHA  = "b804ada2ce742da58df0398703c9b67cb01383ed5736ec69a09683182cc9c057"
+		wantSims = 31
+		wantHits = 176
+	)
+	cache := runner.NewCache()
+	for i, workers := range []int{0, 1, 2, runtime.GOMAXPROCS(0)} {
+		cfg := twoClassConfig()
+		cfg.Cache = cache
+		if workers > 0 {
+			cfg.Pool = runner.NewPool(workers)
+		}
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(trajectoryBytes(t, res))
+		if got := hex.EncodeToString(sum[:]); got != wantSHA {
+			t.Errorf("%d workers: trajectory SHA-256 %s, want %s", workers, got, wantSHA)
+		}
+		sims, hits := wantSims, wantHits
+		if i > 0 {
+			sims, hits = 0, wantSims+wantHits
+		}
+		if res.Simulations != sims || res.CacheHits != hits {
+			t.Errorf("%d workers: %d simulated, %d cached; want %d, %d",
+				workers, res.Simulations, res.CacheHits, sims, hits)
+		}
+	}
+}
+
+// A revisit is served by the run's payoff table, so each distinct profile
+// reaches the cache once per run. A second run on the warm cache simulates
+// nothing, makes the same number of lookups, produces the same bytes, and
+// takes exactly one cache hit per profile the first run simulated.
+func TestPayoffTableServesRevisits(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	cache := runner.NewCache()
+	cfg := testConfig()
+	cfg.Cache = cache
+	res1, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res1.CacheHits == 0 {
+		t.Fatal("the first run revisited no profile; the test needs revisits")
+	}
+	if got := cache.Hits(); got != 0 {
+		t.Errorf("the first run took %d cache hits; its revisits belong to its table", got)
+	}
+	res2, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res2.Simulations != 0 {
+		t.Errorf("the warm run simulated %d profiles", res2.Simulations)
+	}
+	if got, want := res2.Simulations+res2.CacheHits, res1.Simulations+res1.CacheHits; got != want {
+		t.Errorf("the warm run made %d lookups, the first %d", got, want)
+	}
+	if !bytes.Equal(trajectoryBytes(t, res1), trajectoryBytes(t, res2)) {
+		t.Error("the warm run's trajectory differs")
+	}
+	if got := cache.Hits(); got != int64(res1.Simulations) {
+		t.Errorf("the warm run took %d cache hits, want one per distinct profile (%d)", got, res1.Simulations)
+	}
+}
+
+// Revisits stay audited. Generation 0's profile is pre-seeded in the cache
+// with a result whose link utilization breaks the audit; the payoffs, and
+// so the trajectory, are those of the real result. Every lookup of that
+// profile records one violation: the count is pinned to the serial
+// cache-decoding evaluator's, which audited every revisit as a cache hit.
+func TestPayoffTableRevisitsAudited(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	const wantViolations = 4
+	cfg := testConfig()
+	d, err := cfg.withDefaults()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp := newEvaluator(d).spec(probedSimCounts(d, initial(d)))
+	bad, err := exp.RunSpec(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad.Link.Utilization = 2
+	bad.Links[0].Utilization = 2
+	cfg.Cache = runner.NewCache()
+	cfg.Cache.Put(sp.Key(), bad)
+	cfg.Audit = check.New()
+	if _, err := Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if got := cfg.Audit.Len(); got != wantViolations {
+		t.Errorf("%d violations, want %d", got, wantViolations)
+	}
+	if got := len(cfg.Audit.ViolationsFor(sp.Key())); got != cfg.Audit.Len() {
+		t.Errorf("%d of %d violations carry the seeded key", got, cfg.Audit.Len())
 	}
 }
 

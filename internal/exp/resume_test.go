@@ -1,6 +1,9 @@
 package exp
 
 import (
+	"context"
+	"encoding/json"
+	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -158,5 +161,44 @@ func TestSweepJournalPartialResume(t *testing.T) {
 	}
 	if j2.Len() <= partial {
 		t.Errorf("resume did not journal the remaining units: %d -> %d", partial, j2.Len())
+	}
+}
+
+// TestRunSpecCachedResimulatesNullEntry: a cache file holding null under a
+// spec's key is no hit. The run simulates the spec and the next Save stores
+// the real result in place of the null.
+func TestRunSpecCachedResimulatesNullEntry(t *testing.T) {
+	sp := scenario.Mix("bbr", 1, 1, 20*units.Mbps, units.BufferBytes(20*units.Mbps, 40*time.Millisecond, 2),
+		40*time.Millisecond, 4*time.Second)
+	sp.Backend = scenario.BackendFluid
+	path := filepath.Join(t.TempDir(), "cache.json")
+	if err := os.WriteFile(path, []byte(`{"`+sp.Key()+`": null}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cache, err := runner.OpenCache(path, scenario.KeyVersion)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cache.Close()
+	res, hit, err := RunSpecCached(context.Background(), sp, cache, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hit {
+		t.Fatal("a null cache entry was served as a hit")
+	}
+	want, err := RunSpec(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res, want) {
+		t.Errorf("re-simulated result differs from a fresh run:\n%+v\nvs\n%+v", res, want)
+	}
+	if err := cache.Save(); err != nil {
+		t.Fatal(err)
+	}
+	var stored SpecResult
+	if raw, ok := cache.GetRaw(sp.Key()); !ok || json.Unmarshal(raw, &stored) != nil || !reflect.DeepEqual(stored, want) {
+		t.Errorf("the cache does not hold the re-simulated result: %s", raw)
 	}
 }

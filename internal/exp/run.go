@@ -169,7 +169,7 @@ func RunSpecCached(ctx context.Context, sp scenario.Spec, cache *runner.Cache, j
 func RunSpecCachedTraced(ctx context.Context, sp scenario.Spec, cache *runner.Cache, journal *runner.Journal, audit *check.Auditor, rec *telemetry.Recorder) (res SpecResult, hit bool, err error) {
 	key := sp.Key()
 	if cache.Get(key, &res) {
-		auditSpec(audit, key, sp, res)
+		AuditSpec(audit, key, sp, res)
 		if !journal.Has(key) {
 			if err := journal.Record(key, res); err != nil {
 				return SpecResult{}, false, err
@@ -179,7 +179,7 @@ func RunSpecCachedTraced(ctx context.Context, sp scenario.Spec, cache *runner.Ca
 	}
 	if journal.Get(key, &res) {
 		cache.Put(key, res)
-		auditSpec(audit, key, sp, res)
+		AuditSpec(audit, key, sp, res)
 		return res, true, nil
 	}
 	res, err = runSpec(ctx, sp, rec)
@@ -190,7 +190,7 @@ func RunSpecCachedTraced(ctx context.Context, sp scenario.Spec, cache *runner.Ca
 	if err := journal.Record(key, res); err != nil {
 		return SpecResult{}, false, err
 	}
-	auditSpec(audit, key, sp, res)
+	AuditSpec(audit, key, sp, res)
 	return res, false, nil
 }
 

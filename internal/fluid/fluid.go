@@ -89,13 +89,32 @@ func stepFor(sp scenario.Spec) float64 {
 	return max(stp, 1e-5)
 }
 
+// kind is a group's congestion-control model, fixed in New so the step
+// dispatches on an integer rather than comparing algorithm names.
+type kind uint8
+
+const (
+	kindNone  kind = iota // an empty group of an algorithm with no fluid form
+	kindBBR               // rate-based: inflight pinned to 2·btlbw·rttEst
+	kindCubic             // loss-based, cube-root growth
+	kindReno              // loss-based, one segment per RTT
+)
+
 // group is the aggregate state of one spec group: Count identical flows
 // integrated as one fluid class.
 type group struct {
 	alg   string
+	kind  kind
 	count float64
 	rtt   float64 // base RTT τ, seconds
 	start float64 // activation time, seconds
+
+	// Per-group step constants: products New forms once, in the order the
+	// step would form them left to right, so no rounding changes.
+	countGain  float64 // count·cwndGain
+	probeBytes float64 // count·probeRTTCwnd·mss
+	countDt    float64 // count·dt
+	horizon    float64 // btlbwHorizon·rtt
 
 	// Loss-based window state (cubic, reno). w is the per-flow window in
 	// bytes; wmax the pre-backoff plateau CUBIC curves toward; k CUBIC's
@@ -115,8 +134,10 @@ type group struct {
 	rttEst float64
 	winMin float64
 
-	// q is the group's bytes currently waiting in the bottleneck buffer.
-	q float64
+	// q is the group's bytes currently waiting in the bottleneck buffer;
+	// in and served are this step's arrivals (after fault thinning) and
+	// service, bytes.
+	q, in, served float64
 
 	// lossAcc accumulates expected fault-injected loss per flow (bytes);
 	// each MSS of it triggers one backoff, the fluid analogue of a
@@ -130,10 +151,8 @@ type group struct {
 	qAcc, qMin, qMax           float64
 }
 
-func (g *group) lossBased() bool { return g.alg != "bbr" }
-
 func (g *group) beta() float64 {
-	if g.alg == "reno" {
+	if g.kind == kindReno {
 		return renoBeta
 	}
 	return cubicBeta
@@ -143,7 +162,7 @@ func (g *group) beta() float64 {
 // K changes only with wmax, so grow never takes a cube root.
 func (g *group) setPlateau(wmax, mss float64) {
 	g.wmax = wmax
-	if g.alg == "cubic" {
+	if g.kind == kindCubic {
 		g.k = math.Cbrt(wmax * (1 - cubicBeta) / (cubicC * mss))
 	}
 }
@@ -158,15 +177,14 @@ func (g *group) backoff(t float64, mss float64) {
 
 // grow advances the post-backoff window to time t: CUBIC's closed-form
 // cube-root curve through (epoch, β·wmax) with plateau wmax, or Reno's one
-// segment per RTT.
-func (g *group) grow(t, dt, rttNow, mss float64) {
-	switch g.alg {
-	case "cubic":
-		c := cubicC * mss // bytes/s³
+// segment per RTT. cmss is cubicC·mss and mssDt is mss·dt.
+func (g *group) grow(t, rttNow, mss, cmss, mssDt float64) {
+	switch g.kind {
+	case kindCubic:
 		te := t - g.epoch
-		g.w = max(c*(te-g.k)*(te-g.k)*(te-g.k)+g.wmax, mss)
-	case "reno":
-		g.w += mss * dt / rttNow
+		g.w = max(cmss*(te-g.k)*(te-g.k)*(te-g.k)+g.wmax, mss)
+	case kindReno:
+		g.w += mssDt / rttNow
 	}
 }
 
@@ -174,7 +192,7 @@ func (g *group) grow(t, dt, rttNow, mss float64) {
 // with Stats; a Model is single-goroutine like netsim.Network.
 type Model struct {
 	sp     scenario.Spec
-	groups []*group
+	groups []group
 
 	stp      float64 // integration step, seconds
 	step     int64   // whole steps completed; model time is step·stp
@@ -183,6 +201,8 @@ type Model struct {
 	capBytes float64         // bottleneck capacity, bytes/s
 	buffer   float64         // bytes
 	mss      float64         // bytes
+	cmss     float64         // cubicC·mss, bytes/s³
+	mssDt    float64         // mss·stp
 	linkName string          // the modeled bottleneck link
 	faults   scenario.Faults // the bottleneck link's faults
 
@@ -199,9 +219,9 @@ type Model struct {
 	probeUntil          float64 // current episode's end time, seconds
 	probing, wasProbing bool    // shared ProbeRTT phase, for edge detection
 
-	// Per-step scratch, preallocated once (the loop runs ~10⁵ steps per
-	// simulated scenario and must not allocate).
-	inflows, servedBy []float64
+	// qTotal is the queue total at the end of the last step, which is the
+	// next step's start total.
+	qTotal float64
 }
 
 // reduceTopology maps a spec's topology onto the model's single FIFO
@@ -292,10 +312,14 @@ func New(sp scenario.Spec) (*Model, error) {
 		linkName: bl.Name,
 		faults:   bl.Faults,
 	}
+	m.cmss = cubicC * m.mss
+	m.mssDt = m.mss * m.stp
 	total := float64(sp.TotalFlows())
 	share := m.capBytes / total // fair-share bytes/s per flow
+	m.groups = make([]group, len(sp.Groups))
 	for i, sg := range sp.Groups {
-		g := &group{
+		g := &m.groups[i]
+		*g = group{
 			alg:    sg.Algorithm,
 			count:  float64(sg.Count),
 			rtt:    sg.RTT.Seconds(),
@@ -304,11 +328,20 @@ func New(sp scenario.Spec) (*Model, error) {
 			qMin:   math.Inf(1),
 			winMin: math.Inf(1),
 		}
+		g.countGain = g.count * cwndGain
+		g.probeBytes = g.count * probeRTTCwnd * m.mss
+		g.countDt = g.count * m.stp
+		g.horizon = btlbwHorizon * g.rtt
 		switch sg.Algorithm {
 		case "bbr":
+			g.kind = kindBBR
 			g.btlbw = share
 			g.rttEst = g.rtt
 		case "cubic", "reno":
+			g.kind = kindCubic
+			if sg.Algorithm == "reno" {
+				g.kind = kindReno
+			}
 			// Fair-share initial conditions: the window that carries the
 			// share at base RTT, entering mid-epoch so growth resumes from
 			// it (wmax = w/β puts the plateau just above).
@@ -321,10 +354,7 @@ func New(sp scenario.Spec) (*Model, error) {
 				return nil, fmt.Errorf("fluid: group %d: no fluid model for algorithm %q (want bbr, cubic or reno)", i, sg.Algorithm)
 			}
 		}
-		m.groups = append(m.groups, g)
 	}
-	m.inflows = make([]float64, len(m.groups))
-	m.servedBy = make([]float64, len(m.groups))
 	return m, nil
 }
 
@@ -368,17 +398,20 @@ func (m *Model) cEffAt(t float64) float64 {
 	return m.capBytes
 }
 
-// advance integrates one step [t, t+dt).
+// advance integrates one step [t, t+dt) in three passes over the groups:
+// arrivals, the FIFO queue, and the responses to it. Every quotient the
+// groups share — the queueing delay at the step's start and at its end —
+// is formed once.
 func (m *Model) advance() {
 	t := float64(m.step) * m.stp
 	dt := m.stp
 	cEff := m.cEffAt(t)
 	m.capIntAcc += cEff * dt
 
-	qTotal := 0.0
-	for _, g := range m.groups {
-		qTotal += g.q
-	}
+	// The queue at the step's start is the last step's end total, summed
+	// in the same group order from the same values.
+	qTotal := m.qTotal
+	qDelay := qTotal / cEff // RTT(t) = τ + q/cEff: the whole queue delays everyone
 
 	// Shared ProbeRTT phase: after the first 10 s, every BBR group drains
 	// simultaneously at each 10 s boundary (real BBR flows sharing a
@@ -391,9 +424,10 @@ func (m *Model) advance() {
 	if due := int64(t / probeInterval); due > m.probeStarts && t >= probeInterval {
 		m.probeStarts = due
 		rttMax := 0.0
-		for _, g := range m.groups {
-			if g.alg == "bbr" && g.count > 0 && t >= g.start {
-				rttMax = max(rttMax, g.rtt+qTotal/cEff)
+		for i := range m.groups {
+			g := &m.groups[i]
+			if g.kind == kindBBR && g.count > 0 && t >= g.start {
+				rttMax = max(rttMax, g.rtt+qDelay)
 			}
 		}
 		if rttMax > 0 {
@@ -402,20 +436,20 @@ func (m *Model) advance() {
 	}
 	m.probing = t < m.probeUntil
 
-	// Arrival rates. RTT(t) = τ + q/cEff: the whole queue delays everyone.
-	inflows := m.inflows
+	// Arrival rates.
 	inflowTotal := 0.0
-	for i, g := range m.groups {
+	for i := range m.groups {
+		g := &m.groups[i]
 		a := 0.0
 		if g.count > 0 && t >= g.start {
-			rttNow := g.rtt + qTotal/cEff
+			rttNow := g.rtt + qDelay
 			switch {
-			case g.alg == "bbr" && m.probing:
-				a = g.count * probeRTTCwnd * m.mss / rttNow
-			case g.alg == "bbr":
-				a = g.count * cwndGain * g.btlbw * g.rttEst / rttNow
+			case g.kind == kindBBR && m.probing:
+				a = g.probeBytes / rttNow
+			case g.kind == kindBBR:
+				a = g.countGain * g.btlbw * g.rttEst / rttNow
 			default:
-				g.grow(t, dt, rttNow, m.mss)
+				g.grow(t, rttNow, m.mss, m.cmss, m.mssDt)
 				a = g.count * g.w / rttNow
 			}
 			// Stats: time-weighted RTT while active.
@@ -425,20 +459,20 @@ func (m *Model) advance() {
 			// BBR's min-RTT window watches continuously; its estimate
 			// absorbs new lows immediately and rises only when a cycle
 			// closes (below).
-			if g.alg == "bbr" {
+			if g.kind == kindBBR {
 				g.winMin = min(g.winMin, rttNow)
 				g.rttEst = min(g.rttEst, rttNow)
 			}
 		}
-		inflows[i] = a * dt
-		inflowTotal += a * dt
-		g.sent += a * dt
+		g.in = a * dt
+		inflowTotal += g.in
+		g.sent += g.in
 	}
 
 	// Fault injection ahead of the queue: stochastic loss thins arrivals
 	// and accumulates expected per-flow drops; a crossed burst boundary
 	// claims BurstLen packets and acts as one synchronized loss event.
-	f := m.faults
+	f := &m.faults
 	burst := false
 	if f.BurstLen > 0 && f.BurstEvery > 0 {
 		if due := int64((t + dt) / f.BurstEvery.Seconds()); due > m.burstsDone {
@@ -448,9 +482,10 @@ func (m *Model) advance() {
 		}
 	}
 	if f.LossRate > 0 && inflowTotal > 0 {
-		for i, g := range m.groups {
-			lost := inflows[i] * f.LossRate
-			inflows[i] -= lost
+		for i := range m.groups {
+			g := &m.groups[i]
+			lost := g.in * f.LossRate
+			g.in -= lost
 			m.injectedBytes += lost
 			g.dropped += lost
 			if g.count > 0 {
@@ -467,80 +502,79 @@ func (m *Model) advance() {
 	served := min(avail, cEff*dt)
 	left := avail - served
 	overflow := max(left-m.buffer, 0)
-	for i, g := range m.groups {
-		present := g.q + inflows[i]
+	qAfter := 0.0
+	for i := range m.groups {
+		g := &m.groups[i]
+		present := g.q + g.in
 		var servedI, overflowI float64
 		if avail > 0 {
 			servedI = served * present / avail
 		}
 		if overflow > 0 && inflowTotal > 0 {
-			overflowI = overflow * inflows[i] / inflowTotal
+			overflowI = overflow * g.in / inflowTotal
 		}
-		m.servedBy[i] = servedI
+		g.served = servedI
 		g.delivered += servedI
 		g.dropped += overflowI
 		g.q = max(present-servedI-overflowI, 0)
+		qAfter += g.q
 	}
+	m.qTotal = qAfter
 	m.deliveredTotal += served
 	m.overflowPkts += overflow / m.mss
 
+	// Link statistics for the step.
+	delay := qAfter / cEff
+	m.qIntAcc += qAfter * dt
+	m.qMaxSeen = max(m.qMaxSeen, qAfter)
+	m.delayAcc += delay * dt
+	m.delayMax = max(m.delayMax, delay)
+
+	// Responses to the step, one pass: each touches only its own group.
+	//
 	// Loss response: overflow or a burst episode backs off every
 	// loss-based group that is sending and out of its post-backoff RTT —
 	// synchronized decrease, the paper's Sync regime. Accumulated
 	// stochastic loss triggers per-group backoffs the same way. BBR v1 is
 	// loss-blind and ignores all of it.
-	qAfter := 0.0
-	for _, g := range m.groups {
-		qAfter += g.q
-	}
-	for i, g := range m.groups {
-		if !g.lossBased() || g.count == 0 || t < g.start {
-			continue
-		}
-		rttNow := g.rtt + qAfter/cEff
-		canBack := t+dt-g.lastBackoff >= rttNow
-		if (overflow > 0 || burst) && inflows[i] > 0 && canBack {
-			g.backoff(t+dt, m.mss)
-		} else if g.lossAcc >= m.mss && canBack {
-			g.lossAcc -= m.mss
-			g.backoff(t+dt, m.mss)
-		}
-	}
-
+	//
 	// BBR filters: the delivered-rate sample feeds a max filter that
 	// forgets over btlbwHorizon RTTs; a closing min-RTT cycle commits the
 	// window minimum. Estimates freeze during ProbeRTT — the drain is
 	// self-inflicted, not evidence about the path.
+	tEnd := t + dt
+	lossEvent := overflow > 0 || burst
 	probeEnded := m.wasProbing && !m.probing
-	for i, g := range m.groups {
-		if g.alg != "bbr" || g.count == 0 || t < g.start {
-			continue
-		}
-		if !m.probing && avail > 0 {
-			// Per-flow delivered rate this step.
-			rate := m.servedBy[i] / (g.count * dt)
-			if rate > g.btlbw {
-				g.btlbw = rate
-			} else {
-				g.btlbw += (rate - g.btlbw) * dt / (btlbwHorizon * g.rtt)
-			}
-		}
-		if probeEnded && !math.IsInf(g.winMin, 1) {
-			g.rttEst = max(g.winMin, g.rtt)
-			g.winMin = math.Inf(1)
-		}
-	}
-
-	// Link and per-group queue statistics for the step.
-	m.qIntAcc += qAfter * dt
-	m.qMaxSeen = max(m.qMaxSeen, qAfter)
-	delay := qAfter / cEff
-	m.delayAcc += delay * dt
-	m.delayMax = max(m.delayMax, delay)
-	for _, g := range m.groups {
+	for i := range m.groups {
+		g := &m.groups[i]
 		if g.count == 0 || t < g.start {
 			continue
 		}
+		if g.kind == kindBBR {
+			if !m.probing && avail > 0 {
+				// Per-flow delivered rate this step.
+				rate := g.served / g.countDt
+				if rate > g.btlbw {
+					g.btlbw = rate
+				} else {
+					g.btlbw += (rate - g.btlbw) * dt / g.horizon
+				}
+			}
+			if probeEnded && !math.IsInf(g.winMin, 1) {
+				g.rttEst = max(g.winMin, g.rtt)
+				g.winMin = math.Inf(1)
+			}
+		} else {
+			rttNow := g.rtt + delay
+			canBack := tEnd-g.lastBackoff >= rttNow
+			if lossEvent && g.in > 0 && canBack {
+				g.backoff(tEnd, m.mss)
+			} else if g.lossAcc >= m.mss && canBack {
+				g.lossAcc -= m.mss
+				g.backoff(tEnd, m.mss)
+			}
+		}
+		// Per-group queue statistics.
 		g.qAcc += g.q * dt
 		g.qMin = min(g.qMin, g.q)
 		g.qMax = max(g.qMax, g.q)
@@ -555,7 +589,8 @@ func (m *Model) advance() {
 func (m *Model) Stats() ([][]netsim.FlowStats, netsim.LinkStats) {
 	dur := float64(m.step) * m.stp
 	groups := make([][]netsim.FlowStats, len(m.groups))
-	for gi, g := range m.groups {
+	for gi := range m.groups {
+		g := &m.groups[gi]
 		if g.count == 0 {
 			continue
 		}

@@ -1,6 +1,7 @@
 package runner
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"log"
@@ -51,8 +52,11 @@ func NewCache() *Cache {
 // entries whose key does not carry one of them in its version field — the
 // second |-separated segment, "v3" in "scenario|v3|…" — are skipped and
 // logged instead of silently mixing cache generations: a store written
-// before a key-format or semantics bump must not serve stale results. The
-// skipped entries are dropped from the store on the next Save.
+// before a key-format or semantics bump must not serve stale results.
+// Entries whose value is JSON null are skipped and logged the same way: no
+// result the program stores is null, and decoding one would serve a zero
+// result as a hit. The skipped entries are dropped from the store on the
+// next Save.
 func OpenCache(path string, recognized ...string) (*Cache, error) {
 	c := NewCache()
 	if path == "" {
@@ -76,6 +80,22 @@ func OpenCache(path string, recognized ...string) (*Cache, error) {
 		lock.release()
 		return nil, fmt.Errorf("runner: cache %s is not a JSON object: %w", path, err)
 	}
+	if c.m == nil {
+		// A bare null unmarshals without error and leaves no map.
+		lock.release()
+		return nil, fmt.Errorf("runner: cache %s is not a JSON object: null", path)
+	}
+	nulls := 0
+	for key, raw := range c.m {
+		if isNull(raw) {
+			delete(c.m, key)
+			nulls++
+		}
+	}
+	if nulls > 0 {
+		c.dirty = true
+		log.Printf("runner: cache %s: skipped %d entries with a null value", path, nulls)
+	}
 	if len(recognized) > 0 {
 		skipped := 0
 		for key := range c.m {
@@ -91,6 +111,13 @@ func OpenCache(path string, recognized ...string) (*Cache, error) {
 		}
 	}
 	return c, nil
+}
+
+// isNull reports whether a stored value is absent or JSON null, which no
+// store may serve.
+func isNull(raw json.RawMessage) bool {
+	v := bytes.TrimSpace(raw)
+	return len(v) == 0 || string(v) == "null"
 }
 
 // versionRecognized reports whether key's version field (the second
@@ -172,14 +199,14 @@ func (c *Cache) GetRaw(key string) (json.RawMessage, bool) {
 }
 
 // Put stores v under key, replacing any previous entry. Unmarshalable
-// values are dropped silently: a cache failure must never fail the
-// experiment.
+// values, and values that encode as null, are dropped silently: a cache
+// failure must never fail the experiment.
 func (c *Cache) Put(key string, v any) {
 	if c == nil {
 		return
 	}
 	raw, err := json.Marshal(v)
-	if err != nil {
+	if err != nil || isNull(raw) {
 		return
 	}
 	c.mu.Lock()

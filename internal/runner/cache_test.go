@@ -369,3 +369,64 @@ func TestOpenCacheStaleVersionsPrunedUnderV5(t *testing.T) {
 		t.Error("Save left stale-generation entries on disk")
 	}
 }
+
+// TestOpenCacheDropsNullValues: a stored null decodes into any destination
+// without error, so serving it would return a zero result as a hit. Opening
+// drops it, Get and GetRaw miss, and the next Save prunes it from disk.
+func TestOpenCacheDropsNullValues(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "cache.json")
+	const store = `{"scenario|v5|null": null, "scenario|v5|spaced":  null , "scenario|v5|ok": {"Throughput": 4}}`
+	if err := os.WriteFile(path, []byte(store), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c, err := OpenCache(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out fakeResult
+	for _, key := range []string{"scenario|v5|null", "scenario|v5|spaced"} {
+		if c.Get(key, &out) {
+			t.Errorf("Get(%s) served a null value as %+v", key, out)
+		}
+		if raw, ok := c.GetRaw(key); ok {
+			t.Errorf("GetRaw(%s) served %s", key, raw)
+		}
+	}
+	if !c.Get("scenario|v5|ok", &out) || out.Throughput != 4 {
+		t.Errorf("the non-null entry was lost: %+v", out)
+	}
+	if err := c.Save(); err != nil {
+		t.Fatal(err)
+	}
+	c.Close()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(data), "null") {
+		t.Errorf("Save kept the null entries:\n%s", data)
+	}
+}
+
+// TestOpenCacheRefusesBareNull: a store that is the single value null is
+// not an object; it unmarshals without error into no map at all.
+func TestOpenCacheRefusesBareNull(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "cache.json")
+	if err := os.WriteFile(path, []byte("null"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if c, err := OpenCache(path); err == nil {
+		c.Close()
+		t.Fatal("a bare null store opened")
+	}
+}
+
+// TestCachePutDropsNull: Put never stores a value that encodes as null.
+func TestCachePutDropsNull(t *testing.T) {
+	c := NewCache()
+	c.Put("k", nil)
+	c.Put("p", (*fakeResult)(nil))
+	if c.Len() != 0 {
+		t.Errorf("Put stored %d null values", c.Len())
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"log"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -44,10 +45,13 @@ type journalLine struct {
 // completed entries. A torn final line — the signature of a crash mid-write
 // — is tolerated: entries up to it load and the tail is truncated away.
 // When recognized key versions are given (see OpenCache), entries from
-// other key generations are dropped. After filtering, the file is
-// compacted in place (atomically, temp file + rename) so stale and torn
-// bytes do not accumulate across resumes. An empty path returns a nil
-// journal, which is valid and inert.
+// other key generations are dropped. Lines whose value is null or absent
+// are dropped and logged: Record never writes one, and keeping one would
+// make Has report a key that Get cannot serve, so a resumed run would
+// neither replay nor repair it. After filtering, the file is compacted in
+// place (atomically, temp file + rename) so stale, null and torn bytes do
+// not accumulate across resumes. An empty path returns a nil journal,
+// which is valid and inert.
 //
 // Like OpenCache, opening takes an exclusive advisory lock on a sibling
 // "<path>.lock" file, held until Close or process exit: two processes
@@ -72,6 +76,7 @@ func OpenJournal(path string, recognized ...string) (*Journal, error) {
 		return fail(fmt.Errorf("runner: reading journal: %w", err))
 	}
 	j := &Journal{m: make(map[string]json.RawMessage), lock: lock}
+	nulls := 0
 	for _, line := range bytes.Split(data, []byte{'\n'}) {
 		if len(bytes.TrimSpace(line)) == 0 {
 			continue
@@ -85,9 +90,16 @@ func OpenJournal(path string, recognized ...string) (*Journal, error) {
 		if len(recognized) > 0 && !versionRecognized(rec.Key, recognized) {
 			continue
 		}
+		if isNull(rec.Value) {
+			nulls++
+			continue
+		}
 		// Last entry wins: a unit recorded twice (e.g. across a resume
 		// that re-verified it) keeps its most recent bytes.
 		j.m[rec.Key] = rec.Value
+	}
+	if nulls > 0 {
+		log.Printf("runner: journal %s: skipped %d entries with a null or missing value", path, nulls)
 	}
 
 	// Compact: rewrite only the surviving entries, then reopen for append.
@@ -207,6 +219,9 @@ func (j *Journal) Record(key string, v any) error {
 	raw, err := json.Marshal(v)
 	if err != nil {
 		return fmt.Errorf("runner: journal: encoding %s: %w", key, err)
+	}
+	if isNull(raw) {
+		return fmt.Errorf("runner: journal: %s: refusing to record a null value", key)
 	}
 	line, err := json.Marshal(journalLine{Key: key, Value: raw})
 	if err != nil {

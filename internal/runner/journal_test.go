@@ -227,3 +227,57 @@ func TestJournalSchemaMismatchKeptInPlace(t *testing.T) {
 	}
 	j.Close()
 }
+
+// TestOpenJournalDropsNullValues: a line whose value is null would make Get
+// serve a zero value as a hit; a line with no value would make Has report a
+// key that Get misses, so a resumed run would neither replay nor repair it.
+// Opening drops both, and compaction prunes them from the file.
+func TestOpenJournalDropsNullValues(t *testing.T) {
+	path := journalPath(t)
+	lines := `{"key":"scenario|v5|null","value":null}
+{"key":"scenario|v5|absent"}
+{"key":"scenario|v5|ok","value":{"rate":1,"runs":2}}
+`
+	if err := os.WriteFile(path, []byte(lines), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out journalResult
+	for _, key := range []string{"scenario|v5|null", "scenario|v5|absent"} {
+		if j.Has(key) {
+			t.Errorf("Has(%s) after a null or missing value", key)
+		}
+		if j.Get(key, &out) {
+			t.Errorf("Get(%s) served %+v", key, out)
+		}
+	}
+	if !j.Get("scenario|v5|ok", &out) || out.Runs != 2 {
+		t.Errorf("the non-null entry was lost: %+v", out)
+	}
+	j.Close()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Count(string(data), "\n"); got != 1 || strings.Contains(string(data), "null") {
+		t.Errorf("compaction kept the null entries:\n%s", data)
+	}
+}
+
+// TestJournalRecordRefusesNull: Record never writes a null value.
+func TestJournalRecordRefusesNull(t *testing.T) {
+	j, err := OpenJournal(journalPath(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	if err := j.Record("scenario|v5|k", nil); err == nil {
+		t.Error("Record accepted a null value")
+	}
+	if j.Has("scenario|v5|k") {
+		t.Error("the refused null value was stored")
+	}
+}

@@ -32,6 +32,9 @@ go test ./internal/eventsim -run '^$' -fuzz '^FuzzLoopOrder$' -fuzztime 10s
 echo "== spec JSON round-trip fuzz (FuzzSpecJSON, 10 s)"
 go test ./internal/scenario -run '^$' -fuzz '^FuzzSpecJSON$' -fuzztime 10s
 
+echo "== cache and journal store-bytes fuzz (FuzzStoreBytes, 10 s)"
+go test ./internal/runner -run '^$' -fuzz '^FuzzStoreBytes$' -fuzztime 10s
+
 echo "== go -C bench test ./... (benchmark harness, incl. the smoke run checked against bench/golden.json)"
 go -C bench test ./...
 
@@ -39,6 +42,9 @@ echo "== go test -race (runner, exp, check, scenario, netsim, telemetry, fluid, 
 go test -race -timeout 1800s \
 	./internal/runner ./internal/exp ./internal/check ./internal/scenario ./internal/netsim \
 	./internal/telemetry ./internal/fluid ./internal/serve ./internal/game ./internal/adopt
+
+echo "== concurrent best-response revision, repeated under the race detector"
+go test -race -count=10 -run '^TestRunTwoClassRevisionPinned$' ./internal/adopt
 
 echo "== engine benchmark smoke + allocation guards (packet engine, fluid step)"
 go test ./internal/netsim -run TestSteadyStateZeroAllocs \
