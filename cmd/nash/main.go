@@ -10,10 +10,11 @@
 // With -verify, every payoff simulation runs on the -workers pool and
 // memoizes per-scenario results in -cache. The full scale's exhaustive
 // scan fans the whole payoff table out; the quick and smoke scales' walk
-// runs the rows it is certain to read two or three at a time and the
-// rest one by one. Neither flag affects the equilibria found or the
-// simulation and cache-hit counts (see DESIGN.md, "Parallel execution &
-// determinism").
+// runs only rows it is certain to read, mostly two at a time: its start
+// pair, each row it waits on together with the row past it, and the
+// neighbourhood of the point it settles on. Neither flag affects the
+// equilibria found or the simulation and cache-hit counts (see
+// DESIGN.md, "Parallel execution & determinism").
 // SIGINT/SIGTERM cancel the search gracefully — in-flight simulations
 // drain and the cache is saved on every exit path, so an interrupted
 // exhaustive scan keeps its warmed payoff table. -strict audits every

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"context"
+	"fmt"
 	"log"
 	"math"
 	"sort"
@@ -83,9 +84,11 @@ type NESearchConfig struct {
 	Exhaustive bool
 	// Pool runs every payoff lookup as a unit, so its watchdog and retries
 	// guard each one and Jobs counts them. Exhaustive scans build the whole
-	// payoff table in one batch; the walk batches only rows it is certain
-	// to read and looks up the rest one at a time. Nil means serial.
-	// Results, Simulations and CacheHits are identical at any worker count.
+	// payoff table in one batch. The walk batches only rows it is certain
+	// to read: its start pair, each row it blocks on together with the row
+	// past it, and a converged walk's neighbourhood (see walkNeighborhood);
+	// it looks up the rest one at a time. Nil means serial. Results,
+	// Simulations and CacheHits are identical at any worker count.
 	Pool *runner.Pool
 	// Cache memoizes payoff simulations by canonical scenario key. When
 	// nil, a search-local cache still deduplicates repeated distribution
@@ -141,6 +144,9 @@ type NESearchResult struct {
 // distribution — the equilibrium test probes each point's neighbours —
 // hit the cache instead of re-simulating.
 func FindNE(cfg NESearchConfig) (NESearchResult, error) {
+	if cfg.N < 1 {
+		return NESearchResult{}, fmt.Errorf("exp: NE search needs N >= 1 flows, got %d", cfg.N)
+	}
 	if cfg.EpsFraction == 0 {
 		cfg.EpsFraction = 0.05
 	}
@@ -282,42 +288,66 @@ func FindNE(cfg NESearchConfig) (NESearchResult, error) {
 // (the pre-fix code discarded it).
 //
 // batch receives rows (distributions) the walk has not read yet but is
-// certain to read, so the caller can look them up together. There are two
-// such points. Before the walk, the start pair: FirstEquilibrium's first
-// comparison reads rows s and s+1, where s is start clamped to [0, N], or
-// N−1 and N when s = N. After a
-// converged walk lands at k, rows k−3, k−2 and k+2: IsEquilibrium(k−2)
-// evaluates both operands of its first comparison and IsEquilibrium(k+2)
-// reads X(k+2). Every other read depends on a comparison's outcome, and
-// nothing the walk might not read is batched, so a caller that lets a
+// certain to read, so the caller can look them up together. There are
+// three such points. Before the walk, the start pair: FirstEquilibrium's
+// first comparison reads rows s and s+1, where s is start clamped to
+// [0, N], or N−1 and N when s = N. During the walk, when eps >= 0, a read
+// of a row r that is neither read nor batched goes out with the row past
+// it: r+1 when r−1 has been read, r−1 when r+1 has. A walk with eps >= 0
+// never reverses, so whichever way the comparison reading r falls, the
+// row past r is read next: by the next step, by the neighbourhood checks
+// of a walk that converges at or next to r, or by those of a walk whose
+// budget stops it there. After a converged walk lands at k, rows k−3,
+// k−2 and k+2: IsEquilibrium(k−2) evaluates both operands of its first
+// comparison and IsEquilibrium(k+2) reads X(k+2). No row is batched twice
+// and nothing the walk might not read is batched, so a caller that lets a
 // batched lookup stand in for the row's first read makes exactly the
-// serial walk's lookups.
+// serial walk's lookups. A walk with eps < 0 can cycle, so it pairs
+// nothing.
 func walkNeighborhood(g *game.SymmetricBinary, start int, eps float64, maxSteps int, batch func(rows []int)) (ks []int, converged bool) {
-	// w is g with its reads recorded, so that no batch repeats a lookup.
+	// w is g with its reads recorded, so that no batch repeats a lookup,
+	// and, while pairing, with each read of a fresh row paired.
 	n := g.N
 	read := make([]bool, n+1)
-	w := &game.SymmetricBinary{
-		N:           n,
-		PayoffX:     func(k int) float64 { read[k] = true; return g.PayoffX(k) },
-		PayoffCubic: func(k int) float64 { read[k] = true; return g.PayoffCubic(k) },
-	}
+	batched := make([]bool, n+1)
+	fresh := func(r int) bool { return r >= 0 && r <= n && !read[r] && !batched[r] }
 	prefetch := func(rows ...int) {
-		var unread []int
+		var todo []int
 		for _, r := range rows {
-			if r >= 0 && r <= n && !read[r] {
-				unread = append(unread, r)
+			if fresh(r) {
+				batched[r] = true
+				todo = append(todo, r)
 			}
 		}
-		if len(unread) > 0 {
-			batch(unread)
+		if len(todo) > 0 {
+			batch(todo)
 		}
+	}
+	pairing := false
+	look := func(r int) {
+		if pairing && fresh(r) {
+			switch {
+			case r > 0 && read[r-1] && fresh(r+1):
+				prefetch(r, r+1)
+			case r < n && read[r+1] && fresh(r-1):
+				prefetch(r, r-1)
+			}
+		}
+		read[r] = true
+	}
+	w := &game.SymmetricBinary{
+		N:           n,
+		PayoffX:     func(k int) float64 { look(k); return g.PayoffX(k) },
+		PayoffCubic: func(k int) float64 { look(k); return g.PayoffCubic(k) },
 	}
 	if s := min(max(start, 0), n); s < n {
 		prefetch(s, s+1)
 	} else if n >= 1 {
 		prefetch(n-1, n)
 	}
+	pairing = eps >= 0
 	k, ok := w.FirstEquilibrium(start, eps, maxSteps)
+	pairing = false
 	if ok {
 		prefetch(k-3, k-2, k+2)
 	} else {
@@ -417,6 +447,9 @@ type GroupNEResult struct {
 // profile's payoff seed is a pure function of (cfg.Seed, profile), so the
 // profile space can be evaluated in parallel and memoized canonically.
 func FindGroupNE(cfg GroupNEConfig) (GroupNEResult, error) {
+	if err := checkGroupShape(cfg.Sizes, cfg.RTTs); err != nil {
+		return GroupNEResult{}, err
+	}
 	if cfg.EpsFraction == 0 {
 		cfg.EpsFraction = 0.05
 	}
@@ -554,6 +587,25 @@ func FindGroupNE(cfg GroupNEConfig) (GroupNEResult, error) {
 		CacheHits:   int(hits.Load()),
 		Converged:   settled,
 	}, nil
+}
+
+// checkGroupShape rejects a group NE shape that no search can run on:
+// every group needs an RTT and a non-negative size, and some group a flow.
+func checkGroupShape(sizes []int, rtts []time.Duration) error {
+	if len(sizes) == 0 || len(sizes) != len(rtts) {
+		return fmt.Errorf("exp: group NE search needs one RTT per group and at least one group, got %d sizes and %d RTTs", len(sizes), len(rtts))
+	}
+	total := 0
+	for i, sz := range sizes {
+		if sz < 0 {
+			return fmt.Errorf("exp: group NE search: group %d has %d flows", i, sz)
+		}
+		total += sz
+	}
+	if total < 1 {
+		return fmt.Errorf("exp: group NE search needs at least one flow")
+	}
+	return nil
 }
 
 // enumerateProfiles lists every profile of the Π(Size+1) space in the same

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -138,6 +139,79 @@ func TestFindNECacheHitsPerSearch(t *testing.T) {
 		if results[i].CacheHits != 3*n+1 {
 			t.Errorf("search %d CacheHits = %d, want %d (cross-search attribution)",
 				i, results[i].CacheHits, 3*n+1)
+		}
+	}
+}
+
+// A malformed NE shape must fail with an error before any payoff lookup,
+// in walk and exhaustive mode alike. FindNE with N = -2 used to panic in
+// trialSeeds, and its walk took N = -1 or 0 to an empty or one-point
+// "equilibrium" with err == nil. FindGroupNE's walk panicked on fewer RTTs
+// than sizes or on a negative size, and answered [[]] or [[0]] with
+// err == nil for empty or all-zero sizes, where the exhaustive scan
+// errored.
+func TestNEShapeErrors(t *testing.T) {
+	// run calls search, turning a panic into a test failure, and requires
+	// an error and no pool job.
+	run := func(name string, search func(pool *runner.Pool) (any, error)) {
+		t.Helper()
+		pool := runner.NewPool(1)
+		var res any
+		var err error
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("%s: panicked: %v", name, r)
+					err = fmt.Errorf("panic: %v", r)
+				}
+			}()
+			res, err = search(pool)
+		}()
+		if err == nil {
+			t.Errorf("%s: returned %+v and no error", name, res)
+		}
+		if jobs := pool.Jobs(); jobs != 0 {
+			t.Errorf("%s: ran %d payoff lookups before failing", name, jobs)
+		}
+	}
+	ms := time.Millisecond
+	groups := []struct {
+		name  string
+		sizes []int
+		rtts  []time.Duration
+	}{
+		{"fewer RTTs than sizes", []int{3, 3}, []time.Duration{10 * ms}},
+		{"more RTTs than sizes", []int{3}, []time.Duration{10 * ms, 50 * ms}},
+		{"negative size", []int{3, -1}, []time.Duration{10 * ms, 50 * ms}},
+		{"no groups", nil, nil},
+		{"all-zero sizes", []int{0, 0}, []time.Duration{10 * ms, 50 * ms}},
+	}
+	for _, exhaustive := range []bool{false, true} {
+		mode := "walk"
+		if exhaustive {
+			mode = "exhaustive"
+		}
+		for _, n := range []int{-2, -1, 0} {
+			run(fmt.Sprintf("%s FindNE N=%d", mode, n), func(pool *runner.Pool) (any, error) {
+				cfg := fluidNE(n, 1)
+				cfg.Exhaustive, cfg.Pool = exhaustive, pool
+				return FindNE(cfg)
+			})
+		}
+		for _, g := range groups {
+			run(fmt.Sprintf("%s FindGroupNE %s", mode, g.name), func(pool *runner.Pool) (any, error) {
+				return FindGroupNE(GroupNEConfig{
+					Capacity:   50 * units.Mbps,
+					Buffer:     units.BufferBytes(50*units.Mbps, 10*ms, 10),
+					RTTs:       g.rtts,
+					Sizes:      g.sizes,
+					Duration:   2 * time.Minute,
+					Seed:       3,
+					Backend:    "fluid",
+					Exhaustive: exhaustive,
+					Pool:       pool,
+				})
+			})
 		}
 	}
 }

@@ -86,6 +86,93 @@ func TestFindGroupNEWalkUsesPool(t *testing.T) {
 	}
 }
 
+// walkEvent is one entry of a recorded walk: a payoff read of row, or row
+// carried by the batch hook's call number batch (1, 2, …; 0 for a read).
+type walkEvent struct {
+	row   int
+	batch int
+}
+
+// recordWalk runs walkNeighborhood over the payoff table (px, pc) and logs
+// every underlying payoff read and every batched row in order. With
+// record false the batch hook is a no-op, which is the serial walk.
+func recordWalk(px, pc []float64, start int, eps float64, maxSteps int, record bool) ([]int, bool, []walkEvent) {
+	var log []walkEvent
+	g := &game.SymmetricBinary{
+		N:           len(px) - 1,
+		PayoffX:     func(k int) float64 { log = append(log, walkEvent{row: k}); return px[k] },
+		PayoffCubic: func(k int) float64 { log = append(log, walkEvent{row: k}); return pc[k] },
+	}
+	calls := 0
+	batch := func([]int) {}
+	if record {
+		batch = func(rows []int) {
+			calls++
+			for _, row := range rows {
+				log = append(log, walkEvent{row: row, batch: calls})
+			}
+		}
+	}
+	ks, converged := walkNeighborhood(g, start, eps, maxSteps, batch)
+	return ks, converged, log
+}
+
+// walkBatches groups a recorded walk's batched rows by hook call. next[i]
+// is the index in log of the event right after batch i, len(log) if none.
+func walkBatches(log []walkEvent) (batches [][]int, next []int) {
+	for i, e := range log {
+		if e.batch == 0 {
+			continue
+		}
+		if e.batch > len(batches) {
+			batches = append(batches, nil)
+			next = append(next, 0)
+		}
+		batches[e.batch-1] = append(batches[e.batch-1], e.row)
+		next[e.batch-1] = i + 1
+	}
+	return batches, next
+}
+
+// checkCertainReads fails unless every batched row is batched once, unread
+// before its batch and read after it.
+func checkCertainReads(t *testing.T, where string, log []walkEvent) {
+	t.Helper()
+	batched := map[int]bool{}
+	for i, e := range log {
+		if e.batch == 0 {
+			continue
+		}
+		if batched[e.row] {
+			t.Fatalf("%s: row %d batched twice: %v", where, e.row, log)
+		}
+		batched[e.row] = true
+		readBefore, readAfter := false, false
+		for j, o := range log {
+			if o.batch == 0 && o.row == e.row {
+				readBefore = readBefore || j < i
+				readAfter = readAfter || j > i
+			}
+		}
+		if readBefore || !readAfter {
+			t.Fatalf("%s: batched row %d (read before: %v, read after: %v): %v", where, e.row, readBefore, readAfter, log)
+		}
+	}
+}
+
+// firstWalkReads counts the payoff reads FirstEquilibrium itself makes on
+// the table, before walkNeighborhood's post-walk checks read anything.
+func firstWalkReads(px, pc []float64, start int, eps float64, maxSteps int) int {
+	reads := 0
+	g := &game.SymmetricBinary{
+		N:           len(px) - 1,
+		PayoffX:     func(k int) float64 { reads++; return px[k] },
+		PayoffCubic: func(k int) float64 { reads++; return pc[k] },
+	}
+	g.FirstEquilibrium(start, eps, maxSteps)
+	return reads
+}
+
 // walkNeighborhood's batch hook must only ever receive rows the walk reads
 // later and has not read yet. That is what lets FindNE run a batched
 // lookup in place of the row's first serial lookup without moving
@@ -93,14 +180,14 @@ func TestFindGroupNEWalkUsesPool(t *testing.T) {
 // payoff tables, no simulations: smooth crossings with noise (long walks),
 // pure noise, eps 0, starts outside [0, N], N = 1, step budgets that run
 // out, and negative eps, under which every switch pays and the walk
-// cycles until its budget is spent.
+// cycles until its budget is spent. Past the walk's first read, a batch
+// is either an in-walk pair (two adjacent rows, the first of them the
+// walk's very next read, made while FirstEquilibrium runs) or, only after
+// a converged walk, the neighbourhood prefetch; a walk with eps < 0 pairs
+// nothing.
 func TestWalkNeighborhoodBatchesOnlyCertainReads(t *testing.T) {
-	type event struct {
-		row   int
-		batch bool
-	}
 	r := rng.New(15)
-	var postWalk, budgetOut, cycled int
+	var paired, postWalk, budgetOut, cycled int
 	for trial := 0; trial < 500; trial++ {
 		n := 1 + r.Intn(12)
 		start := r.Intn(n+7) - 3
@@ -123,65 +210,49 @@ func TestWalkNeighborhoodBatchesOnlyCertainReads(t *testing.T) {
 		case 3:
 			maxSteps = r.Intn(n + 1)
 		}
-		walk := func(record bool) ([]int, bool, []event) {
-			var log []event
-			g := &game.SymmetricBinary{
-				N:           n,
-				PayoffX:     func(k int) float64 { log = append(log, event{row: k}); return px[k] },
-				PayoffCubic: func(k int) float64 { log = append(log, event{row: k}); return pc[k] },
-			}
-			batch := func([]int) {}
-			if record {
-				batch = func(rows []int) {
-					for _, row := range rows {
-						log = append(log, event{row: row, batch: true})
-					}
-				}
-			}
-			ks, converged := walkNeighborhood(g, start, eps, maxSteps, batch)
-			return ks, converged, log
-		}
-		wantKs, wantConverged, plain := walk(false)
-		ks, converged, log := walk(true)
+		wantKs, wantConverged, plain := recordWalk(px, pc, start, eps, maxSteps, false)
+		ks, converged, log := recordWalk(px, pc, start, eps, maxSteps, true)
 		where := fmt.Sprintf("trial %d (n=%d start=%d eps=%.3g steps=%d)", trial, n, start, eps, maxSteps)
 		if !reflect.DeepEqual(ks, wantKs) || converged != wantConverged {
 			t.Fatalf("%s: batch hook changed the walk: %v/%v, want %v/%v", where, ks, converged, wantKs, wantConverged)
 		}
-		var reads []event
+		var reads []walkEvent
 		for _, e := range log {
-			if !e.batch {
+			if e.batch == 0 {
 				reads = append(reads, e)
 			}
 		}
 		if !reflect.DeepEqual(reads, plain) {
 			t.Fatalf("%s: batch hook changed the reads: %v, want %v", where, reads, plain)
 		}
-		batched := map[int]bool{}
-		firstRead := len(log)
+		checkCertainReads(t, where, log)
+
+		// readsBefore[i] counts the reads logged before log[i].
+		readsBefore := make([]int, len(log)+1)
 		for i, e := range log {
-			if !e.batch {
-				firstRead = min(firstRead, i)
-				continue
+			readsBefore[i+1] = readsBefore[i]
+			if e.batch == 0 {
+				readsBefore[i+1]++
 			}
-			if batched[e.row] {
-				t.Fatalf("%s: row %d batched twice: %v", where, e.row, log)
+		}
+		walkReads := firstWalkReads(px, pc, start, eps, maxSteps)
+		batches, next := walkBatches(log)
+		for b, rows := range batches {
+			after := next[b]
+			if readsBefore[after] == 0 {
+				continue // before the walk's first read: the start pair
 			}
-			batched[e.row] = true
-			readBefore, readAfter := false, false
-			for j, o := range log {
-				if !o.batch && o.row == e.row {
-					readBefore = readBefore || j < i
-					readAfter = readAfter || j > i
-				}
-			}
-			if readBefore || !readAfter {
-				t.Fatalf("%s: batched row %d (read before: %v, read after: %v): %v", where, e.row, readBefore, readAfter, log)
-			}
-			if i > firstRead {
-				if !converged {
-					t.Fatalf("%s: row %d batched after a walk that did not converge: %v", where, e.row, log)
-				}
-				postWalk++
+			inWalk := len(rows) == 2 && (rows[1]-rows[0] == 1 || rows[0]-rows[1] == 1) &&
+				after < len(log) && log[after] == walkEvent{row: rows[0]} && readsBefore[after] < walkReads
+			switch {
+			case inWalk && eps < 0:
+				t.Fatalf("%s: rows %v paired at eps < 0: %v", where, rows, log)
+			case inWalk:
+				paired += len(rows)
+			case !converged:
+				t.Fatalf("%s: rows %v batched after a walk that did not converge, and not as an in-walk pair: %v", where, rows, log)
+			default:
+				postWalk += len(rows)
 			}
 		}
 		if !converged {
@@ -191,7 +262,70 @@ func TestWalkNeighborhoodBatchesOnlyCertainReads(t *testing.T) {
 			}
 		}
 	}
-	if postWalk == 0 || budgetOut == 0 || cycled == 0 {
-		t.Fatalf("tables too tame: %d post-walk batched rows, %d non-converged walks, %d cycling", postWalk, budgetOut, cycled)
+	if paired == 0 || postWalk == 0 || budgetOut == 0 || cycled == 0 {
+		t.Fatalf("tables too tame: %d paired rows, %d post-walk batched rows, %d non-converged walks, %d cycling",
+			paired, postWalk, budgetOut, cycled)
+	}
+}
+
+// A walk with eps >= 0 never reverses, so each row it blocks on goes out
+// with the row past it, which it is certain to read next. The up-walk is
+// shaped like the ne_walk_packet benchmark's 2-BDP search: N = 50, from 31
+// up to an equilibrium at 34, whose neighbourhood check then reads row 37
+// alone. The down-walk pairs toward lower rows, a walk cut off by its step
+// budget right after a pair still reads the partner, and eps < 0 pairs
+// nothing.
+func TestWalkNeighborhoodPairsBlockingReads(t *testing.T) {
+	const n = 50
+	// X gains on CUBIC by more than eps = 1 until the walk reaches the
+	// crossing at cross; past it the gain stays within eps for two rows.
+	table := func(cross float64) (px, pc []float64) {
+		px, pc = make([]float64, n+1), make([]float64, n+1)
+		for k := range px {
+			px[k] = cross + 1.5 - float64(k)
+		}
+		return px, pc
+	}
+	for _, c := range []struct {
+		name       string
+		cross      float64
+		start      int
+		eps        float64
+		maxSteps   int
+		batches    [][]int
+		converged  bool
+		unbatched  []int // rows first read without a batch, in order
+		equilibria []int
+	}{
+		{"up from 31 to 34", 34, 31, 1, 3 * n,
+			[][]int{{31, 32}, {33, 34}, {35, 36}}, true, []int{37}, []int{34, 35, 36}},
+		{"down from 20 to 17", 15, 20, 1, 3 * n,
+			[][]int{{20, 21}, {19, 18}, {17, 16}, {14, 15}}, true, nil, []int{15, 16, 17}},
+		{"budget ends after a pair", 34, 31, 1, 2,
+			[][]int{{31, 32}, {33, 34}}, false, []int{30, 35, 36}, []int{34, 35}},
+		{"eps < 0 cycles unpaired", 34, 31, -1, 3 * n,
+			[][]int{{31, 32}}, false, []int{33, 34, 35, 36, 37}, nil},
+	} {
+		px, pc := table(c.cross)
+		ks, converged, log := recordWalk(px, pc, c.start, c.eps, c.maxSteps, true)
+		checkCertainReads(t, c.name, log)
+		batches, _ := walkBatches(log)
+		if !reflect.DeepEqual(batches, c.batches) {
+			t.Errorf("%s: batches %v, want %v", c.name, batches, c.batches)
+		}
+		var unbatched []int
+		seen := map[int]bool{}
+		for _, e := range log {
+			if e.batch == 0 && !seen[e.row] {
+				unbatched = append(unbatched, e.row)
+			}
+			seen[e.row] = true
+		}
+		if !reflect.DeepEqual(unbatched, c.unbatched) {
+			t.Errorf("%s: rows read without a batch %v, want %v", c.name, unbatched, c.unbatched)
+		}
+		if converged != c.converged || !reflect.DeepEqual(ks, c.equilibria) {
+			t.Errorf("%s: equilibria %v (converged %v), want %v (%v)", c.name, ks, converged, c.equilibria, c.converged)
+		}
 	}
 }

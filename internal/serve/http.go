@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"time"
 
@@ -84,11 +85,17 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	enc.Encode(v)
 }
 
-// decodeSpec reads and validates the submitted scenario.
+// decodeSpec reads and validates the submitted scenario. The body must be
+// one spec and nothing else, as a scenario file must: json.Unmarshal
+// rejects bytes after the spec, which one json.Decoder.Decode call would
+// leave unread.
 func decodeSpec(r *http.Request) (scenario.Spec, error) {
+	body, err := io.ReadAll(http.MaxBytesReader(nil, r.Body, maxSpecBody))
+	if err != nil {
+		return scenario.Spec{}, fmt.Errorf("reading spec: %w", err)
+	}
 	var sp scenario.Spec
-	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, maxSpecBody))
-	if err := dec.Decode(&sp); err != nil {
+	if err := json.Unmarshal(body, &sp); err != nil {
 		return scenario.Spec{}, fmt.Errorf("decoding spec: %w", err)
 	}
 	if err := sp.Validate(); err != nil {

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -240,6 +241,45 @@ func TestHTTPBadRequests(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusNotFound {
 			t.Errorf("%s unknown key status = %d, want 404", path, resp.StatusCode)
+		}
+	}
+}
+
+// TestHTTPRejectsTrailingBytes: a body is one spec and nothing else, as a
+// scenario file is. A single Decoder.Decode call used to accept a valid
+// spec followed by junk or by a second object, which scenario.Load
+// rejects; trailing whitespace stays fine.
+func TestHTTPRejectsTrailingBytes(t *testing.T) {
+	s := newFakeServer(t, Config{
+		Workers: 1,
+		Run: func(_ context.Context, sp scenario.Spec) (exp.SpecResult, error) {
+			return fakeResult(sp), nil
+		},
+	})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	spec, err := os.ReadFile("../../examples/mix-3bbr-2cubic.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name, tail string
+		want       int
+	}{
+		{"nothing", "", http.StatusOK},
+		{"whitespace", " \n\t\n", http.StatusOK},
+		{"junk", " trailing junk", http.StatusBadRequest},
+		{"a second spec", "\n" + string(spec), http.StatusBadRequest},
+		{"an empty object", "{}", http.StatusBadRequest},
+		{"a stray bracket", "]", http.StatusBadRequest},
+	} {
+		resp, err := http.Post(ts.URL+"/run", "application/json", strings.NewReader(string(spec)+c.tail))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != c.want {
+			t.Errorf("spec followed by %s: status %d, want %d", c.name, resp.StatusCode, c.want)
 		}
 	}
 }

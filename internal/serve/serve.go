@@ -339,13 +339,14 @@ func (s *Server) execute(fl *flight) {
 
 // finish closes a flight: removes it from the registry (so a later
 // submission of the key re-runs or hits the cache), publishes the outcome,
-// and wakes every waiter. Latency is accounted on success only.
+// and wakes every waiter. Latency is accounted on success only. The
+// waiters wake last, so one that reads Stats finds its flight counted.
 func (s *Server) finish(fl *flight, raw json.RawMessage, err error) {
 	s.mu.Lock()
 	delete(s.flights, fl.key)
 	s.mu.Unlock()
 	fl.result, fl.err = raw, err
-	close(fl.done)
+	defer close(fl.done)
 	if err != nil {
 		s.failed.Add(1)
 		return

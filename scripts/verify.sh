@@ -35,6 +35,34 @@ go test ./internal/scenario -run '^$' -fuzz '^FuzzSpecJSON$' -fuzztime 10s
 echo "== cache and journal store-bytes fuzz (FuzzStoreBytes, 10 s)"
 go test ./internal/runner -run '^$' -fuzz '^FuzzStoreBytes$' -fuzztime 10s
 
+echo "== bbrserve HTTP body fuzz (FuzzServeBodies, 10 s)"
+# A padded input reads a megabyte per exec, so minimizing one for the
+# default 60 s would spend the whole budget; 100 execs per minimization
+# keep the fuzzer exploring.
+go test ./internal/serve -run '^$' -fuzz '^FuzzServeBodies$' -fuzztime 10s -fuzzminimizetime 100x
+
+echo "== NE-walk determinism smoke (nash -verify at 1 and 2 workers)"
+# The walk looks up payoff rows in pairs on the pool; the equilibria and
+# the simulation and cache-hit counts must not depend on the worker count.
+nash_smoke() {
+	go run ./cmd/nash -capacity 50 -n 8 -buffer 3 -verify -scale smoke -workers "$1" 2>/dev/null |
+		grep -v -e '^verifying ' -e '^verified in '
+}
+NASH1=$(nash_smoke 1)
+NASH2=$(nash_smoke 2)
+if [ "$NASH1" != "$NASH2" ]; then
+	echo "nash smoke: -workers 1 and -workers 2 differ:" >&2
+	diff <(printf '%s\n' "$NASH1") <(printf '%s\n' "$NASH2") >&2 || true
+	exit 1
+fi
+for want in 'equilibria at 5 CUBIC/3 bbr 4 CUBIC/4 bbr' '(6 simulations, 4 cache hits)'; do
+	if ! printf '%s' "$NASH1" | grep -qF "$want"; then
+		echo "nash smoke: output lacks \"$want\":" >&2
+		printf '%s\n' "$NASH1" >&2
+		exit 1
+	fi
+done
+
 echo "== go -C bench test ./... (benchmark harness, incl. the smoke run checked against bench/golden.json)"
 go -C bench test ./...
 
