@@ -42,7 +42,7 @@ func main() {
 }
 
 func run() (code int) {
-	env := cli.New("adopt", cli.Strict|cli.Trace|cli.Report|cli.Algorithms)
+	env := cli.New("adopt", cli.Profile|cli.Strict|cli.Trace|cli.Report|cli.Algorithms)
 	var (
 		capMbps     = flag.Float64("capacity", 100, "bottleneck capacity in Mbps")
 		bufBDP      = flag.Float64("buffer", 5, "buffer size in BDP multiples of the largest class RTT")

@@ -27,11 +27,12 @@
 //
 // SIGINT/SIGTERM drain gracefully: admission stops (readyz turns 503),
 // in-flight runs finish and journal, queued submissions are failed so no
-// client hangs, and the cache is persisted. -drain-timeout bounds the
-// drain; past it, in-flight runs are hard-cancelled (their journaled
-// predecessors stay durable). The actual listen address is printed on
-// startup — with -addr :0 the kernel picks a free port — and /healthz,
-// /readyz and /stats expose liveness, readiness and the full counter set.
+// client hangs, and the cache (and any -cpuprofile profile) is persisted.
+// -drain-timeout bounds the drain; past it, in-flight runs are
+// hard-cancelled (their journaled predecessors stay durable). The actual
+// listen address is printed on startup — with -addr :0 the kernel picks a
+// free port — and /healthz, /readyz and /stats expose liveness, readiness
+// and the full counter set.
 package main
 
 import (
@@ -52,7 +53,7 @@ func main() {
 }
 
 func run() (code int) {
-	env := cli.New("bbrserve", cli.Strict|cli.Trace|cli.Report)
+	env := cli.New("bbrserve", cli.Profile|cli.Strict|cli.Trace|cli.Report)
 	var (
 		addr         = flag.String("addr", "127.0.0.1:8080", "listen address (use :0 for an ephemeral port; the actual address is printed)")
 		queueDepth   = flag.Int("queue", 0, "submission queue depth; a full queue sheds with 429 (0 = 256)")

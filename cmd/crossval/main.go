@@ -37,7 +37,7 @@ func main() {
 }
 
 func run() (code int) {
-	env := cli.New("crossval", cli.Progress)
+	env := cli.New("crossval", cli.Progress|cli.Profile)
 	var (
 		capMbps   = flag.Float64("capacity", 40, "bottleneck capacity in Mbps")
 		rttMs     = flag.Float64("rtt", 40, "base RTT in milliseconds")

@@ -68,6 +68,15 @@ func (c CrossValConfig) withDefaults() CrossValConfig {
 	return c
 }
 
+// spec is the grid point at buf BDP and mix (NumBBR, NumCubic) on one
+// backend.
+func (c CrossValConfig) spec(buf float64, mix [2]int, backend string) scenario.Spec {
+	sp := scenario.Mix("bbr", mix[0], mix[1], c.Capacity,
+		units.BufferBytes(c.Capacity, c.RTT, buf), c.RTT, c.Duration)
+	sp.Backend = backend
+	return sp
+}
+
 // CrossValPoint is one grid point's paired measurement. Rates are per-flow
 // class averages in Mbps (the figures' unit); relative errors are
 // |fluid−packet|/packet against the packet engine as reference, zero when
@@ -161,19 +170,13 @@ func CrossValidate(cfg CrossValConfig) (CrossValReport, error) {
 		}
 	}
 
-	specAt := func(i int, backend string) scenario.Spec {
-		c := grid[i/2]
-		sp := scenario.Mix("bbr", c.mix[0], c.mix[1], cfg.Capacity,
-			units.BufferBytes(cfg.Capacity, cfg.RTT, c.buf), cfg.RTT, cfg.Duration)
-		sp.Backend = backend
-		return sp
-	}
 	// One flat unit list, packet and fluid interleaved per cell, run
 	// through the scale's sweep machinery (trial averaging, cache,
 	// journal, audit, watchdog).
 	backends := [2]string{scenario.BackendPacket, scenario.BackendFluid}
 	pts, err := s.Sweep(cfg.Seed, 2*len(grid), func(i int) scenario.Spec {
-		return specAt(i, backends[i%2])
+		c := grid[i/2]
+		return cfg.spec(c.buf, c.mix, backends[i%2])
 	})
 	if err != nil {
 		return CrossValReport{}, err

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"bbrnash/internal/check"
 	"bbrnash/internal/runner"
 	"bbrnash/internal/scenario"
 	"bbrnash/internal/units"
@@ -92,6 +93,46 @@ func TestCrossValidateDeterministicAcrossWorkers(t *testing.T) {
 	parallel := run(8)
 	if !reflect.DeepEqual(serial, parallel) {
 		t.Errorf("report differs between 1 and 8 workers:\nserial   %+v\nparallel %+v", serial, parallel)
+	}
+}
+
+// TestCrossValFluidGridAuditClean: every fluid spec of cmd/crossval's
+// default grid (40 Mbps, 40 ms, two minutes, buffers of 1–49 BDP times the
+// mixes 1:1, 2:2 and 4:4) passes the invariant audit, both as a fresh run
+// and as a cache replay.
+func TestCrossValFluidGridAuditClean(t *testing.T) {
+	cfg := CrossValConfig{Capacity: 40 * units.Mbps, RTT: 40 * time.Millisecond, Seed: 1}.withDefaults()
+	var specs []scenario.Spec
+	for _, b := range cfg.BufferBDPs {
+		for _, mix := range cfg.Mixes {
+			specs = append(specs, cfg.spec(b, mix, scenario.BackendFluid))
+		}
+	}
+	if len(specs) != 75 {
+		t.Fatalf("default grid has %d fluid specs, want 75", len(specs))
+	}
+	audit := check.New()
+	s := Scale{
+		Name:         "crossval-fluid-audit",
+		FlowDuration: cfg.Duration,
+		Trials:       1,
+		Pool:         runner.NewPool(2),
+		Cache:        runner.NewCache(),
+		Audit:        audit,
+	}
+	for pass := range 2 {
+		if _, err := s.Sweep(cfg.Seed, len(specs), func(i int) scenario.Spec { return specs[i] }); err != nil {
+			t.Fatalf("pass %d: %v", pass, err)
+		}
+	}
+	if hits := s.Cache.Hits(); hits != int64(len(specs)) {
+		t.Errorf("replay pass served %d cache hits, want %d", hits, len(specs))
+	}
+	if n := audit.Len(); n != 0 {
+		for _, v := range audit.Violations() {
+			t.Errorf("invariant violation: %s", v)
+		}
+		t.Fatalf("%d invariant violations over the fluid grid", n)
 	}
 }
 

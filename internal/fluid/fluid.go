@@ -182,9 +182,60 @@ func (g *group) grow(t, rttNow, mss, cmss, mssDt float64) {
 	switch g.kind {
 	case kindCubic:
 		te := t - g.epoch
-		g.w = max(cmss*(te-g.k)*(te-g.k)*(te-g.k)+g.wmax, mss)
+		g.w = above(cmss*(te-g.k)*(te-g.k)*(te-g.k)+g.wmax, mss)
 	case kindReno:
 		g.w += mssDt / rttNow
+	}
+}
+
+// The step's clamps and running extrema are a compare and a branch, not
+// the builtin float min/max. The builtins give NaN and ±0 the spec's
+// answers, which costs each call two MINSDs and a POR (a max adds two sign
+// flips), and three of them sit on the step's serial chain: queue total →
+// delay → arrival rates → FIFO service → queue total. The forms below
+// differ from the builtins only for a NaN bound or a pair of zeros of
+// opposite sign (TestCompareFormsMatchBuiltins lists each case), and no
+// valid spec reaches either: cEff·dt and mss are positive, every
+// accumulator starts at +0, +Inf or a positive RTT, and every clamped
+// queue is +0, never −0. So every trajectory keeps every bit.
+
+// nonNeg is max(x, 0), bit for bit on every float64.
+func nonNeg(x float64) float64 {
+	if x <= 0 {
+		return 0
+	}
+	return x
+}
+
+// below is min(x, c) unless c is NaN or (x, c) is (−0, +0).
+func below(x, c float64) float64 {
+	if !(x >= c) {
+		return x
+	}
+	return c
+}
+
+// above is max(w, floor) unless floor is NaN or (w, floor) is (−0, +0).
+func above(w, floor float64) float64 {
+	if w < floor {
+		return floor
+	}
+	return w
+}
+
+// raise sets *acc to max(*acc, x) unless (*acc, x) is (−0, +0); a NaN
+// sample sticks, as it does there.
+func raise(acc *float64, x float64) {
+	if x > *acc || math.IsNaN(x) {
+		*acc = x
+	}
+}
+
+// lower sets *acc to min(*acc, x) unless (*acc, x) is (+0, −0); a NaN
+// sample sticks, as it does there.
+func lower(acc *float64, x float64) {
+	if x < *acc || math.IsNaN(x) {
+		*acc = x
 	}
 }
 
@@ -455,13 +506,13 @@ func (m *Model) advance() {
 			// Stats: time-weighted RTT while active.
 			g.rttAcc += rttNow * dt
 			g.activeTime += dt
-			g.rttMin = min(g.rttMin, rttNow)
+			lower(&g.rttMin, rttNow)
 			// BBR's min-RTT window watches continuously; its estimate
 			// absorbs new lows immediately and rises only when a cycle
 			// closes (below).
 			if g.kind == kindBBR {
-				g.winMin = min(g.winMin, rttNow)
-				g.rttEst = min(g.rttEst, rttNow)
+				lower(&g.winMin, rttNow)
+				lower(&g.rttEst, rttNow)
 			}
 		}
 		g.in = a * dt
@@ -499,9 +550,9 @@ func (m *Model) advance() {
 	// service by presence share, clamp to the buffer, and attribute the
 	// clamp's excess (drop-tail loss) by arrival share.
 	avail := qTotal + inflowTotal
-	served := min(avail, cEff*dt)
+	served := below(avail, cEff*dt)
 	left := avail - served
-	overflow := max(left-m.buffer, 0)
+	overflow := nonNeg(left - m.buffer)
 	qAfter := 0.0
 	for i := range m.groups {
 		g := &m.groups[i]
@@ -516,19 +567,21 @@ func (m *Model) advance() {
 		g.served = servedI
 		g.delivered += servedI
 		g.dropped += overflowI
-		g.q = max(present-servedI-overflowI, 0)
+		g.q = nonNeg(present - servedI - overflowI)
 		qAfter += g.q
 	}
 	m.qTotal = qAfter
 	m.deliveredTotal += served
-	m.overflowPkts += overflow / m.mss
+	if overflow > 0 { // adding +0 to the non-negative sum would change nothing
+		m.overflowPkts += overflow / m.mss
+	}
 
 	// Link statistics for the step.
 	delay := qAfter / cEff
 	m.qIntAcc += qAfter * dt
-	m.qMaxSeen = max(m.qMaxSeen, qAfter)
+	raise(&m.qMaxSeen, qAfter)
 	m.delayAcc += delay * dt
-	m.delayMax = max(m.delayMax, delay)
+	raise(&m.delayMax, delay)
 
 	// Responses to the step, one pass: each touches only its own group.
 	//
@@ -561,7 +614,7 @@ func (m *Model) advance() {
 				}
 			}
 			if probeEnded && !math.IsInf(g.winMin, 1) {
-				g.rttEst = max(g.winMin, g.rtt)
+				g.rttEst = above(g.winMin, g.rtt)
 				g.winMin = math.Inf(1)
 			}
 		} else {
@@ -576,8 +629,8 @@ func (m *Model) advance() {
 		}
 		// Per-group queue statistics.
 		g.qAcc += g.q * dt
-		g.qMin = min(g.qMin, g.q)
-		g.qMax = max(g.qMax, g.q)
+		lower(&g.qMin, g.q)
+		raise(&g.qMax, g.q)
 	}
 }
 

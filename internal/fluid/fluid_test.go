@@ -13,6 +13,7 @@ import (
 	"bbrnash/internal/check"
 	"bbrnash/internal/core"
 	"bbrnash/internal/netsim"
+	"bbrnash/internal/rng"
 	"bbrnash/internal/scenario"
 	"bbrnash/internal/units"
 )
@@ -210,6 +211,66 @@ func TestRunZeroAllocs(t *testing.T) {
 	m.Run(time.Second)
 	if allocs := testing.AllocsPerRun(5, func() { m.Run(time.Second) }); allocs != 0 {
 		t.Fatalf("Run allocated %.1f times per simulated second; want 0", allocs)
+	}
+}
+
+// TestCompareFormsMatchBuiltins pins the step's compare forms to the
+// builtin min/max they replace, bit for bit with NaN matching NaN, the way
+// cubic's TestCubeByMultiplicationExact pins its cube to math.Pow: over
+// every pair of ±0, ±5e-324, ±0.5, ±1, ±MaxFloat64, ±Inf and NaN, and over
+// a million seeded random pairs. A result may differ only in a case the
+// form lists — a NaN bound, or zeros of opposite sign, which no valid spec
+// reaches — and every listed case does differ, so the list is exact.
+func TestCompareFormsMatchBuiltins(t *testing.T) {
+	negZero := func(x float64) bool { return x == 0 && math.Signbit(x) }
+	posZero := func(x float64) bool { return x == 0 && !math.Signbit(x) }
+	nanBound := func(x, bound float64) bool { return math.IsNaN(bound) && !math.IsNaN(x) }
+	forms := []struct {
+		name      string
+		got, want func(a, b float64) float64
+		differs   func(a, b float64) bool
+	}{
+		{"nonNeg",
+			func(x, _ float64) float64 { return nonNeg(x) },
+			func(x, _ float64) float64 { return max(x, 0) },
+			func(_, _ float64) bool { return false }},
+		{"below",
+			below,
+			func(x, c float64) float64 { return min(x, c) },
+			func(x, c float64) bool { return nanBound(x, c) || negZero(x) && posZero(c) }},
+		{"above",
+			above,
+			func(w, floor float64) float64 { return max(w, floor) },
+			func(w, floor float64) bool { return nanBound(w, floor) || negZero(w) && posZero(floor) }},
+		{"raise",
+			func(acc, x float64) float64 { raise(&acc, x); return acc },
+			func(acc, x float64) float64 { return max(acc, x) },
+			func(acc, x float64) bool { return negZero(acc) && posZero(x) }},
+		{"lower",
+			func(acc, x float64) float64 { lower(&acc, x); return acc },
+			func(acc, x float64) float64 { return min(acc, x) },
+			func(acc, x float64) bool { return posZero(acc) && negZero(x) }},
+	}
+	check := func(a, b float64) {
+		for _, f := range forms {
+			got, want := f.got(a, b), f.want(a, b)
+			same := math.Float64bits(got) == math.Float64bits(want) || math.IsNaN(got) && math.IsNaN(want)
+			if differs := f.differs(a, b); same == differs {
+				t.Fatalf("%s(%v, %v) = %v (%#x), builtin %v (%#x); listed as differing: %v",
+					f.name, a, b, got, math.Float64bits(got), want, math.Float64bits(want), differs)
+			}
+		}
+	}
+	special := []float64{0, math.Copysign(0, -1), 5e-324, -5e-324, 0.5, -0.5, 1, -1,
+		math.MaxFloat64, -math.MaxFloat64, math.Inf(1), math.Inf(-1), math.NaN()}
+	for _, a := range special {
+		for _, b := range special {
+			check(a, b)
+		}
+	}
+	r := rng.New(1)
+	for i := 0; i < 1_000_000; i++ {
+		check(math.Float64frombits(r.Uint64()), math.Float64frombits(r.Uint64()))
 	}
 }
 

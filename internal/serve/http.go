@@ -119,21 +119,21 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorEnvelope{Error: err.Error()})
 		return
 	}
-	raw, fl, err := s.submit(sp)
+	key, raw, fl, err := s.submit(sp)
 	switch {
 	case err == nil && raw != nil:
 		w.Header().Set("X-Cache", "hit")
-		writeJSON(w, http.StatusOK, resultEnvelope{Key: sp.Key(), Result: raw})
+		writeJSON(w, http.StatusOK, resultEnvelope{Key: key, Result: raw})
 		return
 	case errors.Is(err, errQueueFull):
 		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusTooManyRequests, errorEnvelope{Key: sp.Key(), Error: err.Error()})
+		writeJSON(w, http.StatusTooManyRequests, errorEnvelope{Key: key, Error: err.Error()})
 		return
 	case errors.Is(err, errDraining):
-		writeJSON(w, http.StatusServiceUnavailable, errorEnvelope{Key: sp.Key(), Error: err.Error()})
+		writeJSON(w, http.StatusServiceUnavailable, errorEnvelope{Key: key, Error: err.Error()})
 		return
 	case err != nil:
-		writeJSON(w, http.StatusInternalServerError, errorEnvelope{Key: sp.Key(), Error: err.Error()})
+		writeJSON(w, http.StatusInternalServerError, errorEnvelope{Key: key, Error: err.Error()})
 		return
 	}
 	if r.URL.Query().Get("wait") == "0" {
@@ -225,7 +225,6 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	flusher.Flush()
 	tick := time.NewTicker(watchHeartbeat)
 	defer tick.Stop()
-	last := flightState(fl)
 	for {
 		select {
 		case <-fl.done:
@@ -239,9 +238,6 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 		case <-tick.C:
 			// Heartbeat: state transitions and liveness while running.
 			cur := flightState(fl)
-			if cur != last {
-				last = cur
-			}
 			writeSSE(w, cur, statusEnvelope{Key: key, Status: cur})
 			flusher.Flush()
 		case <-r.Context().Done():

@@ -206,23 +206,24 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// submit admits one spec. Exactly one of the returns is meaningful: raw is
-// the instant cache answer; fl is the (new or joined) flight to wait on;
-// err is errQueueFull, errDraining, or a key-derivation failure.
-func (s *Server) submit(sp scenario.Spec) (raw json.RawMessage, fl *flight, err error) {
-	key := sp.Key()
+// submit admits one spec under its canonical key, which it derives once and
+// returns for the caller's envelopes. Of the other returns exactly one is
+// meaningful: raw is the instant cache answer; fl is the (new or joined)
+// flight to wait on; err is errQueueFull or errDraining.
+func (s *Server) submit(sp scenario.Spec) (key string, raw json.RawMessage, fl *flight, err error) {
+	key = sp.Key()
 	if raw, ok := s.cfg.Cache.GetRaw(key); ok {
 		s.instant.Add(1)
-		return raw, nil, nil
+		return key, raw, nil, nil
 	}
 	if s.Draining() {
-		return nil, nil, errDraining
+		return key, nil, nil, errDraining
 	}
 	s.mu.Lock()
 	if fl, ok := s.flights[key]; ok {
 		s.mu.Unlock()
 		s.deduped.Add(1)
-		return nil, fl, nil
+		return key, nil, fl, nil
 	}
 	// The key's flight may have finished since the unlocked lookup above:
 	// it memoizes its result before finish removes it under s.mu, so with
@@ -230,7 +231,7 @@ func (s *Server) submit(sp scenario.Spec) (raw json.RawMessage, fl *flight, err 
 	if raw, ok := s.cfg.Cache.GetRaw(key); ok {
 		s.mu.Unlock()
 		s.instant.Add(1)
-		return raw, nil, nil
+		return key, raw, nil, nil
 	}
 	fl = &flight{key: key, spec: sp, done: make(chan struct{}), enqueued: time.Now()}
 	select {
@@ -238,11 +239,11 @@ func (s *Server) submit(sp scenario.Spec) (raw json.RawMessage, fl *flight, err 
 		s.flights[key] = fl
 		s.mu.Unlock()
 		s.enqueued.Add(1)
-		return nil, fl, nil
+		return key, nil, fl, nil
 	default:
 		s.mu.Unlock()
 		s.shed.Add(1)
-		return nil, nil, errQueueFull
+		return key, nil, nil, errQueueFull
 	}
 }
 

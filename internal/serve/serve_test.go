@@ -75,7 +75,7 @@ func TestSubmitDedupSingleExecution(t *testing.T) {
 		finished.Add(1)
 		go func(i int) {
 			defer finished.Done()
-			raw, fl, err := s.submit(sp)
+			_, raw, fl, err := s.submit(sp)
 			joined.Done()
 			if err != nil {
 				t.Errorf("submitter %d: %v", i, err)
@@ -146,7 +146,7 @@ func TestLoadShedNoLossNoDuplication(t *testing.T) {
 				sp := testSpec(uint64(k + 1))
 				want, _ := json.Marshal(fakeResult(sp))
 				for {
-					raw, fl, err := s.submit(sp)
+					_, raw, fl, err := s.submit(sp)
 					if errors.Is(err, errQueueFull) {
 						time.Sleep(500 * time.Microsecond) // Retry-After, in miniature
 						continue
@@ -220,7 +220,7 @@ func TestWorkerPanicSupervision(t *testing.T) {
 		},
 	})
 
-	_, fl, err := s.submit(testSpec(poisoned))
+	_, _, fl, err := s.submit(testSpec(poisoned))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +235,7 @@ func TestWorkerPanicSupervision(t *testing.T) {
 
 	// The service is still alive: a healthy spec completes on the restarted
 	// worker.
-	raw, fl, err := s.submit(testSpec(1))
+	_, raw, fl, err := s.submit(testSpec(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,12 +266,12 @@ func TestDrainSemantics(t *testing.T) {
 		},
 	})
 
-	_, running, err := s.submit(testSpec(1))
+	_, _, running, err := s.submit(testSpec(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	<-started // the single worker is now inside flight 1
-	_, queued, err := s.submit(testSpec(2))
+	_, _, queued, err := s.submit(testSpec(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +296,7 @@ func TestDrainSemantics(t *testing.T) {
 	if !s.Draining() {
 		t.Error("Draining() = false during drain")
 	}
-	if _, _, err := s.submit(testSpec(3)); !errors.Is(err, errDraining) {
+	if _, _, _, err := s.submit(testSpec(3)); !errors.Is(err, errDraining) {
 		t.Errorf("submit during drain = %v, want errDraining", err)
 	}
 
@@ -328,7 +328,7 @@ func TestDrainDeadlineCancelsInFlight(t *testing.T) {
 			return exp.SpecResult{}, ctx.Err()
 		},
 	})
-	_, fl, err := s.submit(testSpec(1))
+	_, _, fl, err := s.submit(testSpec(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,7 +376,7 @@ func TestJournalReplayByteIdentity(t *testing.T) {
 			defer cancel()
 			s.Drain(ctx)
 		}()
-		raw, fl, err := s.submit(sp)
+		_, raw, fl, err := s.submit(sp)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -425,7 +425,7 @@ func TestFailedFlightIsRerunnable(t *testing.T) {
 		},
 	})
 	sp := testSpec(5)
-	_, fl, err := s.submit(sp)
+	_, _, fl, err := s.submit(sp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -433,7 +433,7 @@ func TestFailedFlightIsRerunnable(t *testing.T) {
 	if fl.err == nil {
 		t.Fatal("first attempt should have failed")
 	}
-	raw, fl, err := s.submit(sp)
+	_, raw, fl, err := s.submit(sp)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,8 +5,8 @@
 # answers byte-identically to an uninterrupted reference server — including
 # trace files. Also proves the advisory store lock (a second server on the
 # same store fails loudly), overload shedding (429 + Retry-After from a
-# saturated queue), graceful SIGTERM drain (cache persisted), and the
-# machine-readable /stats surface.
+# saturated queue), graceful SIGTERM drain (cache and CPU profile
+# persisted), and the machine-readable /stats surface.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -96,7 +96,9 @@ fi
 
 # kill -9 ran no cleanup, yet the restart must succeed (the kernel released
 # the advisory lock with the process) and replay the journal.
-start_server "$tmp/restart.log" -cache "$store/cache.json" -resume "$store/journal.jsonl" -trace "$tmp/trace-chaos" -workers 2
+# -cpuprofile: Phase 4 checks the SIGTERM drain flushes the profile.
+start_server "$tmp/restart.log" -cache "$store/cache.json" -resume "$store/journal.jsonl" -trace "$tmp/trace-chaos" -workers 2 \
+    -cpuprofile "$tmp/restart.prof"
 re_addr=$SRV_ADDR; re_pid=$SRV_PID
 grep -q "replayed journal" "$tmp/restart.log" || true
 for i in $(seq 1 "$nspecs"); do
@@ -166,7 +168,11 @@ if ! grep -q '"v":' "$store/cache.json" 2>/dev/null && ! [ -s "$store/cache.json
     echo "serve smoke: FAILED — drain did not persist the cache" >&2
     exit 1
 fi
-echo "serve smoke: SIGTERM drained and persisted the cache"
+if ! [ -s "$tmp/restart.prof" ]; then
+    echo "serve smoke: FAILED — SIGTERM drain left no -cpuprofile profile" >&2
+    exit 1
+fi
+echo "serve smoke: SIGTERM drained and persisted the cache and the CPU profile"
 
 # --- Phase 5: overload sheds with 429 ----------------------------------------
 start_server "$tmp/shed.log" -workers 1 -queue 1

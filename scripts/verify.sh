@@ -94,9 +94,15 @@ for field in schema_version key_version buffer_bdp regime rel_err_bbr rel_err_cu
 	fi
 done
 
-echo "== adoption-dynamics smoke (tiny population, 3 generations, trajectory schema)"
+echo "== adoption-dynamics smoke (tiny population, 3 generations, trajectory schema, CPU profile)"
+ADOPT_PROF=$(mktemp)
+trap 'rm -f "$ADOPT_PROF"' EXIT
 TRAJ=$(go run ./cmd/adopt -capacity 50 -buffer 3 -agents 200 -generations 3 \
-	-algs cubic,bbr -shares 0.7,0.3 -simflows 6 -seed 7 2>/dev/null)
+	-algs cubic,bbr -shares 0.7,0.3 -simflows 6 -seed 7 -cpuprofile "$ADOPT_PROF" 2>/dev/null)
+if ! [ -s "$ADOPT_PROF" ]; then
+	echo "adopt smoke: -cpuprofile wrote no profile" >&2
+	exit 1
+fi
 if [ "$(printf '%s\n' "$TRAJ" | wc -l)" -ne 4 ]; then
 	echo "adopt smoke: expected 4 trajectory records, got:" >&2
 	printf '%s\n' "$TRAJ" >&2
