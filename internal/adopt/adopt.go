@@ -25,6 +25,7 @@ package adopt
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"sort"
 	"sync"
@@ -637,12 +638,15 @@ func sum(xs []int) int {
 // fix).
 //
 // table is the run's payoff table: every profile this run has evaluated,
-// by canonical key, the way game.SymmetricBinary memoizes one NE search. A
-// profile's first lookup goes through the cache, the journal or a fresh
-// simulation; a revisit is audited as a cache hit would be and served
-// from the table, with no decode. The table lives and dies with the run:
-// it has no file, no eviction and no counters of its own, and errors are
-// never stored.
+// keyed by its flow counts (see profileKey), the way game.SymmetricBinary
+// memoizes one NE search. Within a run the counts fix the spec, its
+// exp.ProfileSeed and so its canonical key. A profile's first lookup builds
+// the spec and goes through the cache, the journal or a fresh simulation
+// under that key; a revisit replays the audit verdict of the first lookup,
+// which is what auditing the same key, spec and result again would record,
+// and is served from the table with no spec, key, audit or decode. The
+// table lives and dies with the run: it has no file, no eviction and no
+// counters of its own, and errors are never stored.
 type evaluator struct {
 	cfg  Config
 	dur  time.Duration
@@ -653,11 +657,24 @@ type evaluator struct {
 	table map[string]evaluated
 }
 
-// evaluated is one table entry: the result, kept to audit revisits, and
-// the payoffs derived from it.
+// evaluated is one table entry: the payoffs of a profile's result and the
+// violations its audit recorded (nil when clean or unaudited).
 type evaluated struct {
-	res exp.SpecResult
-	pay [][]float64
+	pay     [][]float64
+	verdict []check.Violation
+}
+
+// profileKey appends a flow-count matrix's table key to dst: its counts
+// in class-major order, as uvarints. Every matrix of a run has one row per
+// class and one count per algorithm, so the key determines the spec that
+// ev.spec compiles from the matrix.
+func profileKey(dst []byte, counts [][]int) []byte {
+	for _, row := range counts {
+		for _, k := range row {
+			dst = binary.AppendUvarint(dst, uint64(k))
+		}
+	}
+	return dst
 }
 
 func newEvaluator(cfg Config) *evaluator {
@@ -766,18 +783,29 @@ func (ev *evaluator) batch(ctx context.Context, profiles [][][]int) ([][][]float
 // a's mean per-flow throughput in class c, in Mbps (0 for empty cells).
 // Callers share the returned rows and must not modify them.
 func (ev *evaluator) payoffs(ctx context.Context, counts [][]int) ([][]float64, error) {
+	var buf [64]byte
+	pk := profileKey(buf[:0], counts)
+	ev.mu.Lock()
+	e, seen := ev.table[string(pk)]
+	ev.mu.Unlock()
+	if seen {
+		ev.cfg.Audit.Record(e.verdict...)
+		ev.hits.Add(1)
+		return e.pay, nil
+	}
+	tk := string(pk)
 	sp := ev.spec(counts)
-	key := sp.Key()
-	return runner.Protect(key, func() ([][]float64, error) {
-		ev.mu.Lock()
-		e, seen := ev.table[key]
-		ev.mu.Unlock()
-		if seen {
-			exp.AuditSpec(ev.cfg.Audit, key, sp, e.res)
-			ev.hits.Add(1)
-			return e.pay, nil
+	return runner.Protect(sp.Key(), func() ([][]float64, error) {
+		// The first lookup audits into an auditor of its own, so that the
+		// entry can keep the verdict, and passes the verdict on whatever
+		// the outcome, as an audit straight into Config.Audit would.
+		var verdict *check.Auditor
+		if ev.cfg.Audit.Enabled() {
+			verdict = check.New()
 		}
-		res, hit, err := exp.RunSpecCachedTraced(ctx, sp, ev.cfg.Cache, ev.cfg.Journal, ev.cfg.Audit, ev.cfg.Trace)
+		res, hit, err := exp.RunSpecCachedTraced(ctx, sp, ev.cfg.Cache, ev.cfg.Journal, verdict, ev.cfg.Trace)
+		vs := verdict.Violations()
+		ev.cfg.Audit.Record(vs...)
 		if err != nil {
 			return nil, err
 		}
@@ -788,7 +816,7 @@ func (ev *evaluator) payoffs(ctx context.Context, counts [][]int) ([][]float64, 
 		}
 		pay := ev.payoffsOf(counts, res)
 		ev.mu.Lock()
-		ev.table[key] = evaluated{res: res, pay: pay}
+		ev.table[tk] = evaluated{pay: pay, verdict: vs}
 		ev.mu.Unlock()
 		return pay, nil
 	})

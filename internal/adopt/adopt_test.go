@@ -2,6 +2,7 @@ package adopt
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"path/filepath"
@@ -252,6 +253,8 @@ func TestPayoffTableServesRevisits(t *testing.T) {
 // so the trajectory, are those of the real result. Every lookup of that
 // profile records one violation: the count is pinned to the serial
 // cache-decoding evaluator's, which audited every revisit as a cache hit.
+// The first lookup records what a cache hit on the seeded result records,
+// and every revisit replays it element by element.
 func TestPayoffTableRevisitsAudited(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -280,6 +283,55 @@ func TestPayoffTableRevisitsAudited(t *testing.T) {
 	}
 	if got := len(cfg.Audit.ViolationsFor(sp.Key())); got != cfg.Audit.Len() {
 		t.Errorf("%d of %d violations carry the seeded key", got, cfg.Audit.Len())
+	}
+	ref, refCache := check.New(), runner.NewCache()
+	refCache.Put(sp.Key(), bad)
+	if _, hit, err := exp.RunSpecCached(context.Background(), sp, refCache, nil, ref); err != nil || !hit {
+		t.Fatalf("reference lookup: hit %v, err %v", hit, err)
+	}
+	verdict := ref.Violations()
+	if len(verdict) == 0 {
+		t.Fatal("the seeded result passes the audit")
+	}
+	for i, v := range cfg.Audit.Violations() {
+		if want := verdict[i%len(verdict)]; v != want {
+			t.Errorf("violation %d (lookup %d) = %+v, want %+v", i, i/len(verdict), v, want)
+		}
+	}
+}
+
+// A revisit of a profile the run has already evaluated is one locked map
+// lookup, a replay of the stored verdict and a hit: with a clean verdict
+// it allocates nothing, audited or not.
+func TestRevisitZeroAllocs(t *testing.T) {
+	for _, audit := range []*check.Auditor{nil, check.New()} {
+		cfg := testConfig()
+		cfg.Audit = audit
+		d, err := cfg.withDefaults()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ev := newEvaluator(d)
+		sim := probedSimCounts(d, initial(d))
+		if _, _, err := ev.generation(d.Ctx, sim, true); err != nil {
+			t.Fatal(err)
+		}
+		hits := ev.hits.Load()
+		const runs = 100
+		allocs := testing.AllocsPerRun(runs, func() {
+			if _, err := ev.payoffs(d.Ctx, sim); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("audit %v: a revisit allocated %.1f times; want 0", audit.Enabled(), allocs)
+		}
+		if got := ev.hits.Load() - hits; got != runs+1 {
+			t.Errorf("audit %v: %d revisits counted %d hits", audit.Enabled(), runs+1, got)
+		}
+		if audit.Len() != 0 {
+			t.Errorf("the profile's verdict is not clean: %v", audit.Violations())
+		}
 	}
 }
 

@@ -18,8 +18,9 @@
 //	}
 //
 // Status lines — interrupts, stalls, panics, locked stores, the saved
-// cache and the -strict verdict — go to stderr prefixed with the command
-// name, so a command's stdout carries only its own output.
+// cache, untraced fluid runs and the -strict verdict — go to stderr
+// prefixed with the command name, so a command's stdout carries only its
+// own output.
 package cli
 
 import (
@@ -194,7 +195,8 @@ func (e *Env) StopSignals() {
 
 // Close runs the exit path in its one safe order: the CPU profile is
 // flushed, the cache is saved while its store lock is still held, the
-// signal handler, journal and cache are released, and the -report file is
+// fluid runs missing from a -trace directory are counted, the signal
+// handler, journal and cache are released, and the -report file is
 // written with the outcome of the exit code. A run deferring Close thus
 // leaves a readable profile, its warmed cache and a report on every exit
 // path — success, failure or interrupt. Close reports its own failures on
@@ -207,6 +209,9 @@ func (e *Env) Close(code int) {
 		e.statusf("saving cache: %v", err)
 	} else if e.cachePath != "" && e.Cache.Misses() > 0 && e.Cache.Len() > 0 {
 		e.statusf("cache saved to %s (%d entries)", e.cachePath, e.Cache.Len())
+	}
+	if n := e.Trace.Untraced(); n > 0 {
+		e.statusf("-trace %s: %d fluid-backend runs have no trace", e.Trace.Dir(), n)
 	}
 	e.StopSignals()
 	// Journal records are fsynced as they are made and the cache was just

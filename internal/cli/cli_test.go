@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"bbrnash/internal/check"
+	"bbrnash/internal/exp"
 	"bbrnash/internal/runner"
 	"bbrnash/internal/scenario"
 	"bbrnash/internal/telemetry"
@@ -70,6 +71,38 @@ func TestCloseReportOutcome(t *testing.T) {
 		env.Close(code)
 		if got := readReport(t, env.reportPath).Outcome; got != want {
 			t.Errorf("exit %d: report outcome %q, want %q", code, got, want)
+		}
+	}
+}
+
+// A fluid run has no trace to write, so a -trace run of one says so on
+// stderr when it closes; a packet run writes its trace and adds no line.
+func TestCloseCountsUntracedFluidRuns(t *testing.T) {
+	capacity, rtt := 20*units.Mbps, 20*time.Millisecond
+	for _, tc := range []struct {
+		backend          string
+		untraced, traces int64
+		stderr           string // DIR stands for the trace directory
+	}{
+		{scenario.BackendFluid, 1, 0, "test: -trace DIR: 1 fluid-backend runs have no trace\n"},
+		{scenario.BackendPacket, 0, 1, ""},
+	} {
+		env, out := testEnv()
+		env.traceDir = t.TempDir()
+		if err := env.Open(); err != nil {
+			t.Fatal(err)
+		}
+		sp := scenario.Mix("bbr", 1, 1, capacity, units.BufferBytes(capacity, rtt, 2), rtt, time.Second)
+		sp.Backend = tc.backend
+		if _, err := exp.RunSpecTraced(context.Background(), sp, env.Trace); err != nil {
+			t.Fatal(err)
+		}
+		env.Close(0)
+		if got, traces := env.Trace.Untraced(), env.Trace.Traces(); got != tc.untraced || traces != tc.traces {
+			t.Errorf("%s run: %d untraced runs and %d traces, want %d and %d", tc.backend, got, traces, tc.untraced, tc.traces)
+		}
+		if want := strings.ReplaceAll(tc.stderr, "DIR", env.traceDir); out.String() != want {
+			t.Errorf("%s run: stderr %q, want %q", tc.backend, out.String(), want)
 		}
 	}
 }

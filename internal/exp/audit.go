@@ -106,13 +106,12 @@ func limitsForLink(sp scenario.Spec, name string) (check.Limits, bool) {
 	return linkLimits(sp, l), true
 }
 
-// AuditSpec validates one SpecResult against its scenario's invariants:
+// auditSpec validates one SpecResult against its scenario's invariants:
 // per-flow non-negativity, byte conservation and the path delay bound;
 // per-link share sums over the flows that traverse each link; and every
 // link's own statistics. RunSpecCached calls it on every result it
-// returns, fresh or replayed; a caller that serves a result again from
-// its own memo calls it too, so the memo audits what a cache hit would.
-func AuditSpec(a *check.Auditor, key string, sp scenario.Spec, res SpecResult) {
+// returns, fresh or replayed.
+func auditSpec(a *check.Auditor, key string, sp scenario.Spec, res SpecResult) {
 	if !a.Enabled() {
 		return
 	}

@@ -104,10 +104,11 @@ func runChunked(ctx context.Context, d time.Duration, run func(time.Duration)) e
 // byte-identical to an untraced one.
 //
 // Fluid runs are never traced: telemetry instruments *netsim.Network event
-// flow, which a fixed-step integration does not have. Both the cached and
-// fresh paths land here, so fluid results are cached, journaled and
-// audited exactly like packet results, under keys that differ by the
-// spec's bk= field.
+// flow, which a fixed-step integration does not have. The recorder only
+// counts them, so a command can say why its trace directory lacks them.
+// Both the cached and fresh paths land here, so fluid results are cached,
+// journaled and audited exactly like packet results, under keys that
+// differ by the spec's bk= field.
 func runSpec(ctx context.Context, sp scenario.Spec, rec *telemetry.Recorder) (SpecResult, error) {
 	sp = sp.WithDefaults()
 	if sp.Backend == scenario.BackendFluid {
@@ -115,6 +116,7 @@ func runSpec(ctx context.Context, sp scenario.Spec, rec *telemetry.Recorder) (Sp
 		if err != nil {
 			return SpecResult{}, err
 		}
+		rec.Attach(nil, sp)
 		if err := runChunked(ctx, sp.Duration, m.Run); err != nil {
 			return SpecResult{}, err
 		}
@@ -169,7 +171,7 @@ func RunSpecCached(ctx context.Context, sp scenario.Spec, cache *runner.Cache, j
 func RunSpecCachedTraced(ctx context.Context, sp scenario.Spec, cache *runner.Cache, journal *runner.Journal, audit *check.Auditor, rec *telemetry.Recorder) (res SpecResult, hit bool, err error) {
 	key := sp.Key()
 	if cache.Get(key, &res) {
-		AuditSpec(audit, key, sp, res)
+		auditSpec(audit, key, sp, res)
 		if !journal.Has(key) {
 			if err := journal.Record(key, res); err != nil {
 				return SpecResult{}, false, err
@@ -179,7 +181,7 @@ func RunSpecCachedTraced(ctx context.Context, sp scenario.Spec, cache *runner.Ca
 	}
 	if journal.Get(key, &res) {
 		cache.Put(key, res)
-		AuditSpec(audit, key, sp, res)
+		auditSpec(audit, key, sp, res)
 		return res, true, nil
 	}
 	res, err = runSpec(ctx, sp, rec)
@@ -190,7 +192,7 @@ func RunSpecCachedTraced(ctx context.Context, sp scenario.Spec, cache *runner.Ca
 	if err := journal.Record(key, res); err != nil {
 		return SpecResult{}, false, err
 	}
-	AuditSpec(audit, key, sp, res)
+	auditSpec(audit, key, sp, res)
 	return res, false, nil
 }
 

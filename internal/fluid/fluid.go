@@ -257,6 +257,14 @@ type Model struct {
 	linkName string          // the modeled bottleneck link
 	faults   scenario.Faults // the bottleneck link's faults
 
+	// What New settles for the whole run, so the step need not re-test it:
+	// whether the bottleneck's capacity flaps (see cEffAt), and activeFrom,
+	// the first instant at which every group is non-empty and has started
+	// (+Inf while some group is empty). From activeFrom on, the step's
+	// group loops skip their count and start tests.
+	flaps      bool
+	activeFrom float64
+
 	// Link accumulators.
 	qIntAcc, qMaxSeen   float64 // ∫q dt, max q
 	delayAcc, delayMax  float64 // ∫(q/cEff) dt, max q/cEff
@@ -365,6 +373,7 @@ func New(sp scenario.Spec) (*Model, error) {
 	}
 	m.cmss = cubicC * m.mss
 	m.mssDt = m.mss * m.stp
+	m.flaps = bl.Faults.FlapDepth > 0 && bl.Faults.FlapPeriod > 0
 	total := float64(sp.TotalFlows())
 	share := m.capBytes / total // fair-share bytes/s per flow
 	m.groups = make([]group, len(sp.Groups))
@@ -378,6 +387,11 @@ func New(sp scenario.Spec) (*Model, error) {
 			rttMin: math.Inf(1),
 			qMin:   math.Inf(1),
 			winMin: math.Inf(1),
+		}
+		if sg.Count == 0 {
+			m.activeFrom = math.Inf(1)
+		} else if g.start > m.activeFrom {
+			m.activeFrom = g.start
 		}
 		g.countGain = g.count * cwndGain
 		g.probeBytes = g.count * probeRTTCwnd * m.mss
@@ -434,14 +448,13 @@ func (m *Model) Run(d time.Duration) {
 	}
 }
 
-// cEffAt is the instantaneous service rate in bytes/s: nominal capacity,
-// reduced by the flap square wave's second half-period (the exact waveform
-// netsim schedules and scenario.Faults.MeanCapacityOver integrates).
+// cEffAt is a flapping bottleneck's instantaneous service rate in
+// bytes/s: nominal capacity, reduced by the flap square wave's second
+// half-period (the exact waveform netsim schedules and
+// scenario.Faults.MeanCapacityOver integrates). The step calls it only
+// when m.flaps is set.
 func (m *Model) cEffAt(t float64) float64 {
 	f := m.faults
-	if f.FlapDepth <= 0 || f.FlapPeriod <= 0 {
-		return m.capBytes
-	}
 	period := f.FlapPeriod.Seconds()
 	if math.Mod(t, period) >= period/2 {
 		return m.capBytes * (1 - f.FlapDepth)
@@ -452,12 +465,20 @@ func (m *Model) cEffAt(t float64) float64 {
 // advance integrates one step [t, t+dt) in three passes over the groups:
 // arrivals, the FIFO queue, and the responses to it. Every quotient the
 // groups share — the queueing delay at the step's start and at its end —
-// is formed once.
+// is formed once. The passes range over a local copy of m.groups, which
+// lets the compiler drop their bounds checks.
 func (m *Model) advance() {
 	t := float64(m.step) * m.stp
 	dt := m.stp
-	cEff := m.cEffAt(t)
+	cEff := m.capBytes
+	if m.flaps {
+		cEff = m.cEffAt(t)
+	}
 	m.capIntAcc += cEff * dt
+	groups := m.groups
+	// Every group is non-empty and has started: t ≥ activeFrom, the
+	// latest start, implies t ≥ each group's start.
+	all := t >= m.activeFrom
 
 	// The queue at the step's start is the last step's end total, summed
 	// in the same group order from the same values.
@@ -475,9 +496,9 @@ func (m *Model) advance() {
 	if due := int64(t / probeInterval); due > m.probeStarts && t >= probeInterval {
 		m.probeStarts = due
 		rttMax := 0.0
-		for i := range m.groups {
-			g := &m.groups[i]
-			if g.kind == kindBBR && g.count > 0 && t >= g.start {
+		for i := range groups {
+			g := &groups[i]
+			if g.kind == kindBBR && (all || g.count > 0 && t >= g.start) {
 				rttMax = max(rttMax, g.rtt+qDelay)
 			}
 		}
@@ -489,10 +510,10 @@ func (m *Model) advance() {
 
 	// Arrival rates.
 	inflowTotal := 0.0
-	for i := range m.groups {
-		g := &m.groups[i]
+	for i := range groups {
+		g := &groups[i]
 		a := 0.0
-		if g.count > 0 && t >= g.start {
+		if all || g.count > 0 && t >= g.start {
 			rttNow := g.rtt + qDelay
 			switch {
 			case g.kind == kindBBR && m.probing:
@@ -533,8 +554,8 @@ func (m *Model) advance() {
 		}
 	}
 	if f.LossRate > 0 && inflowTotal > 0 {
-		for i := range m.groups {
-			g := &m.groups[i]
+		for i := range groups {
+			g := &groups[i]
 			lost := g.in * f.LossRate
 			g.in -= lost
 			m.injectedBytes += lost
@@ -554,8 +575,8 @@ func (m *Model) advance() {
 	left := avail - served
 	overflow := nonNeg(left - m.buffer)
 	qAfter := 0.0
-	for i := range m.groups {
-		g := &m.groups[i]
+	for i := range groups {
+		g := &groups[i]
 		present := g.q + g.in
 		var servedI, overflowI float64
 		if avail > 0 {
@@ -598,9 +619,9 @@ func (m *Model) advance() {
 	tEnd := t + dt
 	lossEvent := overflow > 0 || burst
 	probeEnded := m.wasProbing && !m.probing
-	for i := range m.groups {
-		g := &m.groups[i]
-		if g.count == 0 || t < g.start {
+	for i := range groups {
+		g := &groups[i]
+		if !all && (g.count == 0 || t < g.start) {
 			continue
 		}
 		if g.kind == kindBBR {

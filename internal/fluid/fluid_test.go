@@ -200,6 +200,141 @@ func TestGoldenGrid(t *testing.T) {
 	}
 }
 
+// randomSpecs draws n short fluid specs from a fixed seed, aimed at what
+// New settles once per run and the step then trusts: 1–6 groups of bbr,
+// cubic and reno, some empty; starts at zero or staggered over 3 s; RTTs
+// from 0.2 to 150 ms, so steps from 10 µs to 1 ms; flap periods off the
+// step grid; and loss, bursts, flaps, all three or no faults. Two specs in
+// three keep every RTT at 20 ms or more, a 1 ms step, and run past the
+// second ProbeRTT boundary; the rest draw their RTTs from the whole range
+// and run at most maxSteps steps.
+func randomSpecs(n int) []scenario.Spec {
+	const maxSteps = 24_000
+	r := rng.New(21)
+	ns := func(lo, hi time.Duration) time.Duration {
+		return lo + time.Duration(r.Uint64()%uint64(hi-lo))
+	}
+	algs := []string{"bbr", "cubic", "reno"}
+	specs := make([]scenario.Spec, n)
+	for i := range specs {
+		fine := r.Intn(3) == 0
+		groups := make([]scenario.Group, 1+r.Intn(6))
+		staggered := r.Intn(2) == 0
+		flows := 0
+		for gi := range groups {
+			g := &groups[gi]
+			g.Algorithm = algs[r.Intn(len(algs))]
+			g.Count = r.Intn(4)
+			flows += g.Count
+			if fine {
+				g.RTT = time.Duration(math.Exp(r.Range(math.Log(2e5), math.Log(150e6))))
+			} else {
+				g.RTT = ns(20*time.Millisecond, 150*time.Millisecond)
+			}
+			if staggered && r.Intn(3) > 0 {
+				g.Start = ns(0, 3*time.Second)
+			}
+		}
+		if flows == 0 {
+			groups[r.Intn(len(groups))].Count = 1
+		}
+		var f scenario.Faults
+		flap := scenario.Faults{FlapPeriod: ns(50*time.Millisecond, 6*time.Second), FlapDepth: r.Range(0.05, 0.6)}
+		switch r.Intn(5) {
+		case 1:
+			f.LossRate = r.Range(1e-4, 5e-3)
+		case 2:
+			f.BurstEvery, f.BurstLen = ns(500*time.Millisecond, 6*time.Second), 1+r.Intn(10)
+		case 3:
+			f = flap
+		case 4:
+			f = flap
+			f.LossRate = r.Range(1e-4, 5e-3)
+			f.BurstEvery, f.BurstLen = ns(500*time.Millisecond, 6*time.Second), 1+r.Intn(10)
+		}
+		capacity := units.Rate(r.Range(5, 100)) * units.Mbps
+		sp := scenario.Spec{
+			Capacity: capacity,
+			Backend:  scenario.BackendFluid,
+			Faults:   f,
+			Groups:   groups,
+		}
+		sp.Buffer = max(units.BufferBytes(capacity, sp.MaxRTT(), r.Range(0.5, 10)), 2*units.MSS)
+		stp := time.Duration(stepFor(sp) * float64(time.Second))
+		sp.Duration = min(ns(20200*time.Millisecond, 23*time.Second), maxSteps*stp)
+		specs[i] = sp
+	}
+	return specs
+}
+
+// TestRandomSpecDigest pins 200 seeded random specs (see randomSpecs), each
+// run whole and in 7 ms chunks, to one SHA-256 over their JSON-encoded
+// Stats. TestGoldenGrid's specs are chosen by hand; these reach the
+// corners a hand-picked grid misses: an empty group beside late starters,
+// a flap half-period that splits a step, a sub-step remainder at the end.
+// Like TestGoldenGrid, a failure means the integration changed and every
+// fluid cache entry is stale.
+func TestRandomSpecDigest(t *testing.T) {
+	h := sha256.New()
+	enc := json.NewEncoder(h)
+	for i, sp := range randomSpecs(200) {
+		wholeG, wholeL := runStats(t, sp, 0)
+		chunkG, chunkL := runStats(t, sp, 7*time.Millisecond)
+		if !reflect.DeepEqual(wholeG, chunkG) || wholeL != chunkL {
+			t.Fatalf("spec %d: chunked run differs from whole run", i)
+		}
+		if err := enc.Encode(struct {
+			Groups [][]netsim.FlowStats
+			Link   netsim.LinkStats
+		}{wholeG, wholeL}); err != nil {
+			t.Fatalf("spec %d: %v", i, err)
+		}
+	}
+	const want = "3850eaf18d76bb1f8f05649b3bb2d4a4685d02aa9e828f3f1930f23cf24594e2"
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Errorf("random-spec digest drifted:\ngot  %s\nwant %s", got, want)
+	}
+}
+
+// TestRandomSpecsCover keeps randomSpecs honest: the draw reaches every
+// corner TestRandomSpecDigest exists for, so a change to the generator
+// cannot quietly drop one.
+func TestRandomSpecsCover(t *testing.T) {
+	seen := map[string]int{}
+	for _, sp := range randomSpecs(200) {
+		empty, late := false, false
+		for _, g := range sp.Groups {
+			empty = empty || g.Count == 0
+			late = late || g.Start > 0
+		}
+		f := sp.Faults
+		for name, ok := range map[string]bool{
+			"empty group":            empty,
+			"late start":             late,
+			"late start, no empty":   late && !empty,
+			"6 groups":               len(sp.Groups) == 6,
+			"step <= 20µs":           stepFor(sp) <= 2e-5,
+			"step 1ms":               stepFor(sp) == maxStep,
+			"two ProbeRTT crossings": sp.Duration > 2*probeInterval*time.Second,
+			"flap":                   f.FlapDepth > 0,
+			"loss":                   f.LossRate > 0,
+			"burst":                  f.BurstLen > 0,
+			"no faults":              f == scenario.Faults{},
+		} {
+			if ok {
+				seen[name]++
+			}
+		}
+	}
+	for _, name := range []string{"empty group", "late start", "late start, no empty", "6 groups",
+		"step <= 20µs", "step 1ms", "two ProbeRTT crossings", "flap", "loss", "burst", "no faults"} {
+		if seen[name] < 3 {
+			t.Errorf("only %d random specs have %s", seen[name], name)
+		}
+	}
+	t.Logf("%v", seen)
+}
+
 // TestRunZeroAllocs guards the step's allocation-free contract (see
 // Model): once built, advancing the widest spec — six groups, two RTT
 // classes, every fault kind — allocates nothing.

@@ -59,9 +59,10 @@ type Recorder struct {
 	dir      string
 	interval time.Duration
 
-	mu      sync.Mutex
-	written map[string]struct{}
-	files   atomic.Int64
+	mu       sync.Mutex
+	written  map[string]struct{}
+	files    atomic.Int64
+	untraced atomic.Int64
 }
 
 // NewRecorder returns a recorder writing traces into dir, creating it if
@@ -100,6 +101,16 @@ func (r *Recorder) Traces() int64 {
 		return 0
 	}
 	return r.files.Load()
+}
+
+// Untraced reports how many runs were handed this recorder with no
+// network to instrument: fluid-backend runs, whose fixed-step integration
+// has no event flow to trace (see Attach).
+func (r *Recorder) Untraced() int64 {
+	if r == nil {
+		return 0
+	}
+	return r.untraced.Load()
 }
 
 // TraceID names a trace on disk: the first 16 hex digits of the canonical
@@ -156,9 +167,15 @@ type Capture struct {
 // just the bottleneck otherwise), and the drop, state-change and
 // rate-change hooks (replacing any previously registered ones). Call before
 // running n; sp is recorded in the trace header so the trace is replayable.
-// A nil recorder returns a nil capture and touches nothing.
+// A nil recorder returns a nil capture and touches nothing. A nil n is a
+// run with nothing to instrument, a fluid-backend run: Attach counts it
+// (see Untraced) and returns a nil capture.
 func (r *Recorder) Attach(n *netsim.Network, sp scenario.Spec) *Capture {
-	if r == nil || n == nil {
+	if r == nil {
+		return nil
+	}
+	if n == nil {
+		r.untraced.Add(1)
 		return nil
 	}
 	c := &Capture{rec: r, spec: sp, interval: r.interval, multi: sp.MultiLink()}

@@ -199,7 +199,7 @@ func TestNilRecorderIsInert(t *testing.T) {
 	if rec.SetInterval(time.Second) != nil {
 		t.Error("nil SetInterval should return nil")
 	}
-	if rec.Dir() != "" || rec.Traces() != 0 {
+	if rec.Dir() != "" || rec.Traces() != 0 || rec.Untraced() != 0 {
 		t.Error("nil accessors should return zero values")
 	}
 	if cap := rec.Attach(nil, scenario.Spec{}); cap != nil {

@@ -95,8 +95,9 @@ for field in schema_version key_version buffer_bdp regime rel_err_bbr rel_err_cu
 done
 
 echo "== adoption-dynamics smoke (tiny population, 3 generations, trajectory schema, CPU profile)"
-ADOPT_PROF=$(mktemp)
-trap 'rm -f "$ADOPT_PROF"' EXIT
+ADOPT_TMP=$(mktemp -d)
+trap 'rm -rf "$ADOPT_TMP"' EXIT
+ADOPT_PROF="$ADOPT_TMP/cpu.prof"
 TRAJ=$(go run ./cmd/adopt -capacity 50 -buffer 3 -agents 200 -generations 3 \
 	-algs cubic,bbr -shares 0.7,0.3 -simflows 6 -seed 7 -cpuprofile "$ADOPT_PROF" 2>/dev/null)
 if ! [ -s "$ADOPT_PROF" ]; then
@@ -115,6 +116,26 @@ for field in generation classes rtt_ms counts shares sim_counts payoffs_mbps \
 		exit 1
 	fi
 done
+
+echo "== adopt determinism smoke (best response, two RTT classes, at 1 and 2 workers)"
+# Revisits come from the run's payoff table and the two classes revise
+# concurrently; the trajectory and the simulation and cache-hit counts must
+# not depend on the worker count.
+for w in 1 2; do
+	go run ./cmd/adopt -capacity 100 -buffer 5 -rtts 20,80 -agents 2000 -generations 12 \
+		-dynamics bestresponse -noise 0.02 -simflows 6 -seed 3 -workers "$w" \
+		>"$ADOPT_TMP/traj$w" 2>"$ADOPT_TMP/err$w"
+	if ! head -n 1 "$ADOPT_TMP/err$w" | grep -q ' (20 simulations, 153 cache hits)$'; then
+		echo "adopt determinism smoke: -workers $w summary does not end (20 simulations, 153 cache hits):" >&2
+		cat "$ADOPT_TMP/err$w" >&2
+		exit 1
+	fi
+done
+if [ "$(wc -l <"$ADOPT_TMP/traj1")" -ne 13 ] || ! cmp -s "$ADOPT_TMP/traj1" "$ADOPT_TMP/traj2"; then
+	echo "adopt determinism smoke: the trajectories at -workers 1 and 2 differ or lack 13 records" >&2
+	diff "$ADOPT_TMP/traj1" "$ADOPT_TMP/traj2" >&2 || true
+	exit 1
+fi
 
 echo "== journal-replay smoke test (kill a sweep mid-flight, resume, diff)"
 ./scripts/resume_smoke.sh
