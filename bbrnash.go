@@ -216,6 +216,10 @@ type (
 	ScenarioLink = scenario.Link
 	// ScenarioResult carries a spec run's per-group and link statistics.
 	ScenarioResult = exp.SpecResult
+	// ScenarioEnv is what RunScenario runs a spec through: an optional
+	// ResultCache, ResumeJournal, InvariantAuditor and TraceRecorder. The
+	// zero ScenarioEnv runs the spec bare.
+	ScenarioEnv = exp.Env
 )
 
 var (
@@ -223,19 +227,13 @@ var (
 	LoadScenario = scenario.Load
 	// MixScenario builds the paper's canonical two-class scenario.
 	MixScenario = scenario.Mix
-	// RunScenario executes one scenario spec.
-	RunScenario = exp.RunSpec
-	// RunScenarioCached executes a spec through a ResultCache, an optional
-	// ResumeJournal and an optional InvariantAuditor, keyed by the spec's
-	// canonical key; the context cancels the run at simulated-second
-	// boundaries.
-	RunScenarioCached = exp.RunSpecCached
-	// RunScenarioTraced is RunScenario with an optional TraceRecorder
-	// capturing the run's trace under its canonical key.
-	RunScenarioTraced = exp.RunSpecTraced
-	// RunScenarioCachedTraced is RunScenarioCached with an optional
-	// TraceRecorder; cache and journal hits skip re-tracing.
-	RunScenarioCachedTraced = exp.RunSpecCachedTraced
+	// RunScenario executes one scenario spec through a ScenarioEnv, keyed
+	// by the spec's canonical key: cache, then journal, then a fresh run
+	// (traced, when the env has a TraceRecorder), with every result audited.
+	// hit reports a cache or journal replay; the context cancels the run at
+	// simulated-second boundaries; a failure or a panic comes back as a
+	// *UnitError naming the key.
+	RunScenario = exp.Run
 )
 
 // ScenarioKeyVersion is the canonical-key format generation used by
@@ -388,12 +386,12 @@ var (
 )
 
 // Run telemetry (internal/telemetry). A TraceRecorder attached to an
-// ExperimentScale (or NE search config, or passed to RunScenarioTraced)
-// captures every fresh simulation's per-flow and link time series plus
-// discrete events as deterministic JSONL + CSV trace files keyed by
-// canonical scenario key; a RunReport summarizes a sweep's execution
-// (worker occupancy, retries, stalls, cache effectiveness). Tracing never
-// changes a result or a cache key.
+// ExperimentScale (or NE search config, or a ScenarioEnv passed to
+// RunScenario) captures every fresh simulation's per-flow and link time
+// series plus discrete events as deterministic JSONL + CSV trace files
+// keyed by canonical scenario key; a RunReport summarizes a sweep's
+// execution (worker occupancy, retries, stalls, cache effectiveness).
+// Tracing never changes a result or a cache key.
 type (
 	// TraceRecorder writes run traces into a directory; nil disables
 	// tracing everywhere one is accepted.

@@ -1,7 +1,9 @@
 package bbrnash_test
 
 import (
+	"context"
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
@@ -101,5 +103,29 @@ func TestFacadeScales(t *testing.T) {
 	}
 	if !bbrnash.FullScale.Exhaustive {
 		t.Error("full scale should use exhaustive NE scans")
+	}
+}
+
+// RunScenario is the facade's one way to run a spec: a short fluid mix run
+// twice against one cache simulates once and replays the same result.
+func TestRunScenario(t *testing.T) {
+	const rtt = 40 * time.Millisecond
+	capacity := 20 * bbrnash.Mbps
+	sp := bbrnash.MixScenario("bbr", 1, 1, capacity, bbrnash.BufferBytes(capacity, rtt, 2), rtt, 5*time.Second)
+	sp.Backend = "fluid"
+	env := bbrnash.ScenarioEnv{Cache: bbrnash.NewResultCache()}
+	first, hit, err := bbrnash.RunScenario(context.Background(), sp, env)
+	if err != nil || hit {
+		t.Fatalf("first run: hit=%v err=%v", hit, err)
+	}
+	if len(first.Groups) != 2 || len(first.Groups[0]) != 1 || first.Groups[0][0].Throughput <= 0 {
+		t.Fatalf("first run's result lacks a BBR flow with positive throughput: %+v", first)
+	}
+	again, hit, err := bbrnash.RunScenario(context.Background(), sp, env)
+	if err != nil || !hit {
+		t.Fatalf("second run: hit=%v err=%v", hit, err)
+	}
+	if !reflect.DeepEqual(again, first) {
+		t.Errorf("replayed result differs from the first run:\n%+v\nvs\n%+v", again, first)
 	}
 }

@@ -114,10 +114,8 @@ func run() (code int) {
 	results, err := runner.MapCtx(env.Ctx, env.Pool, *runs, func(uctx context.Context, i int) (exp.SpecResult, error) {
 		run := sp
 		run.Seed = seeds[i]
-		return runner.Protect(run.Key(), func() (exp.SpecResult, error) {
-			res, _, err := exp.RunSpecCachedTraced(uctx, run, env.Cache, env.Journal, env.Audit, env.Trace)
-			return res, err
-		})
+		res, _, err := exp.Run(uctx, run, env.Env)
+		return res, err
 	})
 	if err != nil {
 		return env.Fail(err)

@@ -641,12 +641,12 @@ func sum(xs []int) int {
 // keyed by its flow counts (see profileKey), the way game.SymmetricBinary
 // memoizes one NE search. Within a run the counts fix the spec, its
 // exp.ProfileSeed and so its canonical key. A profile's first lookup builds
-// the spec and goes through the cache, the journal or a fresh simulation
-// under that key; a revisit replays the audit verdict of the first lookup,
-// which is what auditing the same key, spec and result again would record,
-// and is served from the table with no spec, key, audit or decode. The
-// table lives and dies with the run: it has no file, no eviction and no
-// counters of its own, and errors are never stored.
+// the spec and runs it through exp.Run: the cache, the journal or a fresh
+// simulation under that key. A revisit replays the audit verdict of the
+// first lookup, which is what auditing the same key, spec and result again
+// would record, and is served from the table with no spec, key, audit or
+// decode. The table lives and dies with the run: it has no file, no
+// eviction and no counters of its own, and errors are never stored.
 type evaluator struct {
 	cfg  Config
 	dur  time.Duration
@@ -794,32 +794,29 @@ func (ev *evaluator) payoffs(ctx context.Context, counts [][]int) ([][]float64, 
 		return e.pay, nil
 	}
 	tk := string(pk)
-	sp := ev.spec(counts)
-	return runner.Protect(sp.Key(), func() ([][]float64, error) {
-		// The first lookup audits into an auditor of its own, so that the
-		// entry can keep the verdict, and passes the verdict on whatever
-		// the outcome, as an audit straight into Config.Audit would.
-		var verdict *check.Auditor
-		if ev.cfg.Audit.Enabled() {
-			verdict = check.New()
-		}
-		res, hit, err := exp.RunSpecCachedTraced(ctx, sp, ev.cfg.Cache, ev.cfg.Journal, verdict, ev.cfg.Trace)
-		vs := verdict.Violations()
-		ev.cfg.Audit.Record(vs...)
-		if err != nil {
-			return nil, err
-		}
-		if hit {
-			ev.hits.Add(1)
-		} else {
-			ev.sims.Add(1)
-		}
-		pay := ev.payoffsOf(counts, res)
-		ev.mu.Lock()
-		ev.table[tk] = evaluated{pay: pay, verdict: vs}
-		ev.mu.Unlock()
-		return pay, nil
-	})
+	// The first lookup audits into an auditor of its own, so that the
+	// entry can keep the verdict, and passes the verdict on whatever the
+	// outcome, as an audit straight into Config.Audit would.
+	var verdict *check.Auditor
+	if ev.cfg.Audit.Enabled() {
+		verdict = check.New()
+	}
+	res, hit, err := exp.Run(ctx, ev.spec(counts), exp.Env{Cache: ev.cfg.Cache, Journal: ev.cfg.Journal, Audit: verdict, Trace: ev.cfg.Trace})
+	vs := verdict.Violations()
+	ev.cfg.Audit.Record(vs...)
+	if err != nil {
+		return nil, err
+	}
+	if hit {
+		ev.hits.Add(1)
+	} else {
+		ev.sims.Add(1)
+	}
+	pay := ev.payoffsOf(counts, res)
+	ev.mu.Lock()
+	ev.table[tk] = evaluated{pay: pay, verdict: vs}
+	ev.mu.Unlock()
+	return pay, nil
 }
 
 // payoffsOf derives pay[c][a] from a profile's result.

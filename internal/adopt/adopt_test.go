@@ -266,7 +266,7 @@ func TestPayoffTableRevisitsAudited(t *testing.T) {
 		t.Fatal(err)
 	}
 	sp := newEvaluator(d).spec(probedSimCounts(d, initial(d)))
-	bad, err := exp.RunSpec(sp)
+	bad, _, err := exp.Run(context.Background(), sp, exp.Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +286,7 @@ func TestPayoffTableRevisitsAudited(t *testing.T) {
 	}
 	ref, refCache := check.New(), runner.NewCache()
 	refCache.Put(sp.Key(), bad)
-	if _, hit, err := exp.RunSpecCached(context.Background(), sp, refCache, nil, ref); err != nil || !hit {
+	if _, hit, err := exp.Run(context.Background(), sp, exp.Env{Cache: refCache, Audit: ref}); err != nil || !hit {
 		t.Fatalf("reference lookup: hit %v, err %v", hit, err)
 	}
 	verdict := ref.Violations()

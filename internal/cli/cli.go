@@ -38,6 +38,7 @@ import (
 	"time"
 
 	"bbrnash/internal/check"
+	"bbrnash/internal/exp"
 	"bbrnash/internal/runner"
 	"bbrnash/internal/scenario"
 	"bbrnash/internal/telemetry"
@@ -75,14 +76,13 @@ type Env struct {
 	Retries int
 	Backend string
 
-	// Components built by Open. Ctx is cancelled by SIGINT/SIGTERM; Audit
-	// is nil unless -strict.
-	Ctx     context.Context
-	Pool    *runner.Pool
-	Cache   *runner.Cache
-	Journal *runner.Journal
-	Trace   *telemetry.Recorder
-	Audit   *check.Auditor
+	// Components built by Open. Ctx is cancelled by SIGINT/SIGTERM. The
+	// embedded exp.Env holds the cache, the journal, the trace recorder and
+	// the auditor (nil unless -strict), so a command runs a spec with
+	// exp.Run(ctx, sp, env.Env).
+	Ctx  context.Context
+	Pool *runner.Pool
+	exp.Env
 
 	name       string
 	stderr     io.Writer

@@ -94,7 +94,7 @@ func TestCloseCountsUntracedFluidRuns(t *testing.T) {
 		}
 		sp := scenario.Mix("bbr", 1, 1, capacity, units.BufferBytes(capacity, rtt, 2), rtt, time.Second)
 		sp.Backend = tc.backend
-		if _, err := exp.RunSpecTraced(context.Background(), sp, env.Trace); err != nil {
+		if _, _, err := exp.Run(context.Background(), sp, exp.Env{Trace: env.Trace}); err != nil {
 			t.Fatal(err)
 		}
 		env.Close(0)

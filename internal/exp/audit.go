@@ -109,8 +109,8 @@ func limitsForLink(sp scenario.Spec, name string) (check.Limits, bool) {
 // auditSpec validates one SpecResult against its scenario's invariants:
 // per-flow non-negativity, byte conservation and the path delay bound;
 // per-link share sums over the flows that traverse each link; and every
-// link's own statistics. RunSpecCached calls it on every result it
-// returns, fresh or replayed.
+// link's own statistics. Run calls it on every result it returns, fresh or
+// replayed.
 func auditSpec(a *check.Auditor, key string, sp scenario.Spec, res SpecResult) {
 	if !a.Enabled() {
 		return

@@ -41,7 +41,7 @@ func BenchmarkBackendScenario(b *testing.B) {
 				sp.Backend = backend
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if _, err := RunSpec(sp); err != nil {
+					if _, _, err := Run(b.Context(), sp, Env{}); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -151,18 +151,18 @@ func TestFluidBackendCachedDistinct(t *testing.T) {
 	}
 	cache := runner.NewCache()
 	ctx := context.Background()
-	pktRes, hit, err := RunSpecCached(ctx, sp, cache, nil, nil)
+	pktRes, hit, err := Run(ctx, sp, Env{Cache: cache})
 	if err != nil || hit {
 		t.Fatalf("packet run: hit=%v err=%v", hit, err)
 	}
-	flRes, hit, err := RunSpecCached(ctx, fl, cache, nil, nil)
+	flRes, hit, err := Run(ctx, fl, Env{Cache: cache})
 	if err != nil || hit {
 		t.Fatalf("fluid run: hit=%v err=%v", hit, err)
 	}
 	if reflect.DeepEqual(pktRes, flRes) {
 		t.Error("packet and fluid results are identical — dispatch did not switch engines")
 	}
-	replay, hit, err := RunSpecCached(ctx, fl, cache, nil, nil)
+	replay, hit, err := Run(ctx, fl, Env{Cache: cache})
 	if err != nil || !hit {
 		t.Fatalf("fluid replay: hit=%v err=%v", hit, err)
 	}

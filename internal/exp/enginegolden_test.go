@@ -135,7 +135,7 @@ func traceSpecs(t *testing.T, specs map[string]scenario.Spec, order []string, wo
 	}
 	pool := runner.NewPool(workers)
 	_, err = runner.Map(pool, len(order), func(i int) (struct{}, error) {
-		_, err := RunSpecTraced(t.Context(), specs[order[i]], rec)
+		_, _, err := Run(t.Context(), specs[order[i]], Env{Trace: rec})
 		return struct{}{}, err
 	})
 	if err != nil {

@@ -8,7 +8,7 @@
 // reported. Trials differ through small start-time jitter, which plays the
 // role the testbed's kernel/timing noise played.
 //
-// Every run is expressed as a scenario.Spec before it executes (see
+// Every run is expressed as a scenario.Spec and executed by Run (see
 // internal/exp/run.go): the spec's canonical key is the single identity
 // shared by the result cache, the invariant auditor and failure reports.
 package exp
@@ -79,14 +79,6 @@ type Scale struct {
 	// is part of every canonical key, so switching it re-keys — never
 	// collides with — existing cached results.
 	Backend string
-}
-
-// ctx resolves the scale's context, defaulting to Background.
-func (s Scale) ctx() context.Context {
-	if s.Ctx != nil {
-		return s.Ctx
-	}
-	return context.Background()
 }
 
 // Predefined scales. All three use the paper's two-minute flows: BBR's
@@ -170,9 +162,9 @@ type MixResult struct {
 }
 
 // RunMix executes one mixed-distribution simulation: the config is
-// compiled to its scenario.Spec and run through the shared spec path.
+// compiled to its scenario.Spec and run bare through Run.
 func RunMix(cfg MixConfig) (MixResult, error) {
-	res, err := RunSpec(cfg.spec())
+	res, _, err := Run(context.Background(), cfg.spec(), Env{})
 	if err != nil {
 		return MixResult{}, err
 	}
@@ -224,14 +216,14 @@ type GroupResult struct {
 }
 
 // RunGroups executes one multi-RTT simulation: the config is compiled to
-// its scenario.Spec (two spec groups per RTT group) and run through the
-// shared spec path.
+// its scenario.Spec (two spec groups per RTT group) and run bare through
+// Run.
 func RunGroups(cfg GroupConfig) (GroupResult, error) {
 	sp, err := cfg.spec()
 	if err != nil {
 		return GroupResult{}, err
 	}
-	res, err := RunSpec(sp)
+	res, _, err := Run(context.Background(), sp, Env{})
 	if err != nil {
 		return GroupResult{}, err
 	}

@@ -18,7 +18,7 @@ func TestCanonicalKeyUnifiesCacheAuditAndErrors(t *testing.T) {
 	const seed = 9
 	keyFor := func(cfg MixConfig) string {
 		cfg.Seed = trialSeeds(seed, 1)[0] // the seed Sweep assigns to trial 0
-		return cfg.key()
+		return cfg.spec().Key()
 	}
 
 	cfg := smokeMix()

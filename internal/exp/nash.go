@@ -159,10 +159,17 @@ func FindNE(cfg NESearchConfig) (NESearchResult, error) {
 		cache = runner.NewCache()
 	}
 	var sims, hits atomic.Int64
-	dur := nePayoffDuration(cfg.Duration)
+	dur := PayoffDuration(cfg.Duration)
 	seeds := trialSeeds(cfg.Seed, cfg.N+1)
-	mixAt := func(numX int) MixConfig {
-		return MixConfig{
+	env := Env{Cache: cache, Journal: cfg.Journal, Audit: cfg.Audit, Trace: cfg.Trace}
+	type pair struct{ x, c float64 }
+	// evalErr is the fallible payoff evaluation, run and reported under
+	// the distribution's canonical scenario key. ctx is the executing pool
+	// unit's context, so the watchdog sees its heartbeats. What is memoized
+	// is the mix result, shared by every utility; the utility is applied
+	// per lookup.
+	evalErr := func(ctx context.Context, numX int) (pair, error) {
+		mix := MixConfig{
 			Capacity: cfg.Capacity,
 			Buffer:   cfg.Buffer,
 			RTT:      cfg.RTT,
@@ -173,30 +180,20 @@ func FindNE(cfg NESearchConfig) (NESearchResult, error) {
 			NumCubic: cfg.N - numX,
 			Backend:  cfg.Backend,
 		}
-	}
-	type pair struct{ x, c float64 }
-	// evalErr is the fallible payoff evaluation: panic-protected and
-	// reported under the distribution's canonical scenario key. ctx is the
-	// executing pool unit's context, so the watchdog sees its heartbeats.
-	// What is memoized is the mix result, shared by every utility; the
-	// utility is applied per lookup.
-	evalErr := func(ctx context.Context, numX int) (pair, error) {
-		mix := mixAt(numX)
-		return runner.Protect(mix.key(), func() (pair, error) {
-			res, hit, err := runMixCached(ctx, mix, cache, cfg.Journal, cfg.Audit, cfg.Trace)
-			if err != nil {
-				return pair{}, err
-			}
-			if hit {
-				hits.Add(1)
-			} else {
-				sims.Add(1)
-			}
-			return pair{
-				x: utility(res.PerFlowX, res.MeanQueueDelay),
-				c: utility(res.PerFlowCubic, res.MeanQueueDelay),
-			}, nil
-		})
+		spr, hit, err := Run(ctx, mix.spec(), env)
+		if err != nil {
+			return pair{}, err
+		}
+		if hit {
+			hits.Add(1)
+		} else {
+			sims.Add(1)
+		}
+		res := mixView(spr)
+		return pair{
+			x: utility(res.PerFlowX, res.MeanQueueDelay),
+			c: utility(res.PerFlowCubic, res.MeanQueueDelay),
+		}, nil
 	}
 	searchCtx := ctxOr(cfg.Ctx)
 	var failed evalFailure
@@ -381,24 +378,19 @@ func lookupBatch[R, P any](ctx context.Context, pool *runner.Pool, failed *evalF
 	return ps
 }
 
-// nePayoffDuration enforces the paper's two-minute protocol on equilibrium
+// PayoffDuration enforces the paper's two-minute protocol on equilibrium
 // payoff measurements. Equilibrium positions are set by BBR's converged
 // share, and BBR's RTT+ mechanism converges over multiples of its ten-second
 // ProbeRTT cycle, so shorter runs systematically understate BBR and push the
-// observed equilibrium toward CUBIC at every buffer depth.
-func nePayoffDuration(base time.Duration) time.Duration {
+// observed equilibrium toward CUBIC at every buffer depth. Other
+// game-on-simulation layers (internal/adopt) floor their payoffs with it
+// too, so adoption-dynamics payoffs and NE-search payoffs obey the same
+// measurement protocol and their equilibria are comparable.
+func PayoffDuration(base time.Duration) time.Duration {
 	if base > 2*time.Minute {
 		return base
 	}
 	return 2 * time.Minute
-}
-
-// PayoffDuration exposes the two-minute payoff-measurement floor to other
-// game-on-simulation layers (internal/adopt), so adoption-dynamics payoffs
-// and NE-search payoffs obey the same measurement protocol and their
-// equilibria are comparable.
-func PayoffDuration(base time.Duration) time.Duration {
-	return nePayoffDuration(base)
 }
 
 // GroupNEConfig describes the §4.5 multi-RTT equilibrium search.
@@ -461,30 +453,36 @@ func FindGroupNE(cfg GroupNEConfig) (GroupNEResult, error) {
 	type pair struct {
 		x, c []units.Rate
 	}
+	env := Env{Cache: cache, Journal: cfg.Journal, Audit: cfg.Audit, Trace: cfg.Trace}
+	dur := PayoffDuration(cfg.Duration)
+	// A failed lookup's pair is never read: lookupBatch drops a failed
+	// batch's results, and eval stands zero slices in for them.
 	evalErr := func(ctx context.Context, k []int) (pair, error) {
-		gcfg := GroupConfig{
+		sp, err := GroupConfig{
 			Capacity: cfg.Capacity,
 			Buffer:   cfg.Buffer,
-			Duration: nePayoffDuration(cfg.Duration),
-			Seed:     profileSeed(cfg.Seed, k),
+			Duration: dur,
+			Seed:     ProfileSeed(cfg.Seed, k),
 			X:        cfg.X,
 			RTTs:     cfg.RTTs,
 			Sizes:    cfg.Sizes,
-			NumX:     append([]int(nil), k...),
+			NumX:     k,
 			Backend:  cfg.Backend,
+		}.spec()
+		if err != nil {
+			return pair{}, err
 		}
-		return runner.Protect(gcfg.key(), func() (pair, error) {
-			res, hit, err := runGroupsCached(ctx, gcfg, cache, cfg.Journal, cfg.Audit, cfg.Trace)
-			if err != nil {
-				return pair{x: make([]units.Rate, len(k)), c: make([]units.Rate, len(k))}, err
-			}
-			if hit {
-				hits.Add(1)
-			} else {
-				sims.Add(1)
-			}
-			return pair{x: res.PerFlowX, c: res.PerFlowCubic}, nil
-		})
+		spr, hit, err := Run(ctx, sp, env)
+		if err != nil {
+			return pair{}, err
+		}
+		if hit {
+			hits.Add(1)
+		} else {
+			sims.Add(1)
+		}
+		res := groupView(len(cfg.RTTs), spr)
+		return pair{x: res.PerFlowX, c: res.PerFlowCubic}, nil
 	}
 	searchCtx := ctxOr(cfg.Ctx)
 	var failed evalFailure

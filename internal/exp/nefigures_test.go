@@ -113,11 +113,11 @@ func TestFindNEUtilityHonoursBackend(t *testing.T) {
 	for numX := 0; numX <= n; numX++ {
 		mix := MixConfig{
 			Capacity: cfg.Capacity, Buffer: cfg.Buffer, RTT: cfg.RTT,
-			Duration: nePayoffDuration(cfg.Duration), Seed: seeds[numX],
+			Duration: PayoffDuration(cfg.Duration), Seed: seeds[numX],
 			NumX: numX, NumCubic: n - numX, Backend: scenario.BackendFluid,
 		}
 		var got SpecResult
-		if !cfg.Cache.Get(mix.key(), &got) {
+		if !cfg.Cache.Get(mix.spec().Key(), &got) {
 			t.Errorf("payoff at %d X flows did not run on the fluid backend", numX)
 		}
 	}

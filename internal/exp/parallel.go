@@ -4,11 +4,9 @@ import (
 	"context"
 	"time"
 
-	"bbrnash/internal/check"
 	"bbrnash/internal/rng"
 	"bbrnash/internal/runner"
 	"bbrnash/internal/scenario"
-	"bbrnash/internal/telemetry"
 	"bbrnash/internal/units"
 )
 
@@ -32,11 +30,15 @@ func trialSeeds(base uint64, n int) []uint64 {
 	return out
 }
 
-// profileSeed derives the jitter seed for one group profile as a pure
+// ProfileSeed derives the jitter seed for one group profile as a pure
 // function of (base, profile) — FNV-1a over the profile folded into the
 // base — so a profile's payoff simulation has one canonical key no matter
-// in which order a search visits it.
-func profileSeed(base uint64, k []int) uint64 {
+// in which order a search visits it. Other layers that evaluate payoffs by
+// count profile (internal/adopt) use it too: revisiting a profile — in any
+// order, in any generation — re-derives the same seed and therefore the
+// same canonical scenario key, which is what makes repeated mixture visits
+// cache hits instead of fresh simulations.
+func ProfileSeed(base uint64, k []int) uint64 {
 	const offset, prime = uint64(0xcbf29ce484222325), uint64(0x100000001b3)
 	h := offset
 	for _, v := range k {
@@ -44,41 +46,6 @@ func profileSeed(base uint64, k []int) uint64 {
 		h *= prime
 	}
 	return rng.New(base ^ h).Uint64()
-}
-
-// ProfileSeed exposes profileSeed to other layers that evaluate payoffs by
-// count profile (internal/adopt): revisiting a profile — in any order, in
-// any generation — re-derives the same seed and therefore the same
-// canonical scenario key, which is what makes repeated mixture visits cache
-// hits instead of fresh simulations.
-func ProfileSeed(base uint64, k []int) uint64 {
-	return profileSeed(base, k)
-}
-
-// runMixCached is RunMix behind the memoizing cache, the resumption
-// journal and the invariant auditor: the config compiles to its
-// scenario.Spec, and cache entries, journal records, audit records and
-// failures all use the spec's canonical key.
-func runMixCached(ctx context.Context, cfg MixConfig, cache *runner.Cache, journal *runner.Journal, audit *check.Auditor, rec *telemetry.Recorder) (MixResult, bool, error) {
-	res, hit, err := RunSpecCachedTraced(ctx, cfg.spec(), cache, journal, audit, rec)
-	if err != nil {
-		return MixResult{}, false, err
-	}
-	return mixView(res), hit, nil
-}
-
-// runGroupsCached is RunGroups behind the memoizing cache, the resumption
-// journal and the invariant auditor.
-func runGroupsCached(ctx context.Context, cfg GroupConfig, cache *runner.Cache, journal *runner.Journal, audit *check.Auditor, rec *telemetry.Recorder) (GroupResult, bool, error) {
-	sp, err := cfg.spec()
-	if err != nil {
-		return GroupResult{}, false, err
-	}
-	res, hit, err := RunSpecCachedTraced(ctx, sp, cache, journal, audit, rec)
-	if err != nil {
-		return GroupResult{}, false, err
-	}
-	return groupView(len(cfg.RTTs), res), hit, nil
 }
 
 // SweepPoint is one averaged point of a scenario sweep: per-group class
@@ -115,16 +82,15 @@ func (s Scale) Sweep(seed uint64, n int, specAt func(i int) scenario.Spec) ([]Sw
 		trials = 1
 	}
 	seeds := trialSeeds(seed, trials)
-	flat, err := runner.MapCtx(s.ctx(), s.Pool, n*trials, func(uctx context.Context, j int) (SpecResult, error) {
+	env := Env{Cache: s.Cache, Journal: s.Journal, Audit: s.Audit, Trace: s.Trace}
+	flat, err := runner.MapCtx(ctxOr(s.Ctx), s.Pool, n*trials, func(uctx context.Context, j int) (SpecResult, error) {
 		sp := specAt(j / trials)
 		sp.Seed = seeds[j%trials]
 		if s.Backend != "" {
 			sp.Backend = s.Backend
 		}
-		return runner.Protect(sp.Key(), func() (SpecResult, error) {
-			res, _, err := RunSpecCachedTraced(uctx, sp, s.Cache, s.Journal, s.Audit, s.Trace)
-			return res, err
-		})
+		res, _, err := Run(uctx, sp, env)
+		return res, err
 	})
 	if err != nil {
 		return nil, err

@@ -180,14 +180,14 @@ func TestRunSpecCachedResimulatesNullEntry(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cache.Close()
-	res, hit, err := RunSpecCached(context.Background(), sp, cache, nil, nil)
+	res, hit, err := Run(context.Background(), sp, Env{Cache: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if hit {
 		t.Fatal("a null cache entry was served as a hit")
 	}
-	want, err := RunSpec(sp)
+	want, _, err := Run(context.Background(), sp, Env{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,11 +16,12 @@ import (
 )
 
 // This file is the harness's boundary with internal/scenario: every run —
-// mixed-distribution, multi-RTT group, sweep point, NE payoff — is first
-// expressed as a scenario.Spec, and the spec's canonical key is the one
-// identity used by the result cache, the invariant auditor and unit-failure
-// reports. MixConfig and GroupConfig survive as convenience views that
-// compile down to specs.
+// mixed-distribution, multi-RTT group, sweep point, NE payoff, adoption
+// payoff, bbrserve flight — is first expressed as a scenario.Spec and
+// executed by Run, and the spec's canonical key is the one identity used by
+// the result cache, the resumption journal, the invariant auditor, the
+// trace recorder and unit-failure reports. MixConfig and GroupConfig
+// survive as convenience views that compile down to specs.
 
 // SpecResult is the raw outcome of one scenario run: per-flow statistics in
 // spec group order (group i of the spec is Groups[i], empty groups stay
@@ -59,18 +60,6 @@ func aggRate(stats []netsim.FlowStats) units.Rate {
 	return agg
 }
 
-// RunSpec executes one scenario and reports per-group statistics.
-func RunSpec(sp scenario.Spec) (SpecResult, error) {
-	return runSpec(context.Background(), sp, nil)
-}
-
-// RunSpecTraced is RunSpec with a telemetry recorder: the run is
-// instrumented and its trace written under the spec's canonical key before
-// returning. A nil recorder degrades to RunSpec exactly.
-func RunSpecTraced(ctx context.Context, sp scenario.Spec, rec *telemetry.Recorder) (SpecResult, error) {
-	return runSpec(ctx, sp, rec)
-}
-
 // progressSlice is how much simulated time one execution chunk covers. The
 // event loop's RunFor is exactly resumable, so chunking changes nothing
 // about the result; between chunks the run checks for cancellation and
@@ -97,19 +86,18 @@ func runChunked(ctx context.Context, d time.Duration, run func(time.Duration)) e
 // runSpec executes a spec on its backend in progressSlice chunks under ctx.
 //
 // With a recorder, a packet run is instrumented before it starts and its
-// trace is written — atomically, under the spec's canonical key — before
-// this function returns, which is what lets the cached path order trace
-// files ahead of journal records (see RunSpecCachedTraced). Observation
-// never mutates simulation state, so a traced run's SpecResult is
-// byte-identical to an untraced one.
+// trace is written — atomically, under key — before this function returns,
+// which is what lets Run order trace files ahead of journal records.
+// Observation never mutates simulation state, so a traced run's SpecResult
+// is byte-identical to an untraced one.
 //
 // Fluid runs are never traced: telemetry instruments *netsim.Network event
 // flow, which a fixed-step integration does not have. The recorder only
 // counts them, so a command can say why its trace directory lacks them.
-// Both the cached and fresh paths land here, so fluid results are cached,
-// journaled and audited exactly like packet results, under keys that
-// differ by the spec's bk= field.
-func runSpec(ctx context.Context, sp scenario.Spec, rec *telemetry.Recorder) (SpecResult, error) {
+// Every run lands here through Run, so fluid results are cached, journaled
+// and audited exactly like packet results, under keys that differ by the
+// spec's bk= field.
+func runSpec(ctx context.Context, key string, sp scenario.Spec, rec *telemetry.Recorder) (SpecResult, error) {
 	sp = sp.WithDefaults()
 	if sp.Backend == scenario.BackendFluid {
 		m, err := fluid.New(sp)
@@ -138,62 +126,94 @@ func runSpec(ctx context.Context, sp scenario.Spec, rec *telemetry.Recorder) (Sp
 		}
 	}
 	if cap != nil {
-		if err := cap.Finish(sp.Key()); err != nil {
+		if err := cap.Finish(key); err != nil {
 			return SpecResult{}, err
 		}
 	}
 	return res, nil
 }
 
-// RunSpecCached is RunSpec behind the memoizing cache, the resumption
-// journal and the invariant auditor, keyed by the spec's canonical key. hit
-// reports whether the result came from either store; errors are never
-// cached or journaled. Cached replays are audited too: a store written by
-// an older build should not smuggle a bad result past a strict run.
-func RunSpecCached(ctx context.Context, sp scenario.Spec, cache *runner.Cache, journal *runner.Journal, audit *check.Auditor) (SpecResult, bool, error) {
-	return RunSpecCachedTraced(ctx, sp, cache, journal, audit, nil)
+// Env is what a run goes through besides its engine: the memoizing result
+// cache, the resumption journal, the invariant auditor and the trace
+// recorder. Every field is nil-safe, so the zero Env runs a spec bare:
+// nothing is looked up, stored, audited or traced.
+type Env struct {
+	Cache   *runner.Cache
+	Journal *runner.Journal
+	Audit   *check.Auditor
+	Trace   *telemetry.Recorder
 }
 
-// RunSpecCachedTraced is RunSpecCached with a telemetry recorder: a fresh
-// run's trace is written before its journal record, so any journaled unit's
-// trace is already on disk when a resumed sweep skips the unit. Cache and
-// journal hits skip re-tracing (the files were written by whichever run
-// populated the store; a store warmed before tracing existed has no traces
-// for its prior entries). A nil recorder degrades to RunSpecCached exactly.
+// Run executes one scenario through env under the spec's canonical key,
+// which it derives once. hit reports whether the result came from either
+// store; errors are never cached or journaled.
 //
 // Store discipline: the cache is consulted first, then the journal (a
 // journal hit is promoted into the cache); a fresh result lands in both.
 // Either store satisfying a lookup also ensures the journal holds the key,
 // so a resumed run skips it even when the cache file was lost. Journal
-// write failures fail the unit — a journal that cannot persist must not let
+// write failures fail the run — a journal that cannot persist must not let
 // the operator believe the sweep is resumable — while cache failures stay
-// silent as before.
-func RunSpecCachedTraced(ctx context.Context, sp scenario.Spec, cache *runner.Cache, journal *runner.Journal, audit *check.Auditor, rec *telemetry.Recorder) (res SpecResult, hit bool, err error) {
+// silent.
+//
+// A fresh run's trace is written before its journal record, so any
+// journaled unit's trace is already on disk when a resumed sweep skips the
+// unit. Cache and journal hits skip re-tracing: the files were written by
+// whichever run populated the store, and a store warmed before tracing
+// existed has no traces for its prior entries.
+//
+// Every result is audited, fresh or replayed: a store written by an older
+// build must not smuggle a bad result past a strict run.
+//
+// The run executes under runner.Protect, so a failure or a panic comes
+// back as a *runner.UnitError that names the key; inside runner.MapCtx the
+// pool stamps the unit's index on it.
+func Run(ctx context.Context, sp scenario.Spec, env Env) (res SpecResult, hit bool, err error) {
 	key := sp.Key()
-	if cache.Get(key, &res) {
-		auditSpec(audit, key, sp, res)
-		if !journal.Has(key) {
-			if err := journal.Record(key, res); err != nil {
-				return SpecResult{}, false, err
+	res, err = runner.Protect(key, func() (res SpecResult, err error) {
+		if env.Cache.Get(key, &res) {
+			hit = true
+			auditSpec(env.Audit, key, sp, res)
+			if !env.Journal.Has(key) {
+				err = env.Journal.Record(key, res)
 			}
+			return res, err
 		}
-		return res, true, nil
-	}
-	if journal.Get(key, &res) {
-		cache.Put(key, res)
-		auditSpec(audit, key, sp, res)
-		return res, true, nil
-	}
-	res, err = runSpec(ctx, sp, rec)
+		if env.Journal.Get(key, &res) {
+			hit = true
+			env.Cache.Put(key, res)
+			auditSpec(env.Audit, key, sp, res)
+			return res, nil
+		}
+		if res, err = runSpec(ctx, key, sp, env.Trace); err != nil {
+			return SpecResult{}, err
+		}
+		env.Cache.Put(key, res)
+		if err := env.Journal.Record(key, res); err != nil {
+			return SpecResult{}, err
+		}
+		auditSpec(env.Audit, key, sp, res)
+		return res, nil
+	})
 	if err != nil {
 		return SpecResult{}, false, err
 	}
-	cache.Put(key, res)
-	if err := journal.Record(key, res); err != nil {
-		return SpecResult{}, false, err
-	}
-	auditSpec(audit, key, sp, res)
-	return res, false, nil
+	return res, hit, nil
+}
+
+// RunSpec is Run with a background context and the zero Env. It is one
+// call of Run, kept only for the benchmark module's probe (bench/probe.go);
+// everything else calls Run.
+func RunSpec(sp scenario.Spec) (SpecResult, error) {
+	res, _, err := Run(context.Background(), sp, Env{})
+	return res, err
+}
+
+// RunSpecCached is Run through a cache, a journal and an auditor without a
+// trace recorder. It is one call of Run, kept only for the benchmark
+// module's probe (bench/probe.go); everything else calls Run.
+func RunSpecCached(ctx context.Context, sp scenario.Spec, cache *runner.Cache, journal *runner.Journal, audit *check.Auditor) (SpecResult, bool, error) {
+	return Run(ctx, sp, Env{Cache: cache, Journal: journal, Audit: audit})
 }
 
 // xName resolves a config's X field to its registry name: empty means BBR.
@@ -213,11 +233,6 @@ func (cfg MixConfig) spec() scenario.Spec {
 	sp.Seed = cfg.Seed
 	sp.Backend = cfg.Backend
 	return sp
-}
-
-// key is the mix's canonical cache key.
-func (cfg MixConfig) key() string {
-	return cfg.spec().Key()
 }
 
 // mixView projects a spec result back into the mix's class view: group 0
@@ -283,16 +298,6 @@ func (cfg GroupConfig) spec() (scenario.Spec, error) {
 		Backend:     cfg.Backend,
 		Groups:      groups,
 	}, nil
-}
-
-// key is the group run's canonical cache key, or "" when the config is
-// invalid.
-func (cfg GroupConfig) key() string {
-	sp, err := cfg.spec()
-	if err != nil {
-		return ""
-	}
-	return sp.Key()
 }
 
 // groupView projects a spec result back into per-RTT-group class averages:

@@ -29,14 +29,14 @@ func TestTracedAndUntracedRunsShareCacheEntry(t *testing.T) {
 
 	// Untraced first: the traced rerun must hit and write no trace.
 	cache := runner.NewCache()
-	if _, hit, err := RunSpecCached(ctx, sp, cache, nil, nil); err != nil || hit {
+	if _, hit, err := Run(ctx, sp, Env{Cache: cache}); err != nil || hit {
 		t.Fatalf("first run: hit=%v err=%v", hit, err)
 	}
 	rec, err := telemetry.NewRecorder(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, hit, err := RunSpecCachedTraced(ctx, sp, cache, nil, nil, rec); err != nil || !hit {
+	if _, hit, err := Run(ctx, sp, Env{Cache: cache, Trace: rec}); err != nil || !hit {
 		t.Fatalf("traced rerun: hit=%v err=%v", hit, err)
 	}
 	if rec.Traces() != 0 {
@@ -49,13 +49,13 @@ func TestTracedAndUntracedRunsShareCacheEntry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, hit, err := RunSpecCachedTraced(ctx, sp, cache, nil, nil, rec); err != nil || hit {
+	if _, hit, err := Run(ctx, sp, Env{Cache: cache, Trace: rec}); err != nil || hit {
 		t.Fatalf("traced first run: hit=%v err=%v", hit, err)
 	}
 	if rec.Traces() != 1 {
 		t.Fatalf("traced first run wrote %d traces, want 1", rec.Traces())
 	}
-	if _, hit, err := RunSpecCached(ctx, sp, cache, nil, nil); err != nil || !hit {
+	if _, hit, err := Run(ctx, sp, Env{Cache: cache}); err != nil || !hit {
 		t.Fatalf("untraced rerun: hit=%v err=%v", hit, err)
 	}
 }
@@ -77,7 +77,7 @@ func TestJournalHitSkipsRetracing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := RunSpecCachedTraced(ctx, sp, runner.NewCache(), journal, nil, rec); err != nil {
+	if _, _, err := Run(ctx, sp, Env{Cache: runner.NewCache(), Journal: journal, Trace: rec}); err != nil {
 		t.Fatal(err)
 	}
 	journal.Close()
@@ -97,7 +97,7 @@ func TestJournalHitSkipsRetracing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, hit, err := RunSpecCachedTraced(ctx, sp, runner.NewCache(), journal, nil, rec2); err != nil || !hit {
+	if _, hit, err := Run(ctx, sp, Env{Cache: runner.NewCache(), Journal: journal, Trace: rec2}); err != nil || !hit {
 		t.Fatalf("resumed run: hit=%v err=%v", hit, err)
 	}
 	if rec2.Traces() != 0 {

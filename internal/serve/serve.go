@@ -13,7 +13,7 @@
 //     process per cache/journal, so the discipline holds machine-wide.
 //   - Supervision: each worker goroutine runs under a supervisor that
 //     restarts it if a panic ever escapes the per-unit protection
-//     (runner.Protect inside runner.MapCtx captures unit panics into typed
+//     (exp.Run inside runner.MapCtx captures unit panics into typed
 //     errors first, so a poisoned scenario fails its own flight without
 //     taking a worker down — the restart path is the second line of
 //     defense, and both are counted in Stats).
@@ -293,10 +293,9 @@ func (s *Server) workerLoop() (clean bool) {
 }
 
 // execute runs one flight to completion and answers its waiters. The
-// default pipeline goes through runner.MapCtx + runner.Protect, so a
-// panicking or stalling unit becomes a typed error (retried when
-// transient) instead of a dead worker; a custom Config.Run is called bare —
-// see RunFunc.
+// default pipeline goes through runner.MapCtx + exp.Run, so a panicking or
+// stalling unit becomes a typed error (retried when transient) instead of
+// a dead worker; a custom Config.Run is called bare — see RunFunc.
 func (s *Server) execute(fl *flight) {
 	fl.state.Store(flightRunning)
 	var res exp.SpecResult
@@ -304,23 +303,22 @@ func (s *Server) execute(fl *flight) {
 	if s.cfg.Run != nil {
 		res, err = s.cfg.Run(s.baseCtx, fl.spec)
 		if err == nil {
-			// A custom pipeline bypasses RunSpecCachedTraced, so memoize here:
+			// A custom pipeline bypasses exp.Run, so memoize here:
 			// submissions arriving after this flight closes must answer from
 			// the cache just as they do on the default path.
 			s.cfg.Cache.Put(fl.key, res)
 		}
 	} else {
 		var out []exp.SpecResult
+		env := exp.Env{Cache: s.cfg.Cache, Journal: s.cfg.Journal, Audit: s.cfg.Audit, Trace: s.cfg.Recorder}
 		out, err = runner.MapCtx(s.baseCtx, s.pool, 1, func(ctx context.Context, _ int) (exp.SpecResult, error) {
-			return runner.Protect(fl.key, func() (exp.SpecResult, error) {
-				r, _, err := exp.RunSpecCachedTraced(ctx, fl.spec, s.cfg.Cache, s.cfg.Journal, s.cfg.Audit, s.cfg.Recorder)
-				if err == nil && s.cfg.Audit != nil {
-					if vs := s.cfg.Audit.ViolationsFor(fl.key); len(vs) > 0 {
-						err = fmt.Errorf("serve: strict audit: %s", vs[0])
-					}
+			r, _, err := exp.Run(ctx, fl.spec, env)
+			if err == nil && s.cfg.Audit != nil {
+				if vs := s.cfg.Audit.ViolationsFor(fl.key); len(vs) > 0 {
+					err = &runner.UnitError{Key: fl.key, Err: fmt.Errorf("serve: strict audit: %s", vs[0])}
 				}
-				return r, err
-			})
+			}
+			return r, err
 		})
 		if err == nil {
 			res = out[0]

@@ -50,7 +50,7 @@ func readTrace(t *testing.T, dir string, key string) (jsonl, csv []byte) {
 // reason trace configuration is excluded from the scenario cache key.
 func TestTraceDeterminismAndResultNeutrality(t *testing.T) {
 	sp := testSpec()
-	plain, err := exp.RunSpec(sp)
+	plain, _, err := exp.Run(context.Background(), sp, exp.Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestTraceDeterminismAndResultNeutrality(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := exp.RunSpecTraced(context.Background(), sp, rec)
+		res, _, err := exp.Run(context.Background(), sp, exp.Env{Trace: rec})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -91,7 +91,7 @@ func TestTraceContents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := exp.RunSpecTraced(context.Background(), sp, rec); err != nil {
+	if _, _, err := exp.Run(context.Background(), sp, exp.Env{Trace: rec}); err != nil {
 		t.Fatal(err)
 	}
 	jsonl, csv := readTrace(t, dir, sp.Key())
@@ -153,7 +153,7 @@ func TestRecorderDedupsKeys(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
-		if _, err := exp.RunSpecTraced(context.Background(), sp, rec); err != nil {
+		if _, _, err := exp.Run(context.Background(), sp, exp.Env{Trace: rec}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -174,7 +174,7 @@ func TestFinishReportsWriteFailure(t *testing.T) {
 	if err := os.RemoveAll(dir); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := exp.RunSpecTraced(context.Background(), sp, rec); err == nil {
+	if _, _, err := exp.Run(context.Background(), sp, exp.Env{Trace: rec}); err == nil {
 		t.Fatal("expected an error when the trace directory is gone")
 	}
 }

@@ -95,9 +95,9 @@ for field in schema_version key_version buffer_bdp regime rel_err_bbr rel_err_cu
 done
 
 echo "== adoption-dynamics smoke (tiny population, 3 generations, trajectory schema, CPU profile)"
-ADOPT_TMP=$(mktemp -d)
-trap 'rm -rf "$ADOPT_TMP"' EXIT
-ADOPT_PROF="$ADOPT_TMP/cpu.prof"
+SMOKE_TMP=$(mktemp -d)
+trap 'rm -rf "$SMOKE_TMP"' EXIT
+ADOPT_PROF="$SMOKE_TMP/cpu.prof"
 TRAJ=$(go run ./cmd/adopt -capacity 50 -buffer 3 -agents 200 -generations 3 \
 	-algs cubic,bbr -shares 0.7,0.3 -simflows 6 -seed 7 -cpuprofile "$ADOPT_PROF" 2>/dev/null)
 if ! [ -s "$ADOPT_PROF" ]; then
@@ -124,16 +124,49 @@ echo "== adopt determinism smoke (best response, two RTT classes, at 1 and 2 wor
 for w in 1 2; do
 	go run ./cmd/adopt -capacity 100 -buffer 5 -rtts 20,80 -agents 2000 -generations 12 \
 		-dynamics bestresponse -noise 0.02 -simflows 6 -seed 3 -workers "$w" \
-		>"$ADOPT_TMP/traj$w" 2>"$ADOPT_TMP/err$w"
-	if ! head -n 1 "$ADOPT_TMP/err$w" | grep -q ' (20 simulations, 153 cache hits)$'; then
+		>"$SMOKE_TMP/traj$w" 2>"$SMOKE_TMP/err$w"
+	if ! head -n 1 "$SMOKE_TMP/err$w" | grep -q ' (20 simulations, 153 cache hits)$'; then
 		echo "adopt determinism smoke: -workers $w summary does not end (20 simulations, 153 cache hits):" >&2
-		cat "$ADOPT_TMP/err$w" >&2
+		cat "$SMOKE_TMP/err$w" >&2
 		exit 1
 	fi
 done
-if [ "$(wc -l <"$ADOPT_TMP/traj1")" -ne 13 ] || ! cmp -s "$ADOPT_TMP/traj1" "$ADOPT_TMP/traj2"; then
+if [ "$(wc -l <"$SMOKE_TMP/traj1")" -ne 13 ] || ! cmp -s "$SMOKE_TMP/traj1" "$SMOKE_TMP/traj2"; then
 	echo "adopt determinism smoke: the trajectories at -workers 1 and 2 differ or lack 13 records" >&2
-	diff "$ADOPT_TMP/traj1" "$ADOPT_TMP/traj2" >&2 || true
+	diff "$SMOKE_TMP/traj1" "$SMOKE_TMP/traj2" >&2 || true
+	exit 1
+fi
+
+echo "== bbrsim replicate smoke (four packet replicates at 1 and 2 workers, then cold and warm -cache)"
+# Replicate seeds are derived before any run starts, so the tables must not
+# depend on the worker count, and a warm cache must replay all four runs.
+# The packet backend, because a fluid run gives the same value at every
+# seed and so could not show a seed-order bug.
+bbrsim_smoke() {
+	go run ./cmd/bbrsim -flows bbr:2,cubic:2 -buffer 5 -duration 10s -runs 4 -strict "$@" 2>/dev/null
+}
+# bbrsim_tables drops what differs between equal runs: the worker count
+# and the wall-time line.
+bbrsim_tables() {
+	sed -e 's/ ([0-9]* workers)$//' -e '/^(.* wall time, .*)$/d'
+}
+SIM1=$(bbrsim_smoke -workers 1)
+SIM2=$(bbrsim_smoke -workers 2)
+if [ "$(printf '%s\n' "$SIM1" | bbrsim_tables)" != "$(printf '%s\n' "$SIM2" | bbrsim_tables)" ]; then
+	echo "bbrsim smoke: -workers 1 and -workers 2 differ:" >&2
+	diff <(printf '%s\n' "$SIM1") <(printf '%s\n' "$SIM2") >&2 || true
+	exit 1
+fi
+COLD=$(bbrsim_smoke -cache "$SMOKE_TMP/bbrsim-cache.json")
+WARM=$(bbrsim_smoke -cache "$SMOKE_TMP/bbrsim-cache.json")
+if [ "$(printf '%s\n' "$COLD" | bbrsim_tables)" != "$(printf '%s\n' "$WARM" | bbrsim_tables)" ]; then
+	echo "bbrsim smoke: the warm -cache run prints other tables than the cold one:" >&2
+	diff <(printf '%s\n' "$COLD") <(printf '%s\n' "$WARM") >&2 || true
+	exit 1
+fi
+if ! printf '%s\n' "$WARM" | tail -n 1 | grep -q '4 cache hits)$'; then
+	echo "bbrsim smoke: the warm -cache run's last line does not end \"4 cache hits)\":" >&2
+	printf '%s\n' "$WARM" >&2
 	exit 1
 fi
 
