@@ -420,8 +420,9 @@ var (
 // The sweep service (internal/serve, cmd/bbrserve). A SweepService wraps
 // the cache+journal substrate in an HTTP API: instant answers on cache
 // hit, at most one execution per canonical scenario key no matter how many
-// clients submit it, a bounded queue that sheds overload with 429,
-// supervised workers that survive unit panics, and byte-identical crash
+// clients submit it, a bounded queue that sheds overload with 429, one
+// panic shield around every flight on the caller's worker pool (a failing
+// or panicking flight fails only itself), and byte-identical crash
 // recovery off the fsynced journal — see DESIGN.md §16. The cache and
 // journal stores themselves take exclusive advisory file locks on open, so
 // two processes sharing a store fail loudly (ErrStoreLocked) instead of
@@ -437,7 +438,8 @@ type (
 )
 
 var (
-	// NewSweepService builds a service and starts its supervised workers.
+	// NewSweepService builds a service and starts one worker per pool
+	// worker.
 	NewSweepService = serve.New
 	// ErrStoreLocked reports that another live process holds the advisory
 	// lock on a cache or journal path.

@@ -71,14 +71,10 @@ func run() (code int) {
 		Journal:        env.Journal,
 		Recorder:       env.Trace,
 		Audit:          env.Audit,
-		Workers:        env.Workers,
+		Pool:           env.Pool,
 		QueueDepth:     *queueDepth,
-		Watchdog:       env.Timeout,
-		Retries:        env.Retries,
 		RequestTimeout: *deadline,
 	})
-	// The service runs its own pool; the report reads that one.
-	env.Pool = srv.Pool()
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
@@ -114,7 +110,6 @@ func run() (code int) {
 		return 1
 	}
 	st := srv.Stats()
-	fmt.Printf("bbrserve: drained (%d completed, %d failed, %d shed, %d worker restarts)\n",
-		st.Completed, st.Failed, st.Shed, st.WorkerRestarts)
+	fmt.Printf("bbrserve: drained (%d completed, %d failed, %d shed)\n", st.Completed, st.Failed, st.Shed)
 	return 0
 }

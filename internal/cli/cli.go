@@ -69,11 +69,8 @@ const (
 // Every component is nil-safe, so Fail and Close work on an Env that Open
 // built only partly.
 type Env struct {
-	// Shared flag values a command reads itself: bbrserve hands the pool
-	// settings to its own server, and -backend goes into the specs run.
-	Workers int
-	Timeout time.Duration
-	Retries int
+	// Backend is the -backend value; a command puts it into the specs it
+	// runs.
 	Backend string
 
 	// Components built by Open. Ctx is cancelled by SIGINT/SIGTERM. The
@@ -86,6 +83,9 @@ type Env struct {
 
 	name       string
 	stderr     io.Writer
+	workers    int
+	timeout    time.Duration
+	retries    int
 	cachePath  string
 	resumePath string
 	progress   time.Duration
@@ -105,11 +105,11 @@ type Env struct {
 // command called name.
 func New(name string, groups Group) *Env {
 	e := &Env{name: name, stderr: os.Stderr}
-	flag.IntVar(&e.Workers, "workers", 0, "parallel simulation workers (0 = GOMAXPROCS)")
+	flag.IntVar(&e.workers, "workers", 0, "parallel simulation workers (0 = GOMAXPROCS)")
 	flag.StringVar(&e.cachePath, "cache", "", "path to on-disk result cache ('' = in-memory only)")
 	flag.StringVar(&e.resumePath, "resume", "", "path to crash-safe resume journal; an existing journal's completed simulations are skipped ('' = no journal)")
-	flag.DurationVar(&e.Timeout, "timeout", 0, "per-simulation stall watchdog: cancel a unit making no progress for this long (0 = off)")
-	flag.IntVar(&e.Retries, "retries", 0, "retry a stalled or transiently failed simulation up to this many times (retries re-derive the same seed)")
+	flag.DurationVar(&e.timeout, "timeout", 0, "per-simulation stall watchdog: cancel a unit making no progress for this long (0 = off)")
+	flag.IntVar(&e.retries, "retries", 0, "retry a stalled or transiently failed simulation up to this many times (retries re-derive the same seed)")
 	if groups&Progress != 0 {
 		flag.DurationVar(&e.progress, "progress", 0, "print a progress line to stderr this often (0 = off)")
 	}
@@ -159,7 +159,7 @@ func (e *Env) Open() (err error) {
 		}
 		e.Trace.SetInterval(e.traceEvery)
 	}
-	e.Pool = runner.NewPool(e.Workers).SetWatchdog(e.Timeout).SetRetry(e.Retries, time.Second)
+	e.Pool = runner.NewPool(e.workers).SetWatchdog(e.timeout).SetRetry(e.retries, time.Second)
 	e.Pool.SetProgress(e.progress, func(p runner.ProgressInfo) {
 		e.statusf("%d/%d simulations in %v (%d retries, %d stalls)",
 			p.Done, p.Total, p.Elapsed.Round(time.Second), p.Retries, p.Stalls)

@@ -349,9 +349,3 @@ func solveBBRBuffer(b, bdp, s, f float64) (float64, error) {
 	}
 	return root, nil
 }
-
-// SolveBBRBufferForTest exposes the Eq 18 solver for cross-validation in
-// tests.
-func SolveBBRBufferForTest(b, bdp, s, f float64) (float64, error) {
-	return solveBBRBuffer(b, bdp, s, f)
-}

@@ -218,7 +218,7 @@ func TestQuadraticAgreesWithBrent(t *testing.T) {
 		b := bdp * (1.2 + float64(bufQ%200)/4)
 		sVal := (b - bdp) / 2
 		frac := 0.7 + 0.3*float64(fQ%100)/100*0.99 // f in [0.7, ~1)
-		bb, err := SolveBBRBufferForTest(b, bdp, sVal, frac)
+		bb, err := solveBBRBuffer(b, bdp, sVal, frac)
 		if err != nil {
 			return false
 		}

@@ -5,85 +5,6 @@ import (
 	"testing"
 )
 
-// Prisoner's dilemma: defect/defect is the unique pure NE.
-func TestNormalFormPrisonersDilemma(t *testing.T) {
-	// Strategy 0 = cooperate, 1 = defect.
-	payoffs := map[[2]int][2]float64{
-		{0, 0}: {3, 3},
-		{0, 1}: {0, 5},
-		{1, 0}: {5, 0},
-		{1, 1}: {1, 1},
-	}
-	g := &NormalForm{
-		NumStrategies: []int{2, 2},
-		Payoff: func(p []int) []float64 {
-			v := payoffs[[2]int{p[0], p[1]}]
-			return v[:]
-		},
-	}
-	ne, err := g.PureNash(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := [][]int{{1, 1}}
-	if !reflect.DeepEqual(ne, want) {
-		t.Errorf("NE = %v, want %v", ne, want)
-	}
-}
-
-// Matching pennies has no pure-strategy NE.
-func TestNormalFormMatchingPennies(t *testing.T) {
-	g := &NormalForm{
-		NumStrategies: []int{2, 2},
-		Payoff: func(p []int) []float64 {
-			if p[0] == p[1] {
-				return []float64{1, -1}
-			}
-			return []float64{-1, 1}
-		},
-	}
-	ne, err := g.PureNash(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ne) != 0 {
-		t.Errorf("NE = %v, want none", ne)
-	}
-}
-
-// Coordination game: both all-0 and all-1 are equilibria.
-func TestNormalFormCoordination(t *testing.T) {
-	g := &NormalForm{
-		NumStrategies: []int{2, 2},
-		Payoff: func(p []int) []float64 {
-			if p[0] == p[1] {
-				return []float64{1, 1}
-			}
-			return []float64{0, 0}
-		},
-	}
-	ne, err := g.PureNash(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := [][]int{{0, 0}, {1, 1}}
-	if !reflect.DeepEqual(ne, want) {
-		t.Errorf("NE = %v, want %v", ne, want)
-	}
-}
-
-func TestNormalFormValidation(t *testing.T) {
-	if _, err := (&NormalForm{}).PureNash(0); err == nil {
-		t.Error("empty game accepted")
-	}
-	if _, err := (&NormalForm{NumStrategies: []int{0}}).PureNash(0); err == nil {
-		t.Error("player with no strategies accepted")
-	}
-	if _, err := (&NormalForm{NumStrategies: []int{2}}).PureNash(0); err == nil {
-		t.Error("nil payoff accepted")
-	}
-}
-
 // The paper's Figure 6 construction: per-flow X payoff declines in k and
 // crosses the constant fair share; the crossing point is the equilibrium.
 func fig6Game(n int, capacity float64) *SymmetricBinary {

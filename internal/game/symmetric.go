@@ -1,3 +1,14 @@
+// Package game provides the game-theoretic machinery of §4 of the paper:
+// the symmetric binary congestion-control choice game (every flow picks
+// CUBIC or X), its group-symmetric extension for flows with different
+// RTTs, and the many-strategy population game the adoption dynamics
+// evolve over.
+//
+// Payoffs are supplied by the caller: the analytical model (internal/core)
+// for predictions, or measured simulator throughput for empirical
+// equilibria. Because measured payoffs are noisy, equilibrium checks accept
+// a tolerance: a deviation only counts as an incentive when it improves the
+// payoff by more than epsilon.
 package game
 
 import (

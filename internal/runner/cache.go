@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
@@ -250,16 +249,11 @@ func (c *Cache) HitRate() float64 {
 	return float64(h) / float64(h+m)
 }
 
-// Save writes the store back to the path it was opened from,
-// crash-atomically: the bytes are written to a temp file in the same
-// directory, fsynced, renamed over the target, and the directory entry is
-// fsynced too — so a crash (or power loss) at any instant leaves either the
-// complete old store or the complete new one, never a torn mix. The written
-// file keeps an existing store's permission bits, and a new store is
-// created 0644 — without the chmod the rename would inherit os.CreateTemp's
-// private 0600 mode, making a cache produced by one user or CI step
-// unreadable to the next. Save is a no-op for purely in-memory caches and
-// when nothing changed since open.
+// Save writes the store back to the path it was opened from with
+// WriteFileAtomic, so a crash (or power loss) at any instant leaves either
+// the complete old store or the complete new one, never a torn mix, and an
+// existing store keeps its permission bits (a new one is 0644). Save is a
+// no-op for purely in-memory caches and when nothing changed since open.
 func (c *Cache) Save() error {
 	if c == nil || c.path == "" {
 		return nil
@@ -273,40 +267,7 @@ func (c *Cache) Save() error {
 	if err != nil {
 		return fmt.Errorf("runner: encoding cache: %w", err)
 	}
-	mode := os.FileMode(0o644)
-	if fi, err := os.Stat(c.path); err == nil {
-		mode = fi.Mode().Perm()
-	}
-	tmp, err := os.CreateTemp(filepath.Dir(c.path), ".cache-*.json")
-	if err != nil {
-		return err
-	}
-	if err := tmp.Chmod(mode); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	// Sync before the rename: renaming an unsynced file can atomically
-	// install zero-length or partial content after a power loss.
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := os.Rename(tmp.Name(), c.path); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := syncDir(c.path); err != nil {
+	if err := WriteFileAtomic(c.path, data); err != nil {
 		return err
 	}
 	c.dirty = false

@@ -1,13 +1,11 @@
 package runner
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
 	"log"
 	"os"
-	"path/filepath"
 	"reflect"
 	"sync"
 	"sync/atomic"
@@ -103,51 +101,18 @@ func OpenJournal(path string, recognized ...string) (*Journal, error) {
 	}
 
 	// Compact: rewrite only the surviving entries, then reopen for append.
-	// Like Cache.Save, an existing file keeps its permission bits.
-	mode := os.FileMode(0o644)
-	if fi, err := os.Stat(path); err == nil {
-		mode = fi.Mode().Perm()
-	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".journal-*.jsonl")
-	if err != nil {
-		return fail(fmt.Errorf("runner: compacting journal: %w", err))
-	}
-	w := bufio.NewWriter(tmp)
-	enc := json.NewEncoder(w)
+	// WriteFileAtomic keeps an existing file's permission bits and fsyncs
+	// the directory: without that, a power loss right after compaction
+	// could resurrect the pre-compaction file (which is still correct
+	// JSONL, but may hold entries the caller saw dropped).
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
 	for key, val := range j.m {
 		if err := enc.Encode(journalLine{Key: key, Value: val}); err != nil {
-			tmp.Close()
-			os.Remove(tmp.Name())
 			return fail(fmt.Errorf("runner: compacting journal: %w", err))
 		}
 	}
-	if err := w.Flush(); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fail(fmt.Errorf("runner: compacting journal: %w", err))
-	}
-	if err := tmp.Chmod(mode); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fail(fmt.Errorf("runner: compacting journal: %w", err))
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fail(fmt.Errorf("runner: compacting journal: %w", err))
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fail(fmt.Errorf("runner: compacting journal: %w", err))
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return fail(fmt.Errorf("runner: compacting journal: %w", err))
-	}
-	// Make the rename durable: without the directory fsync a power loss
-	// right after compaction could resurrect the pre-compaction file (which
-	// is still correct JSONL, but may hold entries the caller saw dropped).
-	if err := syncDir(path); err != nil {
+	if err := WriteFileAtomic(path, buf.Bytes()); err != nil {
 		return fail(fmt.Errorf("runner: compacting journal: %w", err))
 	}
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)

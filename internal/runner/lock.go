@@ -91,16 +91,3 @@ func (l *fileLock) release() {
 	delete(lockedPaths.m, l.key)
 	lockedPaths.Unlock()
 }
-
-// syncDir fsyncs the directory holding path, making a just-renamed file's
-// directory entry durable. The rename itself is atomic; without the
-// directory sync a power loss immediately after it could resurrect the old
-// name on some filesystems.
-func syncDir(path string) error {
-	d, err := os.Open(filepath.Dir(path))
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
-}

@@ -389,21 +389,16 @@ func MapCtx[T any](ctx context.Context, p *Pool, n int, fn func(ctx context.Cont
 	return out, nil
 }
 
-// protectUnit invokes one unit with panic capture and normalizes any
-// failure into a *UnitError carrying the submission index.
-func protectUnit[T any](ctx context.Context, i int, fn func(context.Context, int) (T, error)) (out T, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = &UnitError{Index: i, Recovered: r, Stack: debug.Stack()}
-		}
-	}()
-	out, err = fn(ctx, i)
+// protectUnit invokes one unit under Protect and stamps the submission
+// index on the *UnitError of a failure.
+func protectUnit[T any](ctx context.Context, i int, fn func(context.Context, int) (T, error)) (T, error) {
+	out, err := Protect("", func() (T, error) { return fn(ctx, i) })
 	if err != nil {
+		// ue escapes to the heap; declared on the error path only, it
+		// costs a successful unit no allocation.
 		var ue *UnitError
 		if errors.As(err, &ue) {
 			ue.Index = i
-		} else {
-			err = &UnitError{Index: i, Err: err}
 		}
 	}
 	return out, err

@@ -238,6 +238,16 @@ func TestProtectAttachesKey(t *testing.T) {
 	}
 }
 
+// TestProtectUnitSuccessAllocatesNothing: the shield MapCtx puts around
+// every unit costs a successful unit no allocation.
+func TestProtectUnitSuccessAllocatesNothing(t *testing.T) {
+	ctx := context.Background()
+	unit := func(context.Context, int) (int, error) { return 1, nil }
+	if allocs := testing.AllocsPerRun(100, func() { protectUnit(ctx, 3, unit) }); allocs != 0 {
+		t.Errorf("a successful unit's shield allocated %.1f times; want 0", allocs)
+	}
+}
+
 // TestMapErrorStateDeterministicAcrossWorkers is the error-path
 // determinism contract: after an injected unit failure, completed-job
 // counts and cache contents are identical at any worker count. Units

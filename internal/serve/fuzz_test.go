@@ -35,11 +35,11 @@ func FuzzServeBodies(f *testing.F) {
 			post = append(bytes.Clone(body), bytes.Repeat([]byte(" "), maxSpecBody+1-len(body))...)
 		}
 		s := New(Config{
-			Cache:   runner.NewCache(),
-			Workers: 1,
-			Run: func(_ context.Context, sp scenario.Spec) (exp.SpecResult, error) {
+			Cache: runner.NewCache(),
+			Pool:  runner.NewPool(1),
+			Run: fake(func(_ context.Context, sp scenario.Spec) (exp.SpecResult, error) {
 				return fakeResult(sp), nil
-			},
+			}),
 		})
 		h := s.Handler()
 		var want scenario.Spec

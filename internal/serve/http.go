@@ -132,9 +132,6 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	case errors.Is(err, errDraining):
 		writeJSON(w, http.StatusServiceUnavailable, errorEnvelope{Key: key, Error: err.Error()})
 		return
-	case err != nil:
-		writeJSON(w, http.StatusInternalServerError, errorEnvelope{Key: key, Error: err.Error()})
-		return
 	}
 	if r.URL.Query().Get("wait") == "0" {
 		writeJSON(w, http.StatusAccepted, statusEnvelope{Key: fl.key, Status: flightState(fl)})

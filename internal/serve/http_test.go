@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"bbrnash/internal/exp"
+	"bbrnash/internal/runner"
 	"bbrnash/internal/scenario"
 )
 
@@ -47,10 +48,10 @@ func decodeBody[T any](t *testing.T, resp *http.Response) T {
 // it a third way through /result.
 func TestHTTPRunAndResult(t *testing.T) {
 	s := newFakeServer(t, Config{
-		Workers: 2,
-		Run: func(_ context.Context, sp scenario.Spec) (exp.SpecResult, error) {
+		Pool: runner.NewPool(2),
+		Run: fake(func(_ context.Context, sp scenario.Spec) (exp.SpecResult, error) {
 			return fakeResult(sp), nil
-		},
+		}),
 	})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -99,15 +100,15 @@ func TestHTTPRunAndResult(t *testing.T) {
 func TestHTTPAsyncSubmit(t *testing.T) {
 	release := make(chan struct{})
 	s := newFakeServer(t, Config{
-		Workers: 1,
-		Run: func(ctx context.Context, sp scenario.Spec) (exp.SpecResult, error) {
+		Pool: runner.NewPool(1),
+		Run: fake(func(ctx context.Context, sp scenario.Spec) (exp.SpecResult, error) {
 			select {
 			case <-release:
 			case <-ctx.Done():
 				return exp.SpecResult{}, ctx.Err()
 			}
 			return fakeResult(sp), nil
-		},
+		}),
 	})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -160,9 +161,9 @@ func TestHTTPShed(t *testing.T) {
 	release := make(chan struct{})
 	started := make(chan struct{}, 1)
 	s := newFakeServer(t, Config{
-		Workers:    1,
+		Pool:       runner.NewPool(1),
 		QueueDepth: 1,
-		Run: func(ctx context.Context, sp scenario.Spec) (exp.SpecResult, error) {
+		Run: fake(func(ctx context.Context, sp scenario.Spec) (exp.SpecResult, error) {
 			started <- struct{}{}
 			select {
 			case <-release:
@@ -170,7 +171,7 @@ func TestHTTPShed(t *testing.T) {
 				return exp.SpecResult{}, ctx.Err()
 			}
 			return fakeResult(sp), nil
-		},
+		}),
 	})
 	defer close(release)
 	ts := httptest.NewServer(s.Handler())
@@ -199,10 +200,10 @@ func TestHTTPShed(t *testing.T) {
 // rejected with 400/404 rather than admitted.
 func TestHTTPBadRequests(t *testing.T) {
 	s := newFakeServer(t, Config{
-		Workers: 1,
-		Run: func(_ context.Context, sp scenario.Spec) (exp.SpecResult, error) {
+		Pool: runner.NewPool(1),
+		Run: fake(func(_ context.Context, sp scenario.Spec) (exp.SpecResult, error) {
 			return fakeResult(sp), nil
-		},
+		}),
 	})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -251,10 +252,10 @@ func TestHTTPBadRequests(t *testing.T) {
 // rejects; trailing whitespace stays fine.
 func TestHTTPRejectsTrailingBytes(t *testing.T) {
 	s := newFakeServer(t, Config{
-		Workers: 1,
-		Run: func(_ context.Context, sp scenario.Spec) (exp.SpecResult, error) {
+		Pool: runner.NewPool(1),
+		Run: fake(func(_ context.Context, sp scenario.Spec) (exp.SpecResult, error) {
 			return fakeResult(sp), nil
-		},
+		}),
 	})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -288,10 +289,10 @@ func TestHTTPRejectsTrailingBytes(t *testing.T) {
 // drain, and /stats is a machine-readable snapshot with sane counters.
 func TestHTTPHealthReadyStats(t *testing.T) {
 	s := newFakeServer(t, Config{
-		Workers: 1,
-		Run: func(_ context.Context, sp scenario.Spec) (exp.SpecResult, error) {
+		Pool: runner.NewPool(1),
+		Run: fake(func(_ context.Context, sp scenario.Spec) (exp.SpecResult, error) {
 			return fakeResult(sp), nil
-		},
+		}),
 	})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -352,15 +353,15 @@ func TestHTTPHealthReadyStats(t *testing.T) {
 func TestHTTPWatch(t *testing.T) {
 	release := make(chan struct{})
 	s := newFakeServer(t, Config{
-		Workers: 1,
-		Run: func(ctx context.Context, sp scenario.Spec) (exp.SpecResult, error) {
+		Pool: runner.NewPool(1),
+		Run: fake(func(ctx context.Context, sp scenario.Spec) (exp.SpecResult, error) {
 			select {
 			case <-release:
 			case <-ctx.Done():
 				return exp.SpecResult{}, ctx.Err()
 			}
 			return fakeResult(sp), nil
-		},
+		}),
 	})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()

@@ -11,16 +11,15 @@
 //     submitter of that key waits on the same flight and receives the same
 //     bytes), and the runner's advisory store locks guarantee at most one
 //     process per cache/journal, so the discipline holds machine-wide.
-//   - Supervision: each worker goroutine runs under a supervisor that
-//     restarts it if a panic ever escapes the per-unit protection
-//     (exp.Run inside runner.MapCtx captures unit panics into typed
-//     errors first, so a poisoned scenario fails its own flight without
-//     taking a worker down — the restart path is the second line of
-//     defense, and both are counted in Stats).
+//   - One shield: every flight is one runner.MapCtx unit on the command's
+//     pool, and the unit calls Config.Run (exp.Run unless a test swaps it)
+//     inside runner.Protect. A flight that fails, panics or stalls becomes
+//     a *runner.UnitError naming its key (a panic also carries its stack)
+//     and fails only itself; the worker goes on to the next flight.
 //   - Admission control: the queue is bounded; a submission that finds it
 //     full is shed with HTTP 429 + Retry-After rather than queued into an
 //     OOM. Shedding is loud (Stats.Shed) and cheap, and clients retry.
-//   - Resilient execution: every flight runs through the runner's stall
+//   - Resilient execution: every flight runs through the pool's stall
 //     watchdog and seeded retry-with-backoff machinery, so a stalled
 //     simulation is cancelled, retried from its pre-derived seed, and —
 //     because every unit is a deterministic function of its key — a retry
@@ -38,8 +37,8 @@
 //     re-runnable.
 //
 // The degradation is observable: /stats reports queue depth, shed count,
-// dedup count, worker restarts, retry/stall counters, cache hit rate and
-// per-key latencies in machine-readable form.
+// dedup count, retry/stall counters, cache hit rate and per-key latencies
+// in machine-readable form.
 package serve
 
 import (
@@ -47,8 +46,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"runtime"
-	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -59,14 +56,6 @@ import (
 	"bbrnash/internal/scenario"
 	"bbrnash/internal/telemetry"
 )
-
-// RunFunc executes one scenario to completion. The default (Config.Run nil)
-// is the full cached+journaled+traced+audited pipeline under the runner's
-// watchdog/retry protection; tests substitute their own to count executions
-// or inject faults. A custom RunFunc is called without the per-unit panic
-// shield, so a panic in it kills the worker — which is exactly how the
-// supervision tests exercise worker restarts.
-type RunFunc func(ctx context.Context, sp scenario.Spec) (exp.SpecResult, error)
 
 // Config assembles a Server. Zero values select the documented defaults;
 // only Cache is required (use runner.NewCache for a purely in-memory
@@ -86,23 +75,25 @@ type Config struct {
 	// Audit, when set, validates every result — fresh or replayed — against
 	// the physical invariants; a violation fails the flight.
 	Audit *check.Auditor
-	// Workers bounds concurrent executions; <= 0 selects GOMAXPROCS.
-	Workers int
+	// Pool runs the flights: its Workers() is the number of concurrent
+	// executions, and its stall watchdog and retry settings apply to every
+	// flight. Nil selects runner.NewPool(0): GOMAXPROCS workers, no
+	// watchdog, no retries.
+	Pool *runner.Pool
 	// QueueDepth bounds the submission queue; <= 0 selects 256. A full
 	// queue sheds with 429.
 	QueueDepth int
-	// Watchdog arms the per-attempt stall watchdog (0 = off).
-	Watchdog time.Duration
-	// Retries re-runs stalled or transiently failed attempts from their
-	// pre-derived seeds, with exponential Backoff (default 1s base).
-	Retries int
-	Backoff time.Duration
 	// RequestTimeout bounds how long one HTTP request waits for its flight
 	// before returning 202/504 (the flight keeps running; poll /result).
 	// <= 0 selects 2 minutes.
 	RequestTimeout time.Duration
-	// Run substitutes the execution pipeline; see RunFunc.
-	Run RunFunc
+	// Run executes one flight's spec through the server's stores; nil
+	// selects exp.Run. Tests substitute it to count executions or inject
+	// faults; a substitute runs under the same pool, panic shield and
+	// strict-audit check as exp.Run. Like exp.Run it must memoize a result
+	// in env.Cache, which answers the submissions that arrive after the
+	// flight closes.
+	Run func(ctx context.Context, sp scenario.Spec, env exp.Env) (exp.SpecResult, bool, error)
 }
 
 // flight states, for progress streaming.
@@ -138,7 +129,7 @@ const recentLatencies = 32
 // http.Server, and Drain on shutdown.
 type Server struct {
 	cfg   Config
-	pool  *runner.Pool
+	env   exp.Env // the stores every flight runs through
 	queue chan *flight
 
 	mu      sync.Mutex
@@ -158,7 +149,6 @@ type Server struct {
 	completed atomic.Int64
 	failed    atomic.Int64
 	shed      atomic.Int64
-	restarts  atomic.Int64
 
 	latMu    sync.Mutex
 	latCount int64
@@ -173,25 +163,26 @@ var (
 	errDraining  = errors.New("serve: server is draining")
 )
 
-// New builds the server and starts its supervised worker pool. The caller
-// owns the cache and journal lifecycles (persist the cache after Drain).
+// New builds the server and starts one worker goroutine per pool worker.
+// The caller owns the cache and journal lifecycles (persist the cache after
+// Drain).
 func New(cfg Config) *Server {
-	if cfg.Workers <= 0 {
-		cfg.Workers = runtime.GOMAXPROCS(0)
+	if cfg.Pool == nil {
+		cfg.Pool = runner.NewPool(0)
 	}
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 256
 	}
-	if cfg.Backoff <= 0 {
-		cfg.Backoff = time.Second
-	}
 	if cfg.RequestTimeout <= 0 {
 		cfg.RequestTimeout = 2 * time.Minute
+	}
+	if cfg.Run == nil {
+		cfg.Run = exp.Run
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
 		cfg:        cfg,
-		pool:       runner.NewPool(1).SetWatchdog(cfg.Watchdog).SetRetry(cfg.Retries, cfg.Backoff),
+		env:        exp.Env{Cache: cfg.Cache, Journal: cfg.Journal, Audit: cfg.Audit, Trace: cfg.Recorder},
 		queue:      make(chan *flight, cfg.QueueDepth),
 		flights:    make(map[string]*flight),
 		baseCtx:    ctx,
@@ -199,9 +190,10 @@ func New(cfg Config) *Server {
 		drain:      make(chan struct{}),
 		started:    time.Now(),
 	}
-	s.wg.Add(cfg.Workers)
-	for i := 0; i < cfg.Workers; i++ {
-		go s.superviseWorker()
+	workers := cfg.Pool.Workers()
+	s.wg.Add(workers)
+	for i := 0; i < workers; i++ {
+		go s.work()
 	}
 	return s
 }
@@ -255,82 +247,44 @@ func (s *Server) lookup(key string) (*flight, bool) {
 	return fl, ok
 }
 
-// superviseWorker keeps one worker slot alive: if the loop dies to an
-// escaped panic it is restarted (counted in Stats.WorkerRestarts) until the
-// server drains.
-func (s *Server) superviseWorker() {
+// work executes flights until drain.
+func (s *Server) work() {
 	defer s.wg.Done()
-	for {
-		if s.workerLoop() {
-			return
-		}
-		s.restarts.Add(1)
-	}
-}
-
-// workerLoop executes flights until drain; it reports false when an escaped
-// panic killed it (the supervisor restarts it). The dying worker fails its
-// current flight first so no waiter hangs on a closed-over goroutine.
-func (s *Server) workerLoop() (clean bool) {
-	var current *flight
-	defer func() {
-		if r := recover(); r != nil {
-			if current != nil {
-				s.finish(current, nil, &runner.UnitError{Key: current.key, Recovered: r, Stack: debug.Stack()})
-			}
-		}
-	}()
 	for {
 		select {
 		case <-s.drain:
-			return true
+			return
 		case fl := <-s.queue:
-			current = fl
 			s.execute(fl)
-			current = nil
 		}
 	}
 }
 
 // execute runs one flight to completion and answers its waiters. The
-// default pipeline goes through runner.MapCtx + exp.Run, so a panicking or
-// stalling unit becomes a typed error (retried when transient) instead of
-// a dead worker; a custom Config.Run is called bare — see RunFunc.
+// flight is one runner.MapCtx unit on the pool, so the watchdog and retries
+// apply, and Config.Run runs inside runner.Protect: a failure or a panic —
+// and, under -strict, an audit violation — comes back as a
+// *runner.UnitError naming the flight's key, and fails only this flight.
 func (s *Server) execute(fl *flight) {
 	fl.state.Store(flightRunning)
-	var res exp.SpecResult
-	var err error
-	if s.cfg.Run != nil {
-		res, err = s.cfg.Run(s.baseCtx, fl.spec)
-		if err == nil {
-			// A custom pipeline bypasses exp.Run, so memoize here:
-			// submissions arriving after this flight closes must answer from
-			// the cache just as they do on the default path.
-			s.cfg.Cache.Put(fl.key, res)
-		}
-	} else {
-		var out []exp.SpecResult
-		env := exp.Env{Cache: s.cfg.Cache, Journal: s.cfg.Journal, Audit: s.cfg.Audit, Trace: s.cfg.Recorder}
-		out, err = runner.MapCtx(s.baseCtx, s.pool, 1, func(ctx context.Context, _ int) (exp.SpecResult, error) {
-			r, _, err := exp.Run(ctx, fl.spec, env)
-			if err == nil && s.cfg.Audit != nil {
+	out, err := runner.MapCtx(s.baseCtx, s.cfg.Pool, 1, func(ctx context.Context, _ int) (exp.SpecResult, error) {
+		return runner.Protect(fl.key, func() (exp.SpecResult, error) {
+			res, _, err := s.cfg.Run(ctx, fl.spec, s.env)
+			if err == nil {
 				if vs := s.cfg.Audit.ViolationsFor(fl.key); len(vs) > 0 {
-					err = &runner.UnitError{Key: fl.key, Err: fmt.Errorf("serve: strict audit: %s", vs[0])}
+					err = fmt.Errorf("serve: strict audit: %s", vs[0])
 				}
 			}
-			return r, err
+			return res, err
 		})
-		if err == nil {
-			res = out[0]
-		}
-	}
+	})
 	if err != nil {
 		s.finish(fl, nil, err)
 		return
 	}
-	raw, merr := json.Marshal(res)
-	if merr != nil {
-		s.finish(fl, nil, fmt.Errorf("serve: encoding result for %s: %w", fl.key, merr))
+	raw, err := json.Marshal(out[0])
+	if err != nil {
+		s.finish(fl, nil, fmt.Errorf("serve: encoding result for %s: %w", fl.key, err))
 		return
 	}
 	s.finish(fl, raw, nil)
@@ -412,7 +366,7 @@ func (s *Server) Drain(ctx context.Context) error {
 }
 
 // Stats is the /stats payload: one machine-readable snapshot of the
-// service's load, shedding, supervision and store effectiveness.
+// service's load, shedding, flight outcomes and store effectiveness.
 type Stats struct {
 	UptimeNS      int64 `json:"uptime_ns"`
 	Workers       int   `json:"workers"`
@@ -426,10 +380,9 @@ type Stats struct {
 	Deduped  int64 `json:"deduped"`
 	Instant  int64 `json:"instant"`
 	Shed     int64 `json:"shed"`
-	// Flight outcomes and supervision.
-	Completed      int64 `json:"completed"`
-	Failed         int64 `json:"failed"`
-	WorkerRestarts int64 `json:"worker_restarts"`
+	// Flight outcomes.
+	Completed int64 `json:"completed"`
+	Failed    int64 `json:"failed"`
 	// Resilience counters from the execution pool.
 	Retries int64 `json:"retries"`
 	Stalls  int64 `json:"stalls"`
@@ -453,26 +406,25 @@ func (s *Server) Stats() Stats {
 	inFlight := len(s.flights)
 	s.mu.Unlock()
 	st := Stats{
-		UptimeNS:       int64(time.Since(s.started)),
-		Workers:        s.cfg.Workers,
-		QueueDepth:     len(s.queue),
-		QueueCapacity:  cap(s.queue),
-		InFlight:       inFlight,
-		Draining:       s.Draining(),
-		Enqueued:       s.enqueued.Load(),
-		Deduped:        s.deduped.Load(),
-		Instant:        s.instant.Load(),
-		Shed:           s.shed.Load(),
-		Completed:      s.completed.Load(),
-		Failed:         s.failed.Load(),
-		WorkerRestarts: s.restarts.Load(),
-		Retries:        s.pool.Retries(),
-		Stalls:         s.pool.Stalls(),
-		CacheHits:      s.cfg.Cache.Hits(),
-		CacheMisses:    s.cfg.Cache.Misses(),
-		CacheHitRate:   s.cfg.Cache.HitRate(),
-		JournalHits:    s.cfg.Journal.Hits(),
-		JournalLen:     s.cfg.Journal.Len(),
+		UptimeNS:      int64(time.Since(s.started)),
+		Workers:       s.cfg.Pool.Workers(),
+		QueueDepth:    len(s.queue),
+		QueueCapacity: cap(s.queue),
+		InFlight:      inFlight,
+		Draining:      s.Draining(),
+		Enqueued:      s.enqueued.Load(),
+		Deduped:       s.deduped.Load(),
+		Instant:       s.instant.Load(),
+		Shed:          s.shed.Load(),
+		Completed:     s.completed.Load(),
+		Failed:        s.failed.Load(),
+		Retries:       s.cfg.Pool.Retries(),
+		Stalls:        s.cfg.Pool.Stalls(),
+		CacheHits:     s.cfg.Cache.Hits(),
+		CacheMisses:   s.cfg.Cache.Misses(),
+		CacheHitRate:  s.cfg.Cache.HitRate(),
+		JournalHits:   s.cfg.Journal.Hits(),
+		JournalLen:    s.cfg.Journal.Len(),
 	}
 	s.latMu.Lock()
 	st.LatencyCount = s.latCount
@@ -484,6 +436,3 @@ func (s *Server) Stats() Stats {
 	s.latMu.Unlock()
 	return st
 }
-
-// Pool exposes the execution pool for exit reports (telemetry.Collect).
-func (s *Server) Pool() *runner.Pool { return s.pool }

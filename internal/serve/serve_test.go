@@ -6,12 +6,15 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"bbrnash/internal/check"
 	"bbrnash/internal/exp"
 	"bbrnash/internal/netsim"
 	"bbrnash/internal/runner"
@@ -35,8 +38,20 @@ func fakeResult(sp scenario.Spec) exp.SpecResult {
 	return exp.SpecResult{Link: netsim.LinkStats{Name: "fake", Drops: int(sp.Seed)}}
 }
 
+// fake adapts a test's run function to Config.Run. Like exp.Run, it
+// memoizes a successful result in env.Cache under the spec's key.
+func fake(run func(ctx context.Context, sp scenario.Spec) (exp.SpecResult, error)) func(context.Context, scenario.Spec, exp.Env) (exp.SpecResult, bool, error) {
+	return func(ctx context.Context, sp scenario.Spec, env exp.Env) (exp.SpecResult, bool, error) {
+		res, err := run(ctx, sp)
+		if err == nil {
+			env.Cache.Put(sp.Key(), res)
+		}
+		return res, false, err
+	}
+}
+
 // newFakeServer builds a server over an in-memory cache with a
-// caller-supplied RunFunc, and registers Drain as cleanup.
+// caller-supplied Config.Run, and registers Drain as cleanup.
 func newFakeServer(t *testing.T, cfg Config) *Server {
 	t.Helper()
 	if cfg.Cache == nil {
@@ -59,12 +74,12 @@ func TestSubmitDedupSingleExecution(t *testing.T) {
 	var runs atomic.Int64
 	release := make(chan struct{})
 	s := newFakeServer(t, Config{
-		Workers: 4,
-		Run: func(_ context.Context, sp scenario.Spec) (exp.SpecResult, error) {
+		Pool: runner.NewPool(4),
+		Run: fake(func(_ context.Context, sp scenario.Spec) (exp.SpecResult, error) {
 			runs.Add(1)
 			<-release // hold the flight open until every submitter has joined
 			return fakeResult(sp), nil
-		},
+		}),
 	})
 	sp := testSpec(7)
 
@@ -127,13 +142,13 @@ func TestLoadShedNoLossNoDuplication(t *testing.T) {
 	)
 	var execs [keys]atomic.Int64
 	s := newFakeServer(t, Config{
-		Workers:    8,
+		Pool:       runner.NewPool(8),
 		QueueDepth: 16, // small on purpose: overload must shed, not queue
-		Run: func(_ context.Context, sp scenario.Spec) (exp.SpecResult, error) {
+		Run: fake(func(_ context.Context, sp scenario.Spec) (exp.SpecResult, error) {
 			execs[sp.Seed-1].Add(1)
 			time.Sleep(time.Millisecond)
 			return fakeResult(sp), nil
-		},
+		}),
 	})
 
 	var wg sync.WaitGroup
@@ -205,22 +220,23 @@ func TestLoadShedNoLossNoDuplication(t *testing.T) {
 	}
 }
 
-// TestWorkerPanicSupervision: a panic that escapes the per-unit shield (a
-// custom RunFunc panics) fails only its own flight — typed, with the stack
-// — and the supervisor restarts the worker, so the service keeps serving.
+// TestWorkerPanicSupervision: a panicking run fails only its own flight —
+// a *runner.UnitError that names the flight's key and carries the stack —
+// and the worker goes on to the next flight.
 func TestWorkerPanicSupervision(t *testing.T) {
 	const poisoned = 666
 	s := newFakeServer(t, Config{
-		Workers: 2,
-		Run: func(_ context.Context, sp scenario.Spec) (exp.SpecResult, error) {
+		Pool: runner.NewPool(1),
+		Run: fake(func(_ context.Context, sp scenario.Spec) (exp.SpecResult, error) {
 			if sp.Seed == poisoned {
 				panic("poisoned scenario")
 			}
 			return fakeResult(sp), nil
-		},
+		}),
 	})
 
-	_, _, fl, err := s.submit(testSpec(poisoned))
+	bad := testSpec(poisoned)
+	_, _, fl, err := s.submit(bad)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,12 +245,15 @@ func TestWorkerPanicSupervision(t *testing.T) {
 	if !errors.As(fl.err, &ue) || ue.Recovered == nil {
 		t.Fatalf("poisoned flight err = %v, want UnitError with recovered panic", fl.err)
 	}
+	if ue.Key != bad.Key() {
+		t.Errorf("poisoned flight names key %q, want %q", ue.Key, bad.Key())
+	}
 	if len(ue.Stack) == 0 {
 		t.Error("panic stack not captured")
 	}
 
-	// The service is still alive: a healthy spec completes on the restarted
-	// worker.
+	// The service is still alive: a healthy spec completes on the same
+	// (only) worker.
 	_, raw, fl, err := s.submit(testSpec(1))
 	if err != nil {
 		t.Fatal(err)
@@ -242,11 +261,115 @@ func TestWorkerPanicSupervision(t *testing.T) {
 	if raw == nil {
 		<-fl.done
 		if fl.err != nil {
-			t.Fatalf("healthy flight after restart: %v", fl.err)
+			t.Fatalf("healthy flight after the panic: %v", fl.err)
 		}
 	}
-	if n := s.Stats().WorkerRestarts; n < 1 {
-		t.Errorf("worker restarts = %d, want >= 1", n)
+	if st := s.Stats(); st.Failed != 1 || st.Completed != 1 {
+		t.Errorf("failed/completed = %d/%d, want 1/1", st.Failed, st.Completed)
+	}
+}
+
+// TestStrictAuditFailsFlight: a run whose result the auditor flagged
+// fails its flight with "runner: unit 0 (<key>): serve: strict audit: …",
+// the error clients read, and leaves the worker serving.
+func TestStrictAuditFailsFlight(t *testing.T) {
+	audit := check.New()
+	bad := testSpec(13)
+	s := newFakeServer(t, Config{
+		Pool:  runner.NewPool(1),
+		Audit: audit,
+		Run: fake(func(_ context.Context, sp scenario.Spec) (exp.SpecResult, error) {
+			if sp.Seed == bad.Seed {
+				audit.Record(check.Violation{Key: sp.Key(), Invariant: "conservation", Detail: "made up"})
+			}
+			return fakeResult(sp), nil
+		}),
+	})
+	_, _, fl, err := s.submit(bad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-fl.done
+	want := fmt.Sprintf("runner: unit 0 (%s): serve: strict audit: conservation: made up [%s]", bad.Key(), bad.Key())
+	if fl.err == nil || fl.err.Error() != want {
+		t.Fatalf("audited flight err = %v, want %s", fl.err, want)
+	}
+	_, _, fl, err = s.submit(testSpec(14))
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-fl.done
+	if fl.err != nil {
+		t.Errorf("clean flight after an audit failure: %v", fl.err)
+	}
+}
+
+// TestPoolWatchdogStallsFlight: the pool passed in Config arms its stall
+// watchdog on every flight. A run that makes no progress is cancelled and
+// fails its flight with a *runner.StallError inside a *runner.UnitError
+// that names the key, and the pool counts the stall.
+func TestPoolWatchdogStallsFlight(t *testing.T) {
+	pool := runner.NewPool(1).SetWatchdog(50 * time.Millisecond)
+	s := newFakeServer(t, Config{
+		Pool: pool,
+		Run: fake(func(ctx context.Context, _ scenario.Spec) (exp.SpecResult, error) {
+			<-ctx.Done()
+			return exp.SpecResult{}, ctx.Err()
+		}),
+	})
+	sp := testSpec(1)
+	_, _, fl, err := s.submit(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-fl.done
+	var ue *runner.UnitError
+	var st *runner.StallError
+	if !errors.As(fl.err, &ue) || !errors.As(fl.err, &st) {
+		t.Fatalf("stalled flight err = %v, want a StallError inside a UnitError", fl.err)
+	}
+	if ue.Key != sp.Key() {
+		t.Errorf("stalled flight names key %q, want %q", ue.Key, sp.Key())
+	}
+	stats := s.Stats()
+	if stats.Stalls != 1 || stats.Failed != 1 {
+		t.Errorf("stalls/failed = %d/%d, want 1/1", stats.Stalls, stats.Failed)
+	}
+	if stats.Workers != pool.Workers() {
+		t.Errorf("stats workers = %d, want the pool's %d", stats.Workers, pool.Workers())
+	}
+}
+
+// TestPoolRetryRecoversStalledFlight: with retries on the passed pool, a
+// run that stalls only on its first attempt is retried, and the flight
+// answers 200 with the run's bytes.
+func TestPoolRetryRecoversStalledFlight(t *testing.T) {
+	var attempts atomic.Int64
+	s := newFakeServer(t, Config{
+		Pool: runner.NewPool(2).SetWatchdog(50*time.Millisecond).SetRetry(1, time.Millisecond),
+		Run: fake(func(ctx context.Context, sp scenario.Spec) (exp.SpecResult, error) {
+			if attempts.Add(1) == 1 {
+				<-ctx.Done()
+				return exp.SpecResult{}, ctx.Err()
+			}
+			return fakeResult(sp), nil
+		}),
+	})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	sp := testSpec(2)
+	resp := postSpec(t, ts, sp, "")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("retried flight status = %d, want 200", resp.StatusCode)
+	}
+	env := decodeBody[resultEnvelope](t, resp)
+	want, _ := json.Marshal(fakeResult(sp))
+	if !bytes.Equal(env.Result, want) {
+		t.Errorf("retried flight result = %s, want %s", env.Result, want)
+	}
+	st := s.Stats()
+	if st.Retries != 1 || st.Stalls != 1 || st.Workers != 2 {
+		t.Errorf("retries/stalls/workers = %d/%d/%d, want 1/1/2", st.Retries, st.Stalls, st.Workers)
 	}
 }
 
@@ -257,13 +380,13 @@ func TestDrainSemantics(t *testing.T) {
 	release := make(chan struct{})
 	started := make(chan struct{}, 1)
 	s := New(Config{
-		Cache:   runner.NewCache(),
-		Workers: 1,
-		Run: func(_ context.Context, sp scenario.Spec) (exp.SpecResult, error) {
+		Cache: runner.NewCache(),
+		Pool:  runner.NewPool(1),
+		Run: fake(func(_ context.Context, sp scenario.Spec) (exp.SpecResult, error) {
 			started <- struct{}{}
 			<-release
 			return fakeResult(sp), nil
-		},
+		}),
 	})
 
 	_, _, running, err := s.submit(testSpec(1))
@@ -320,13 +443,13 @@ func TestDrainSemantics(t *testing.T) {
 func TestDrainDeadlineCancelsInFlight(t *testing.T) {
 	started := make(chan struct{}, 1)
 	s := New(Config{
-		Cache:   runner.NewCache(),
-		Workers: 1,
-		Run: func(ctx context.Context, _ scenario.Spec) (exp.SpecResult, error) {
+		Cache: runner.NewCache(),
+		Pool:  runner.NewPool(1),
+		Run: fake(func(ctx context.Context, _ scenario.Spec) (exp.SpecResult, error) {
 			started <- struct{}{}
 			<-ctx.Done() // a run that only a hard cancel can stop
 			return exp.SpecResult{}, ctx.Err()
-		},
+		}),
 	})
 	_, _, fl, err := s.submit(testSpec(1))
 	if err != nil {
@@ -370,7 +493,7 @@ func TestJournalReplayByteIdentity(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer journal.Close()
-		s := New(Config{Cache: cache, Journal: journal, Workers: 1})
+		s := New(Config{Cache: cache, Journal: journal, Pool: runner.NewPool(1)})
 		defer func() {
 			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 			defer cancel()
@@ -416,13 +539,13 @@ func TestJournalReplayByteIdentity(t *testing.T) {
 func TestFailedFlightIsRerunnable(t *testing.T) {
 	var calls atomic.Int64
 	s := newFakeServer(t, Config{
-		Workers: 1,
-		Run: func(_ context.Context, sp scenario.Spec) (exp.SpecResult, error) {
+		Pool: runner.NewPool(1),
+		Run: fake(func(_ context.Context, sp scenario.Spec) (exp.SpecResult, error) {
 			if calls.Add(1) == 1 {
 				return exp.SpecResult{}, errors.New("transient outage")
 			}
 			return fakeResult(sp), nil
-		},
+		}),
 	})
 	sp := testSpec(5)
 	_, _, fl, err := s.submit(sp)

@@ -73,15 +73,16 @@ func Collect(command, outcome string, wall time.Duration, pool *runner.Pool, cac
 	return rep
 }
 
-// Write persists the report as indented JSON, atomically, so a report file
-// is always either the previous run's or this one's — never a torn mix.
+// Write persists the report as indented JSON with runner.WriteFileAtomic,
+// so a report file is always either the previous run's or this one's —
+// never a torn mix.
 func (rep Report) Write(path string) error {
 	data, err := json.MarshalIndent(rep, "", "\t")
 	if err != nil {
 		return fmt.Errorf("telemetry: encoding report: %w", err)
 	}
 	data = append(data, '\n')
-	if err := writeFileAtomic(path, data); err != nil {
+	if err := runner.WriteFileAtomic(path, data); err != nil {
 		return fmt.Errorf("telemetry: writing report: %w", err)
 	}
 	return nil

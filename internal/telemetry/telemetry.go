@@ -31,6 +31,7 @@ import (
 
 	"bbrnash/internal/eventsim"
 	"bbrnash/internal/netsim"
+	"bbrnash/internal/runner"
 	"bbrnash/internal/scenario"
 	"bbrnash/internal/units"
 )
@@ -201,11 +202,14 @@ func (r *Recorder) Attach(n *netsim.Network, sp scenario.Spec) *Capture {
 }
 
 // Finish detaches the capture's samplers and writes the trace files for
-// key, atomically (temp file + rename), so a process killed mid-write never
-// leaves a partial trace under the trace-* name. A key already traced by
-// this recorder is skipped — the bytes would be identical. Write failures
-// are returned: a trace the operator asked for that cannot persist must not
-// fail silently. Nil-safe; an empty key detaches without writing.
+// key with runner.WriteFileAtomic: neither a process killed mid-write nor a
+// power loss leaves a partial trace under the trace-* name, and the trace
+// is on disk before the journal record exp.Run writes after it, so a
+// resumed sweep never skips a unit whose trace was lost. A key already
+// traced by this recorder is skipped — the bytes would be identical. Write
+// failures are returned: a trace the operator asked for that cannot
+// persist must not fail silently. Nil-safe; an empty key detaches without
+// writing.
 func (c *Capture) Finish(key string) error {
 	if c == nil {
 		return nil
@@ -229,10 +233,10 @@ func (c *Capture) Finish(key string) error {
 	r.mu.Unlock()
 
 	jsonlPath, csvPath := TracePaths(r.dir, key)
-	if err := writeFileAtomic(jsonlPath, c.encodeJSONL(key)); err != nil {
+	if err := runner.WriteFileAtomic(jsonlPath, c.encodeJSONL(key)); err != nil {
 		return fmt.Errorf("telemetry: writing trace: %w", err)
 	}
-	if err := writeFileAtomic(csvPath, c.encodeCSV()); err != nil {
+	if err := runner.WriteFileAtomic(csvPath, c.encodeCSV()); err != nil {
 		return fmt.Errorf("telemetry: writing trace CSV: %w", err)
 	}
 	r.files.Add(1)
@@ -409,35 +413,4 @@ func (c *Capture) encodeCSV() []byte {
 		}
 	}
 	return buf
-}
-
-// writeFileAtomic writes data to path via a temp file and rename. The temp
-// name starts with ".tmp-" so a leftover from a killed process never
-// matches the trace-* glob tools and tests scan; mode 0644 keeps traces
-// readable across users and CI steps.
-func writeFileAtomic(path string, data []byte) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".tmp-trace-*")
-	if err != nil {
-		return err
-	}
-	if err := tmp.Chmod(0o644); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return nil
 }

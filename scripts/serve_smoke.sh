@@ -5,8 +5,8 @@
 # answers byte-identically to an uninterrupted reference server — including
 # trace files. Also proves the advisory store lock (a second server on the
 # same store fails loudly), overload shedding (429 + Retry-After from a
-# saturated queue), graceful SIGTERM drain (cache and CPU profile
-# persisted), and the machine-readable /stats surface.
+# saturated queue), graceful SIGTERM drain (cache, CPU profile and run
+# report persisted), and the machine-readable /stats surface.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -96,9 +96,10 @@ fi
 
 # kill -9 ran no cleanup, yet the restart must succeed (the kernel released
 # the advisory lock with the process) and replay the journal.
-# -cpuprofile: Phase 4 checks the SIGTERM drain flushes the profile.
+# -cpuprofile and -report: Phase 4 checks the SIGTERM drain flushes the
+# profile and writes a report that reads the pool the flights ran on.
 start_server "$tmp/restart.log" -cache "$store/cache.json" -resume "$store/journal.jsonl" -trace "$tmp/trace-chaos" -workers 2 \
-    -cpuprofile "$tmp/restart.prof"
+    -cpuprofile "$tmp/restart.prof" -report "$tmp/restart-report.json"
 re_addr=$SRV_ADDR; re_pid=$SRV_PID
 grep -q "replayed journal" "$tmp/restart.log" || true
 for i in $(seq 1 "$nspecs"); do
@@ -115,7 +116,7 @@ if [ "${hits:-0}" -eq 0 ]; then
     echo "serve smoke: FAILED — restarted server never hit the journal: $stats" >&2
     exit 1
 fi
-for field in queue_depth shed worker_restarts cache_hit_rate latency_count; do
+for field in queue_depth shed workers cache_hit_rate latency_count; do
     printf '%s' "$stats" | grep -q "\"$field\"" || {
         echo "serve smoke: FAILED — /stats missing \"$field\": $stats" >&2
         exit 1
@@ -172,7 +173,12 @@ if ! [ -s "$tmp/restart.prof" ]; then
     echo "serve smoke: FAILED — SIGTERM drain left no -cpuprofile profile" >&2
     exit 1
 fi
-echo "serve smoke: SIGTERM drained and persisted the cache and the CPU profile"
+if ! grep -q '"workers": 2,' "$tmp/restart-report.json" 2>/dev/null; then
+    echo "serve smoke: FAILED — the -workers 2 server's -report does not say \"workers\": 2:" >&2
+    cat "$tmp/restart-report.json" >&2 || true
+    exit 1
+fi
+echo "serve smoke: SIGTERM drained and persisted the cache, the CPU profile and a 2-worker report"
 
 # --- Phase 5: overload sheds with 429 ----------------------------------------
 start_server "$tmp/shed.log" -workers 1 -queue 1
