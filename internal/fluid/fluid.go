@@ -94,17 +94,17 @@ func stepFor(sp scenario.Spec) float64 {
 type kind uint8
 
 const (
-	kindNone  kind = iota // an empty group of an algorithm with no fluid form
-	kindBBR               // rate-based: inflight pinned to 2·btlbw·rttEst
+	kindBBR   kind = iota // rate-based: inflight pinned to 2·btlbw·rttEst
 	kindCubic             // loss-based, cube-root growth
 	kindReno              // loss-based, one segment per RTT
 )
 
-// group is the aggregate state of one spec group: Count identical flows
-// integrated as one fluid class.
+// group is the aggregate state of one non-empty spec group: Count
+// identical flows integrated as one fluid class.
 type group struct {
 	alg   string
 	kind  kind
+	idx   int32 // the group's spec index; an int32 fits kind's padding, so a group does not grow
 	count float64
 	rtt   float64 // base RTT τ, seconds
 	start float64 // activation time, seconds
@@ -243,7 +243,7 @@ func lower(acc *float64, x float64) {
 // with Stats; a Model is single-goroutine like netsim.Network.
 type Model struct {
 	sp     scenario.Spec
-	groups []group
+	groups []group // the spec's non-empty groups, in spec order
 
 	stp      float64 // integration step, seconds
 	step     int64   // whole steps completed; model time is step·stp
@@ -259,9 +259,8 @@ type Model struct {
 
 	// What New settles for the whole run, so the step need not re-test it:
 	// whether the bottleneck's capacity flaps (see cEffAt), and activeFrom,
-	// the first instant at which every group is non-empty and has started
-	// (+Inf while some group is empty). From activeFrom on, the step's
-	// group loops skip their count and start tests.
+	// the latest group start. From activeFrom on, every group has started
+	// and the step's group loops skip their start tests.
 	flaps      bool
 	activeFrom float64
 
@@ -269,7 +268,6 @@ type Model struct {
 	qIntAcc, qMaxSeen   float64 // ∫q dt, max q
 	delayAcc, delayMax  float64 // ∫(q/cEff) dt, max q/cEff
 	deliveredTotal      float64 // bytes through the bottleneck
-	capIntAcc           float64 // ∫cEff dt (mean-capacity bookkeeping)
 	overflowPkts        float64 // drop-tail loss, packets (fractional)
 	injectedBytes       float64 // stochastic fault loss, bytes
 	burstPkts           int     // burst-episode loss, packets
@@ -353,6 +351,10 @@ func pathContains(path []string, name string) bool {
 // running as something else). A multi-link topology must reduce to one
 // shared bottleneck (see reduceTopology); anything genuinely
 // multi-bottleneck is rejected loudly in favor of the packet backend.
+//
+// The model keeps only the non-empty groups. An empty group would add +0
+// to the step's sums, which start at +0 and never go negative, so leaving
+// it out changes no bit; its own accumulators would never be reported.
 func New(sp scenario.Spec) (*Model, error) {
 	sp = sp.WithDefaults()
 	if err := sp.ValidateTopology(); err != nil {
@@ -376,10 +378,13 @@ func New(sp scenario.Spec) (*Model, error) {
 	m.flaps = bl.Faults.FlapDepth > 0 && bl.Faults.FlapPeriod > 0
 	total := float64(sp.TotalFlows())
 	share := m.capBytes / total // fair-share bytes/s per flow
-	m.groups = make([]group, len(sp.Groups))
+	m.groups = make([]group, 0, len(sp.Groups))
 	for i, sg := range sp.Groups {
-		g := &m.groups[i]
-		*g = group{
+		if sg.Count == 0 {
+			continue
+		}
+		g := group{
+			idx:    int32(i),
 			alg:    sg.Algorithm,
 			count:  float64(sg.Count),
 			rtt:    sg.RTT.Seconds(),
@@ -388,11 +393,7 @@ func New(sp scenario.Spec) (*Model, error) {
 			qMin:   math.Inf(1),
 			winMin: math.Inf(1),
 		}
-		if sg.Count == 0 {
-			m.activeFrom = math.Inf(1)
-		} else if g.start > m.activeFrom {
-			m.activeFrom = g.start
-		}
+		m.activeFrom = max(m.activeFrom, g.start)
 		g.countGain = g.count * cwndGain
 		g.probeBytes = g.count * probeRTTCwnd * m.mss
 		g.countDt = g.count * m.stp
@@ -415,10 +416,9 @@ func New(sp scenario.Spec) (*Model, error) {
 			g.epoch = g.start
 			g.lastBackoff = g.start
 		default:
-			if sg.Count > 0 {
-				return nil, fmt.Errorf("fluid: group %d: no fluid model for algorithm %q (want bbr, cubic or reno)", i, sg.Algorithm)
-			}
+			return nil, fmt.Errorf("fluid: group %d: no fluid model for algorithm %q (want bbr, cubic or reno)", i, sg.Algorithm)
 		}
+		m.groups = append(m.groups, g)
 	}
 	return m, nil
 }
@@ -474,10 +474,9 @@ func (m *Model) advance() {
 	if m.flaps {
 		cEff = m.cEffAt(t)
 	}
-	m.capIntAcc += cEff * dt
 	groups := m.groups
-	// Every group is non-empty and has started: t ≥ activeFrom, the
-	// latest start, implies t ≥ each group's start.
+	// Every group has started: t ≥ activeFrom, the latest start, implies
+	// t ≥ each group's start.
 	all := t >= m.activeFrom
 
 	// The queue at the step's start is the last step's end total, summed
@@ -498,7 +497,7 @@ func (m *Model) advance() {
 		rttMax := 0.0
 		for i := range groups {
 			g := &groups[i]
-			if g.kind == kindBBR && (all || g.count > 0 && t >= g.start) {
+			if g.kind == kindBBR && (all || t >= g.start) {
 				rttMax = max(rttMax, g.rtt+qDelay)
 			}
 		}
@@ -513,7 +512,7 @@ func (m *Model) advance() {
 	for i := range groups {
 		g := &groups[i]
 		a := 0.0
-		if all || g.count > 0 && t >= g.start {
+		if all || t >= g.start {
 			rttNow := g.rtt + qDelay
 			switch {
 			case g.kind == kindBBR && m.probing:
@@ -560,9 +559,7 @@ func (m *Model) advance() {
 			g.in -= lost
 			m.injectedBytes += lost
 			g.dropped += lost
-			if g.count > 0 {
-				g.lossAcc += lost / g.count
-			}
+			g.lossAcc += lost / g.count
 		}
 		inflowTotal *= 1 - f.LossRate
 	}
@@ -621,7 +618,7 @@ func (m *Model) advance() {
 	probeEnded := m.wasProbing && !m.probing
 	for i := range groups {
 		g := &groups[i]
-		if !all && (g.count == 0 || t < g.start) {
+		if !all && t < g.start {
 			continue
 		}
 		if g.kind == kindBBR {
@@ -657,17 +654,15 @@ func (m *Model) advance() {
 
 // Stats reports per-flow statistics in spec group order plus the link's,
 // in exactly netsim's shapes and naming (flow i of group gi is
-// "g<gi>.<alg><i>"), so exp.SpecResult is backend-agnostic. Flows within a
-// group are identical by construction — the fluid class integrates them as
-// one — so each reports the group aggregate divided by count.
+// "g<gi>.<alg><i>", and an empty group's slot is empty), so
+// exp.SpecResult is backend-agnostic. Flows within a group are identical
+// by construction — the fluid class integrates them as one — so each
+// reports the group aggregate divided by count.
 func (m *Model) Stats() ([][]netsim.FlowStats, netsim.LinkStats) {
 	dur := float64(m.step) * m.stp
-	groups := make([][]netsim.FlowStats, len(m.groups))
+	groups := make([][]netsim.FlowStats, len(m.sp.Groups))
 	for gi := range m.groups {
 		g := &m.groups[gi]
-		if g.count == 0 {
-			continue
-		}
 		n := g.count
 		st := netsim.FlowStats{
 			Algorithm:          g.alg,
@@ -690,8 +685,8 @@ func (m *Model) Stats() ([][]netsim.FlowStats, netsim.LinkStats) {
 		st.MaxQueueOccupancy = units.Bytes(g.qMax / n)
 		for i := 0; i < int(g.count); i++ {
 			fi := st
-			fi.Name = fmt.Sprintf("g%d.%s%d", gi, g.alg, i)
-			groups[gi] = append(groups[gi], fi)
+			fi.Name = fmt.Sprintf("g%d.%s%d", g.idx, g.alg, i)
+			groups[g.idx] = append(groups[g.idx], fi)
 		}
 	}
 	link := netsim.LinkStats{

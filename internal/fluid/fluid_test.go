@@ -521,6 +521,82 @@ func TestEmptyGroupShape(t *testing.T) {
 	}
 }
 
+// TestEmptyGroupsChangeNothing: the model keeps only a spec's non-empty
+// groups. Padding a spec with empty groups before, between and after its
+// real ones leaves every real group's flow statistics and the link's
+// statistics bit for bit as they were, run whole and in 7 ms chunks; only
+// the flow names move with the spec index. Three padding groups would
+// change the run if the model counted them: a bbrv2 group has no fluid
+// form, a 500 ms bbr group would lengthen every ProbeRTT and a 1 ms cubic
+// group would refine the step. A reno group starting after the run would
+// keep the step off its settled path.
+func TestEmptyGroupsChangeNothing(t *testing.T) {
+	padding := []scenario.Group{
+		{Algorithm: "bbrv2", RTT: 40 * time.Millisecond},
+		{Algorithm: "bbr", RTT: 500 * time.Millisecond},
+		{Algorithm: "cubic", RTT: time.Millisecond},
+		{Algorithm: "reno", RTT: 40 * time.Millisecond, Start: time.Hour},
+	}
+	two := mixSpec(2, 3, 6)
+	two.Duration = 30 * time.Second
+	two.Groups[1].Start = 5 * time.Second
+	two.Faults = scenario.Faults{LossRate: 0.0005, FlapPeriod: 5 * time.Second, FlapDepth: 0.3,
+		BurstEvery: 7 * time.Second, BurstLen: 6}
+	for name, sp := range map[string]scenario.Spec{"2 groups": two, "6 groups": sixGroupSpec()} {
+		// at[i] is real group i's index in the padded spec.
+		padded, at := sp, make([]int, len(sp.Groups))
+		padded.Groups = nil
+		for i, g := range sp.Groups {
+			padded.Groups = append(padded.Groups, padding[i%len(padding)])
+			at[i] = len(padded.Groups)
+			padded.Groups = append(padded.Groups, g)
+		}
+		padded.Groups = append(padded.Groups, padding[len(sp.Groups)%len(padding)])
+		for _, chunk := range []time.Duration{0, 7 * time.Millisecond} {
+			wantG, wantL := runStats(t, sp, chunk)
+			gotG, gotL := runStats(t, padded, chunk)
+			if len(gotG) != len(padded.Groups) {
+				t.Fatalf("%s, chunk %v: %d group slots, want %d", name, chunk, len(gotG), len(padded.Groups))
+			}
+			for pi, flows := range gotG {
+				if pi%2 == 0 && len(flows) != 0 {
+					t.Errorf("%s, chunk %v: empty group %d reported %d flows", name, chunk, pi, len(flows))
+				}
+			}
+			for i, want := range wantG {
+				got := gotG[at[i]]
+				if len(got) != len(want) {
+					t.Fatalf("%s, chunk %v: group %d has %d flows padded, %d unpadded", name, chunk, i, len(got), len(want))
+				}
+				for fi := range want {
+					if wantName := fmt.Sprintf("g%d.%s%d", at[i], want[fi].Algorithm, fi); got[fi].Name != wantName {
+						t.Errorf("%s: flow named %q, want %q", name, got[fi].Name, wantName)
+					}
+					w, g := want[fi], got[fi]
+					w.Name, g.Name = "", ""
+					if wj, gj := mustJSON(t, w), mustJSON(t, g); wj != gj {
+						t.Errorf("%s, chunk %v: group %d flow %d moved when padded:\n got %s\nwant %s", name, chunk, i, fi, gj, wj)
+					}
+				}
+			}
+			if wj, gj := mustJSON(t, wantL), mustJSON(t, gotL); wj != gj {
+				t.Errorf("%s, chunk %v: link stats moved when padded:\n got %s\nwant %s", name, chunk, gj, wj)
+			}
+		}
+	}
+}
+
+// mustJSON encodes v as JSON, which carries each float64 in its shortest
+// round-trip form, so equal encodings mean equal bits.
+func mustJSON(t *testing.T, v any) string {
+	t.Helper()
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
 // TestBBRAloneStandingQueue: a lone BBR class settles at the paper's
 // 2·BDP inflight — a standing queue of about one BDP — and full link
 // utilization, the baseline behaviour Eq 9 reduces to without competitors.

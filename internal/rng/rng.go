@@ -25,8 +25,12 @@ import (
 // applies to anything that owns a Source — in particular a netsim.Network
 // is never shared across goroutines; each unit builds its own from its
 // pre-derived seed. See the internal/runner package example.
+//
+// The state is four scalar fields rather than a [4]uint64 so that Uint64
+// fits the compiler's inlining budget: indexed, it did not (go1.24 costed
+// it 81 against a budget of 80), and every draw was a function call.
 type Source struct {
-	s [4]uint64
+	s0, s1, s2, s3 uint64
 }
 
 // New returns a Source seeded from seed via splitmix64, so that nearby seeds
@@ -34,19 +38,25 @@ type Source struct {
 func New(seed uint64) *Source {
 	var src Source
 	sm := seed
-	for i := range src.s {
-		sm += 0x9e3779b97f4a7c15
-		z := sm
-		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-		src.s[i] = z ^ (z >> 31)
-	}
+	src.s0 = splitmix64(&sm)
+	src.s1 = splitmix64(&sm)
+	src.s2 = splitmix64(&sm)
+	src.s3 = splitmix64(&sm)
 	// A xoshiro state of all zeros is a fixed point; splitmix64 cannot
 	// produce it from any seed, but guard anyway.
-	if src.s[0]|src.s[1]|src.s[2]|src.s[3] == 0 {
-		src.s[0] = 1
+	if src.s0|src.s1|src.s2|src.s3 == 0 {
+		src.s0 = 1
 	}
 	return &src
+}
+
+// splitmix64 advances *x and returns its next output.
+func splitmix64(x *uint64) uint64 {
+	*x += 0x9e3779b97f4a7c15
+	z := *x
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return z ^ (z >> 31)
 }
 
 // Split derives an independent child generator. The child's stream is a
@@ -58,14 +68,14 @@ func (s *Source) Split() *Source {
 
 // Uint64 returns the next value in the stream.
 func (s *Source) Uint64() uint64 {
-	result := bits.RotateLeft64(s.s[1]*5, 7) * 9
-	t := s.s[1] << 17
-	s.s[2] ^= s.s[0]
-	s.s[3] ^= s.s[1]
-	s.s[1] ^= s.s[2]
-	s.s[0] ^= s.s[3]
-	s.s[2] ^= t
-	s.s[3] = bits.RotateLeft64(s.s[3], 45)
+	result := bits.RotateLeft64(s.s1*5, 7) * 9
+	t := s.s1 << 17
+	s.s2 ^= s.s0
+	s.s3 ^= s.s1
+	s.s1 ^= s.s2
+	s.s0 ^= s.s3
+	s.s2 ^= t
+	s.s3 = bits.RotateLeft64(s.s3, 45)
 	return result
 }
 

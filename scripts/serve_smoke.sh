@@ -101,7 +101,12 @@ fi
 start_server "$tmp/restart.log" -cache "$store/cache.json" -resume "$store/journal.jsonl" -trace "$tmp/trace-chaos" -workers 2 \
     -cpuprofile "$tmp/restart.prof" -report "$tmp/restart-report.json"
 re_addr=$SRV_ADDR; re_pid=$SRV_PID
-grep -q "replayed journal" "$tmp/restart.log" || true
+replayed=$(sed -n 's|.*listening on http://[^ ]* (\([0-9]*\) replayed journal entries.*|\1|p' "$tmp/restart.log")
+if [ "$replayed" != "$completed" ]; then
+    echo "serve smoke: FAILED — restart replayed ${replayed:-no} journal entries, want the $completed journaled before the kill:" >&2
+    cat "$tmp/restart.log" >&2
+    exit 1
+fi
 for i in $(seq 1 "$nspecs"); do
     curl -sS --max-time 120 -d @"$tmp/spec-$i.json" "http://$re_addr/run" > "$tmp/re-$i.json"
     if ! cmp -s "$tmp/ref-$i.json" "$tmp/re-$i.json"; then
@@ -122,7 +127,7 @@ for field in queue_depth shed workers cache_hit_rate latency_count; do
         exit 1
     }
 done
-echo "serve smoke: $nspecs specs byte-identical across kill -9/restart ($hits journal hits)"
+echo "serve smoke: $nspecs specs byte-identical across kill -9/restart ($replayed journal entries replayed, $hits journal hits)"
 
 # Trace determinism through the crash: every reference trace file exists,
 # byte-identical, in the chaos run's directory.
