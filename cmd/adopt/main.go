@@ -54,7 +54,7 @@ func run() (code int) {
 		generations = flag.Int("generations", 100, "revision generations")
 		dynamicsF   = flag.String("dynamics", adopt.Replicator, "revision rule: replicator or bestresponse")
 		noise       = flag.Float64("noise", 0, "mutation/exploration rate in [0,1]")
-		revise      = flag.Float64("revise", 1, "best response: per-agent revision probability")
+		revise      = flag.Float64("revise", 1, "best response: per-agent revision probability in (0,1]")
 		simFlows    = flag.Int("simflows", 20, "flow count the population is scaled to per payoff simulation")
 		durF        = flag.Duration("duration", 0, "payoff simulation length (0 = harness default; floored to the NE payoff duration)")
 		seed        = flag.Uint64("seed", 1, "master seed: payoff jitter and revision draws")
@@ -65,6 +65,17 @@ func run() (code int) {
 	)
 	if env.Parse() {
 		return 0
+	}
+	// adopt.Config reads zero as "use the default", so without these
+	// checks -revise 0, -agents 0 and -simflows 0 would run with 1, 10000
+	// and 20 instead of failing.
+	switch {
+	case !(*revise > 0 && *revise <= 1):
+		return env.Fail(fmt.Errorf("-revise %v outside (0, 1]", *revise))
+	case *agents < 1:
+		return env.Fail(fmt.Errorf("-agents %d below 1", *agents))
+	case *simFlows < 1:
+		return env.Fail(fmt.Errorf("-simflows %d below 1", *simFlows))
 	}
 
 	rtts, err := cli.ParseFloats(*rttsF)

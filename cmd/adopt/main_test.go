@@ -3,8 +3,32 @@ package main
 import (
 	"flag"
 	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 )
+
+// runArgs runs the command with args on a fresh flag set and returns its
+// exit code and what it wrote to stderr.
+func runArgs(t *testing.T, args ...string) (code int, stderr string) {
+	t.Helper()
+	f, err := os.CreateTemp(t.TempDir(), "stderr")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	osArgs, flags, osStderr := os.Args, flag.CommandLine, os.Stderr
+	defer func() { os.Args, flag.CommandLine, os.Stderr = osArgs, flags, osStderr }()
+	flag.CommandLine = flag.NewFlagSet("adopt", flag.ContinueOnError)
+	os.Args = append([]string{"adopt"}, args...)
+	os.Stderr = f
+	code = run()
+	out, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return code, string(out)
+}
 
 // A trajectory that cannot be written fails the run: with -out on a full
 // device every record write fails, and adopt must exit non-zero instead of
@@ -13,13 +37,38 @@ func TestUnwritableTrajectoryFailsRun(t *testing.T) {
 	if _, err := os.Stat("/dev/full"); err != nil {
 		t.Skip("/dev/full is not available")
 	}
-	args, flags := os.Args, flag.CommandLine
-	defer func() { os.Args, flag.CommandLine = args, flags }()
-	flag.CommandLine = flag.NewFlagSet("adopt", flag.ContinueOnError)
-	os.Args = []string{"adopt", "-capacity", "50", "-buffer", "3", "-agents", "200",
+	if code, _ := runArgs(t, "-capacity", "50", "-buffer", "3", "-agents", "200",
 		"-generations", "3", "-algs", "cubic,bbr", "-shares", "0.7,0.3", "-simflows", "6",
-		"-seed", "7", "-out", "/dev/full"}
-	if code := run(); code == 0 {
+		"-seed", "7", "-out", "/dev/full"); code == 0 {
 		t.Fatal("adopt exited 0 although no trajectory record could be written")
+	}
+}
+
+// adopt.Config reads a zero revise probability, population or flow count
+// as its default (1, 10000, 20), and its range check passes a NaN revise
+// probability, so the command must reject these values itself: each must
+// fail the run before it starts, with an error naming its flag.
+func TestOutOfRangeFlagsFailRun(t *testing.T) {
+	for _, tc := range []struct{ flag, value string }{
+		{"-revise", "0"},
+		{"-revise", "NaN"},
+		{"-agents", "0"},
+		{"-simflows", "0"},
+	} {
+		t.Run(tc.flag+"="+tc.value, func(t *testing.T) {
+			out := filepath.Join(t.TempDir(), "trajectory.jsonl")
+			code, stderr := runArgs(t, "-capacity", "50", "-buffer", "3", "-agents", "1000",
+				"-generations", "2", "-algs", "cubic,bbr", "-shares", "0.9,0.1",
+				"-dynamics", "bestresponse", "-simflows", "6", "-out", out, tc.flag, tc.value)
+			if code == 0 {
+				t.Fatalf("adopt %s %s exited 0", tc.flag, tc.value)
+			}
+			if want := "adopt: " + tc.flag + " "; !strings.Contains(stderr, want) {
+				t.Errorf("stderr does not name %s:\n%s", tc.flag, stderr)
+			}
+			if _, err := os.Stat(out); !os.IsNotExist(err) {
+				t.Errorf("the rejected run created its -out file (stat: %v)", err)
+			}
+		})
 	}
 }

@@ -431,24 +431,45 @@ func stepBestResponse(cfg Config, pop Population, gain [][][]float64, root *rng.
 			if bestGain <= eps {
 				best = a // sub-eps gain: not worth switching for
 			}
-			kept, switched := 0, 0
-			for i := 0; i < k; i++ {
-				if src.Float64() >= revise {
-					kept++ // keeps its algorithm this generation
-					continue
-				}
-				if noise > 0 && src.Float64() < noise {
-					row[src.Intn(s)]++
-					continue
-				}
-				switched++
-			}
-			row[a] += kept
-			row[best] += switched
+			src = reviseAgents(src, row, a, best, k, revise, noise)
 		}
 		next[c] = row
 	})
 	return Population{Counts: next}
+}
+
+// reviseAgents revises k agents that run algorithm a, in order on src,
+// and adds each to its next algorithm's entry of row: an agent keeps a
+// with probability 1-revise; a reviser explores, taking a uniformly drawn
+// algorithm, with probability noise, and otherwise switches to best. It
+// returns src advanced past the draws.
+//
+// src is advanced by value and its address is never taken, so the four
+// state words stay in registers across the loop; only Intn, in the rare
+// explore branch, takes the address of a temporary copy. Every agent
+// draws its revise value, so the stream is the same at any revise; at 1 no
+// value in [0, 1) keeps an agent, so the draw is not converted.
+func reviseAgents(src rng.Source, row []int, a, best, k int, revise, noise float64) rng.Source {
+	kept, switched := 0, 0
+	for i := 0; i < k; i++ {
+		var x uint64
+		if src, x = src.Next(); revise < 1 && rng.Unit(x) >= revise {
+			kept++ // keeps its algorithm this generation
+			continue
+		}
+		if noise > 0 {
+			if src, x = src.Next(); rng.Unit(x) < noise {
+				tmp := src
+				row[tmp.Intn(len(row))]++
+				src = tmp
+				continue
+			}
+		}
+		switched++
+	}
+	row[a] += kept
+	row[best] += switched
+	return src
 }
 
 // forEach calls fn(0), …, fn(n-1) on at most workers goroutines and

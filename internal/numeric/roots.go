@@ -1,6 +1,7 @@
 // Package numeric implements the root-finding and elementary numerical
-// routines the analytical model needs: bisection, Brent's method, Newton's
-// method, stable quadratic solving, and fixed-point iteration.
+// routines the analytical model needs: Brent's method on a bracket found
+// by domain-bounded expansion, stable quadratic solving, and grid and
+// summary statistics.
 //
 // Go's ecosystem is thin on numerical code and this module is offline-only,
 // so these are written from scratch against the standard references
@@ -27,41 +28,6 @@ var (
 const DefaultTol = 1e-10
 
 const maxIterations = 200
-
-// Bisect finds a root of f in [a, b] by bisection. f(a) and f(b) must have
-// opposite signs (or one endpoint must already be a root). The returned
-// value is within tol of a true root.
-func Bisect(f func(float64) float64, a, b, tol float64) (float64, error) {
-	if tol <= 0 {
-		tol = DefaultTol
-	}
-	fa, fb := f(a), f(b)
-	if fa == 0 {
-		return a, nil
-	}
-	if fb == 0 {
-		return b, nil
-	}
-	if math.Signbit(fa) == math.Signbit(fb) {
-		return 0, fmt.Errorf("%w: f(%g)=%g, f(%g)=%g", ErrNoBracket, a, fa, b, fb)
-	}
-	for i := 0; i < 2000; i++ {
-		mid := a + (b-a)/2
-		if b-a < 0 {
-			mid = b + (a-b)/2
-		}
-		fm := f(mid)
-		if fm == 0 || math.Abs(b-a) < tol {
-			return mid, nil
-		}
-		if math.Signbit(fm) == math.Signbit(fa) {
-			a, fa = mid, fm
-		} else {
-			b = mid
-		}
-	}
-	return a + (b-a)/2, nil
-}
 
 // Brent finds a root of f in [a, b] using Brent's method (inverse quadratic
 // interpolation with bisection fallback). f(a) and f(b) must have opposite
@@ -134,32 +100,6 @@ func Brent(f func(float64) float64, a, b, tol float64) (float64, error) {
 	return b, ErrNoConverge
 }
 
-// Newton finds a root of f starting from x0 using Newton's method with the
-// derivative df. It falls back on returning ErrNoConverge if the iteration
-// does not settle within its budget or the derivative vanishes.
-func Newton(f, df func(float64) float64, x0, tol float64) (float64, error) {
-	if tol <= 0 {
-		tol = DefaultTol
-	}
-	x := x0
-	for i := 0; i < maxIterations; i++ {
-		fx := f(x)
-		if math.Abs(fx) == 0 {
-			return x, nil
-		}
-		dfx := df(x)
-		if dfx == 0 || math.IsNaN(dfx) || math.IsInf(dfx, 0) {
-			return x, fmt.Errorf("%w: zero or invalid derivative at x=%g", ErrNoConverge, x)
-		}
-		next := x - fx/dfx
-		if math.Abs(next-x) < tol {
-			return next, nil
-		}
-		x = next
-	}
-	return x, ErrNoConverge
-}
-
 // Quadratic solves a*x^2 + b*x + c = 0, returning real roots in ascending
 // order. It uses the numerically stable formulation that avoids catastrophic
 // cancellation. A degenerate (a == 0) equation is solved linearly; if no
@@ -194,45 +134,13 @@ func Quadratic(a, b, c float64) (roots []float64) {
 	return []float64{r1, r2}
 }
 
-// FixedPoint iterates x <- g(x) from x0 until successive iterates differ by
-// less than tol, with damping factor damp in (0, 1] applied as
-// x <- (1-damp)*x + damp*g(x) to stabilize oscillating maps.
-func FixedPoint(g func(float64) float64, x0, tol, damp float64) (float64, error) {
-	if tol <= 0 {
-		tol = DefaultTol
-	}
-	if damp <= 0 || damp > 1 {
-		damp = 1
-	}
-	x := x0
-	for i := 0; i < 10000; i++ {
-		next := (1-damp)*x + damp*g(x)
-		if math.IsNaN(next) || math.IsInf(next, 0) {
-			return x, fmt.Errorf("%w: iterate diverged at step %d", ErrNoConverge, i)
-		}
-		if math.Abs(next-x) < tol {
-			return next, nil
-		}
-		x = next
-	}
-	return x, ErrNoConverge
-}
-
-// BracketRoot expands an initial guess interval [a, b] geometrically until it
-// brackets a sign change of f, up to maxExpand doublings. It is useful when
-// only a rough location of the root is known. The expansion is unbounded;
-// when f has a restricted valid domain (a singularity, a physical bound),
-// use BracketRootIn instead so the search never evaluates f outside it.
-func BracketRoot(f func(float64) float64, a, b float64, maxExpand int) (lo, hi float64, err error) {
-	return BracketRootIn(f, a, b, math.Inf(-1), math.Inf(1), maxExpand)
-}
-
-// BracketRootIn is BracketRoot restricted to the domain [domLo, domHi]:
-// the expanding endpoints are clamped to the domain, so f is never
-// evaluated outside it (e.g. below 0 where a residual is singular). The
-// initial guesses are clamped too. Once both endpoints are pinned at the
-// domain bounds without a sign change, no further expansion can help and
-// ErrNoBracket is returned early.
+// BracketRootIn expands an initial guess interval [a, b] geometrically
+// until it brackets a sign change of f, up to maxExpand doublings, within
+// the domain [domLo, domHi]: the expanding endpoints are clamped to the
+// domain, so f is never evaluated outside it (e.g. below 0 where a residual
+// is singular). The initial guesses are clamped too. Once both endpoints
+// are pinned at the domain bounds without a sign change, no further
+// expansion can help and ErrNoBracket is returned early.
 func BracketRootIn(f func(float64) float64, a, b, domLo, domHi float64, maxExpand int) (lo, hi float64, err error) {
 	if domLo > domHi {
 		domLo, domHi = domHi, domLo
@@ -283,21 +191,6 @@ func Clamp(x, lo, hi float64) float64 {
 		return hi
 	}
 	return x
-}
-
-// Linspace returns n evenly spaced values from lo to hi inclusive.
-// n must be at least 2.
-func Linspace(lo, hi float64, n int) []float64 {
-	if n < 2 {
-		panic("numeric: Linspace needs n >= 2")
-	}
-	out := make([]float64, n)
-	step := (hi - lo) / float64(n-1)
-	for i := range out {
-		out[i] = lo + float64(i)*step
-	}
-	out[n-1] = hi
-	return out
 }
 
 // Arange returns values lo, lo+step, ... up to and including hi (within a

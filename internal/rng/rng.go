@@ -9,7 +9,6 @@
 package rng
 
 import (
-	"math"
 	"math/bits"
 	"time"
 )
@@ -26,9 +25,11 @@ import (
 // is never shared across goroutines; each unit builds its own from its
 // pre-derived seed. See the internal/runner package example.
 //
-// The state is four scalar fields rather than a [4]uint64 so that Uint64
-// fits the compiler's inlining budget: indexed, it did not (go1.24 costed
-// it 81 against a budget of 80), and every draw was a function call.
+// The state is four scalar fields rather than a [4]uint64 so that the step
+// fits the compiler's inlining budget: indexed, Uint64 did not (go1.24
+// costed it 81 against a budget of 80), and every draw was a function
+// call. go1.24 costs Next 56, Uint64 65, Float64 77 and Duration 78, so
+// each still inlines into its caller; scripts/verify.sh fails if one stops.
 type Source struct {
 	s0, s1, s2, s3 uint64
 }
@@ -66,8 +67,13 @@ func (s *Source) Split() *Source {
 	return New(s.Uint64())
 }
 
-// Uint64 returns the next value in the stream.
-func (s *Source) Uint64() uint64 {
+// Next is xoshiro256**'s step in value form: it returns the Source
+// advanced by one draw and the value drawn. Uint64 and Float64 are written
+// through it. A caller that keeps a Source in a local, assigns Next's
+// result back to it and never takes its address lets the compiler hold the
+// four state words in registers across a loop of draws; a pointer-receiver
+// draw keeps them in memory even when it inlines.
+func (s Source) Next() (Source, uint64) {
 	result := bits.RotateLeft64(s.s1*5, 7) * 9
 	t := s.s1 << 17
 	s.s2 ^= s.s0
@@ -76,12 +82,25 @@ func (s *Source) Uint64() uint64 {
 	s.s0 ^= s.s3
 	s.s2 ^= t
 	s.s3 = bits.RotateLeft64(s.s3, 45)
-	return result
+	return s, result
+}
+
+// Uint64 returns the next value in the stream. The named result keeps it
+// within the inlining budget with Duration's and Float64's work on top.
+func (s *Source) Uint64() (x uint64) {
+	*s, x = s.Next()
+	return x
 }
 
 // Float64 returns a uniform value in [0, 1).
 func (s *Source) Float64() float64 {
-	return float64(s.Uint64()>>11) * 0x1p-53
+	return Unit(s.Uint64())
+}
+
+// Unit maps a drawn value to the uniform value in [0, 1) that Float64
+// returns for it: its top 53 bits, scaled.
+func Unit(x uint64) float64 {
+	return float64(x>>11) * 0x1p-53
 }
 
 // Intn returns a uniform value in [0, n). It panics if n <= 0.
@@ -115,18 +134,6 @@ func (s *Source) Duration(d time.Duration) time.Duration {
 		return 0
 	}
 	return time.Duration(s.Uint64() % uint64(d))
-}
-
-// Norm returns a standard normal variate via the polar Box-Muller method.
-func (s *Source) Norm() float64 {
-	for {
-		u := 2*s.Float64() - 1
-		v := 2*s.Float64() - 1
-		q := u*u + v*v
-		if q > 0 && q < 1 {
-			return u * math.Sqrt(-2*math.Log(q)/q)
-		}
-	}
 }
 
 // Perm returns a uniform random permutation of [0, n).

@@ -26,6 +26,22 @@ fi
 echo "== go test ./..."
 go test ./...
 
+echo "== inlining guard (rng draws, fluid step helpers)"
+# Best-response revision, netsim's per-packet jitter and loss draws and the
+# fluid step were measured with these calls inlined. A change that pushes
+# one past the compiler's budget turns each draw or clamp into a call and
+# changes no output, so no test would notice. The build cache replays the
+# compiler's diagnostics, so this step takes about a second.
+INLINE=$(go build -gcflags=-m ./internal/rng ./internal/fluid 2>&1)
+for want in 'rng Source.Next' 'rng (*Source).Uint64' 'rng (*Source).Float64' 'rng (*Source).Duration' \
+	'fluid nonNeg' 'fluid below' 'fluid above' 'fluid raise' 'fluid lower'; do
+	pkg=${want%% *} fn=${want#* }
+	if ! printf '%s\n' "$INLINE" | sed -n "s|^internal/$pkg/[^ ]*: can inline ||p" | grep -xF "$fn" >/dev/null; then
+		echo "inlining guard: go build -gcflags=-m ./internal/$pkg no longer reports \"can inline $fn\"" >&2
+		exit 1
+	fi
+done
+
 echo "== event-queue differential fuzz (FuzzLoopOrder, 10 s)"
 go test ./internal/eventsim -run '^$' -fuzz '^FuzzLoopOrder$' -fuzztime 10s
 
