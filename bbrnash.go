@@ -8,7 +8,8 @@
 //     bottleneck, including the Ware et al. (IMC 2019) baseline.
 //   - A Nash Equilibrium predictor (PredictNash, PredictNashRegion) for the
 //     congestion-control choice game: the mixed CUBIC/BBR distribution from
-//     which no flow gains by switching.
+//     which no flow gains by switching. SymmetricGame plays that game on
+//     measured payoffs, over one class of flows or several.
 //   - A deterministic packet-level network simulator (NewNetwork) with
 //     implementations of CUBIC, New Reno, BBRv1, BBRv2, Copa and PCC
 //     Vivace, standing in for the paper's Linux testbed.
@@ -270,14 +271,11 @@ type (
 	Figure = exp.Figure
 	// FigureResult is a generated figure.
 	FigureResult = exp.FigureResult
-	// SymmetricGame is the N-player binary-choice game of §4.1.
-	SymmetricGame = game.SymmetricBinary
-	// GroupGame is its multi-RTT generalization (§4.5).
-	GroupGame = game.GroupSymmetric
-	// PopulationGame is the symmetric game over an arbitrary strategy
-	// set (profiles are per-strategy counts), the substrate of the
-	// adoption dynamics' fixed-point checks.
-	PopulationGame = game.MultiSymmetric
+	// SymmetricGame is the congestion-control choice game over classes
+	// of interchangeable flows, a profile being the per-class strategy
+	// counts: one class for §4.1, one per RTT group for §4.5, one per
+	// RTT class for the adoption dynamics' fixed-point check.
+	SymmetricGame = game.Symmetric
 )
 
 // Experiment scales.
@@ -473,6 +471,4 @@ var (
 	RunAdoption = adopt.Run
 	// WriteAdoptionJSONL writes a trajectory as deterministic JSONL.
 	WriteAdoptionJSONL = adopt.WriteJSONL
-	// StrategyDeviations enumerates a count profile's unilateral switches.
-	StrategyDeviations = game.Deviations
 )

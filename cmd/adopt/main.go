@@ -68,10 +68,14 @@ func run() (code int) {
 	}
 	// adopt.Config reads zero as "use the default", so without these
 	// checks -revise 0, -agents 0 and -simflows 0 would run with 1, 10000
-	// and 20 instead of failing.
+	// and 20 instead of failing. adopt.Run rejects a NaN noise too, but
+	// only once -out exists, and without naming the flag. Each check fails
+	// NaN, as cli.ParseFloats fails it in the lists.
 	switch {
 	case !(*revise > 0 && *revise <= 1):
 		return env.Fail(fmt.Errorf("-revise %v outside (0, 1]", *revise))
+	case !(*noise >= 0 && *noise <= 1):
+		return env.Fail(fmt.Errorf("-noise %v outside [0, 1]", *noise))
 	case *agents < 1:
 		return env.Fail(fmt.Errorf("-agents %d below 1", *agents))
 	case *simFlows < 1:
@@ -80,7 +84,7 @@ func run() (code int) {
 
 	rtts, err := cli.ParseFloats(*rttsF)
 	if err != nil {
-		return env.Fail(fmt.Errorf("-rtts: %w", err))
+		return env.Fail(fmt.Errorf("-rtts %s: %w", *rttsF, err))
 	}
 	weights := make([]float64, len(rtts))
 	for i := range weights {
@@ -88,7 +92,7 @@ func run() (code int) {
 	}
 	if *weightsF != "" {
 		if weights, err = cli.ParseFloats(*weightsF); err != nil {
-			return env.Fail(fmt.Errorf("-class-weights: %w", err))
+			return env.Fail(fmt.Errorf("-class-weights %s: %w", *weightsF, err))
 		}
 		if len(weights) != len(rtts) {
 			return env.Fail(fmt.Errorf("%d class weights for %d RTT classes", len(weights), len(rtts)))
@@ -105,7 +109,7 @@ func run() (code int) {
 	algs := strings.Split(*algsF, ",")
 	shares, err := cli.ParseFloats(*sharesF)
 	if err != nil {
-		return env.Fail(fmt.Errorf("-shares: %w", err))
+		return env.Fail(fmt.Errorf("-shares %s: %w", *sharesF, err))
 	}
 	capacity := units.Rate(*capMbps) * units.Mbps
 	buffer := units.BufferBytes(capacity, maxRTT, *bufBDP)

@@ -45,20 +45,24 @@ func TestUnwritableTrajectoryFailsRun(t *testing.T) {
 }
 
 // adopt.Config reads a zero revise probability, population or flow count
-// as its default (1, 10000, 20), and its range check passes a NaN revise
-// probability, so the command must reject these values itself: each must
-// fail the run before it starts, with an error naming its flag.
+// as its default (1, 10000, 20), and it rejects a non-finite noise, class
+// weight or share only after -out is created, so the command must reject
+// these values itself: each must fail the run before it starts, with an
+// error naming its flag.
 func TestOutOfRangeFlagsFailRun(t *testing.T) {
 	for _, tc := range []struct{ flag, value string }{
 		{"-revise", "0"},
 		{"-revise", "NaN"},
 		{"-agents", "0"},
 		{"-simflows", "0"},
+		{"-noise", "NaN"},
+		{"-class-weights", "NaN,1"},
+		{"-shares", "Inf,1"},
 	} {
 		t.Run(tc.flag+"="+tc.value, func(t *testing.T) {
 			out := filepath.Join(t.TempDir(), "trajectory.jsonl")
 			code, stderr := runArgs(t, "-capacity", "50", "-buffer", "3", "-agents", "1000",
-				"-generations", "2", "-algs", "cubic,bbr", "-shares", "0.9,0.1",
+				"-generations", "2", "-algs", "cubic,bbr", "-rtts", "20,80", "-shares", "0.9,0.1",
 				"-dynamics", "bestresponse", "-simflows", "6", "-out", out, tc.flag, tc.value)
 			if code == 0 {
 				t.Fatalf("adopt %s %s exited 0", tc.flag, tc.value)

@@ -27,6 +27,7 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -165,8 +166,8 @@ type Result struct {
 	Final Population
 	// FixedPoint reports whether the final state's scaled flow profile is
 	// an (eps-)equilibrium: no single flow in any class gains more than
-	// eps by switching algorithm (checked per class with all other
-	// classes frozen, via game.MultiSymmetric).
+	// eps by switching algorithm (checked with game.Symmetric, one class
+	// per RTT class).
 	FixedPoint bool
 	// Simulations and CacheHits count this run's payoff evaluations that
 	// ran fresh versus did not: a hit came from the cache or journal, or
@@ -177,11 +178,13 @@ type Result struct {
 
 // withDefaults validates the config and fills defaults.
 func (cfg Config) withDefaults() (Config, error) {
-	if cfg.Capacity <= 0 {
-		return cfg, fmt.Errorf("adopt: non-positive capacity %v", cfg.Capacity)
+	// Every range check is written so that NaN fails it: NaN compares
+	// false, so a check of the form x < 0 || x > 1 would let it through.
+	if !positive(float64(cfg.Capacity)) {
+		return cfg, fmt.Errorf("adopt: capacity %v is not positive and finite", cfg.Capacity)
 	}
-	if cfg.Buffer <= 0 {
-		return cfg, fmt.Errorf("adopt: non-positive buffer %v", cfg.Buffer)
+	if !positive(float64(cfg.Buffer)) {
+		return cfg, fmt.Errorf("adopt: buffer %v is not positive and finite", cfg.Buffer)
 	}
 	if len(cfg.Classes) == 0 {
 		cfg.Classes = []Class{{RTT: 40 * time.Millisecond, Weight: 1}}
@@ -190,8 +193,8 @@ func (cfg Config) withDefaults() (Config, error) {
 		if cl.RTT <= 0 {
 			return cfg, fmt.Errorf("adopt: class %d has non-positive RTT %v", i, cl.RTT)
 		}
-		if cl.Weight <= 0 {
-			return cfg, fmt.Errorf("adopt: class %d has non-positive weight %v", i, cl.Weight)
+		if !positive(cl.Weight) {
+			return cfg, fmt.Errorf("adopt: class %d weight %v is not positive and finite", i, cl.Weight)
 		}
 	}
 	if len(cfg.Algorithms) == 0 {
@@ -216,13 +219,13 @@ func (cfg Config) withDefaults() (Config, error) {
 	}
 	total := 0.0
 	for i, s := range cfg.Shares {
-		if s < 0 {
-			return cfg, fmt.Errorf("adopt: negative share %v for %s", s, cfg.Algorithms[i])
+		if !(s >= 0 && s <= math.MaxFloat64) {
+			return cfg, fmt.Errorf("adopt: share %v for %s is not non-negative and finite", s, cfg.Algorithms[i])
 		}
 		total += s
 	}
-	if total <= 0 {
-		return cfg, fmt.Errorf("adopt: shares sum to %v", total)
+	if !positive(total) {
+		return cfg, fmt.Errorf("adopt: shares sum to %v, want a positive finite sum", total)
 	}
 	if cfg.Agents == 0 {
 		cfg.Agents = 10000
@@ -239,13 +242,13 @@ func (cfg Config) withDefaults() (Config, error) {
 	if cfg.Dynamics != Replicator && cfg.Dynamics != BestResponse {
 		return cfg, fmt.Errorf("adopt: unknown dynamics %q (want %q or %q)", cfg.Dynamics, Replicator, BestResponse)
 	}
-	if cfg.Noise < 0 || cfg.Noise > 1 {
+	if !(cfg.Noise >= 0 && cfg.Noise <= 1) {
 		return cfg, fmt.Errorf("adopt: noise %v outside [0,1]", cfg.Noise)
 	}
 	if cfg.ReviseProb == 0 {
 		cfg.ReviseProb = 1
 	}
-	if cfg.ReviseProb < 0 || cfg.ReviseProb > 1 {
+	if !(cfg.ReviseProb > 0 && cfg.ReviseProb <= 1) {
 		return cfg, fmt.Errorf("adopt: revise probability %v outside (0,1]", cfg.ReviseProb)
 	}
 	if cfg.SimFlows == 0 {
@@ -263,6 +266,9 @@ func (cfg Config) withDefaults() (Config, error) {
 	if cfg.EpsFraction == 0 {
 		cfg.EpsFraction = 0.05
 	}
+	if !positive(cfg.EpsFraction) {
+		return cfg, fmt.Errorf("adopt: eps fraction %v is not positive and finite", cfg.EpsFraction)
+	}
 	if cfg.Cache == nil {
 		cfg.Cache = runner.NewCache()
 	}
@@ -271,6 +277,9 @@ func (cfg Config) withDefaults() (Config, error) {
 	}
 	return cfg, nil
 }
+
+// positive reports whether x is positive and finite; NaN is neither.
+func positive(x float64) bool { return x > 0 && x <= math.MaxFloat64 }
 
 // initial seeds the population: agents are apportioned over classes by
 // weight, then within each class over algorithms by the seed shares, both
@@ -348,7 +357,7 @@ func (cfg Config) epsMbps() float64 {
 
 // settled reports whether no occupied strategy of class c has a deviation
 // gaining more than eps — the same one-flow-switch comparison
-// game.MultiSymmetric.IsEquilibrium and exp.FindNE make, which is what
+// game.Symmetric.IsEquilibrium and exp.FindNE make, which is what
 // makes eps-equilibria absorbing: payoff differences *within* a profile
 // are not switching incentives (the flow that switches lands in a
 // different profile, usually a worse one — the paper's marginal-gains
@@ -496,113 +505,90 @@ func forEach(workers, n int, fn func(i int)) {
 	wg.Wait()
 }
 
-// probedSimCounts scales the population census down to the simulated flow
-// profile: SimFlows flows apportioned over every (class, algorithm) cell
-// by agent count, then each empty cell is topped up to one probe flow —
-// taken from the currently largest cell — so extinct and rare strategies
-// still earn an invasion payoff. The result is a pure function of the
-// census, which is what makes revisited mixtures cache hits.
-func probedSimCounts(cfg Config, pop Population) [][]int {
-	nc, na := len(cfg.Classes), len(cfg.Algorithms)
-	weights := make([]float64, nc*na)
+// scaledCounts scales the population census down to SimFlows flows,
+// apportioned over every (class, algorithm) cell by agent count. The rows
+// share one array, in class-major order.
+func scaledCounts(cfg Config, pop Population) [][]int {
+	na := len(cfg.Algorithms)
+	weights := make([]float64, len(cfg.Classes)*na)
 	for c := range pop.Counts {
 		for a, k := range pop.Counts[c] {
 			weights[c*na+a] = float64(k)
 		}
 	}
 	flat := apportion(cfg.SimFlows, weights)
-	for i := range flat {
-		if flat[i] > 0 {
-			continue
-		}
-		j := 0
-		for m := 1; m < len(flat); m++ {
-			if flat[m] > flat[j] {
-				j = m
-			}
-		}
-		flat[j]--
-		flat[i]++
-	}
-	out := make([][]int, nc)
+	out := make([][]int, len(cfg.Classes))
 	for c := range out {
 		out[c] = flat[c*na : (c+1)*na]
 	}
 	return out
 }
 
-// fixedPoint checks whether the final census, scaled exactly (no probes),
-// is a per-class eps-equilibrium of the scaled game: for each class, no
-// single flow gains more than eps (EpsFraction of the fair share) by
-// switching algorithm, other classes frozen. Deviation payoffs are
-// pre-warmed as one pooled batch, and the per-class checks then read the
-// run's payoff table serially.
-func (ev *evaluator) fixedPoint(cfg Config, pop Population) (bool, error) {
-	nc, na := len(cfg.Classes), len(cfg.Algorithms)
-	weights := make([]float64, nc*na)
-	for c := range pop.Counts {
-		for a, k := range pop.Counts[c] {
-			weights[c*na+a] = float64(k)
-		}
-	}
-	flat := apportion(cfg.SimFlows, weights)
-	base := make([][]int, nc)
-	for c := range base {
-		base[c] = flat[c*na : (c+1)*na]
-	}
-
-	// Every profile the per-class checks will evaluate: the base plus each
-	// class's unilateral deviations, other classes frozen.
-	profiles := [][][]int{base}
-	for c := range base {
-		for _, dev := range game.Deviations(base[c]) {
-			p := make([][]int, nc)
-			for cc2 := range base {
-				p[cc2] = base[cc2]
+// probedSimCounts is the simulated flow profile of a census: its scaled
+// counts, with each empty cell then topped up, in class-major order, to
+// one probe flow taken from the currently largest cell, so extinct and
+// rare strategies still earn an invasion payoff. The result is a pure
+// function of the census, which is what makes revisited mixtures cache
+// hits.
+func probedSimCounts(cfg Config, pop Population) [][]int {
+	sim := scaledCounts(cfg, pop)
+	for _, row := range sim {
+		for a := range row {
+			if row[a] > 0 {
+				continue
 			}
-			p[c] = dev
-			profiles = append(profiles, p)
+			big := &sim[0][0] // the first largest cell in class-major order
+			for _, r := range sim {
+				for b := range r {
+					if r[b] > *big {
+						big = &r[b]
+					}
+				}
+			}
+			*big--
+			row[a]++
 		}
 	}
-	if _, err := ev.batch(cfg.Ctx, profiles); err != nil {
+	return sim
+}
+
+// fixedPoint checks whether the final census, scaled exactly (no probes),
+// is an eps-equilibrium of the scaled game: no single flow gains more than
+// eps (EpsFraction of the fair share) by switching algorithm. The profile
+// and the game's deviations from it are looked up as one pooled batch
+// first, so the check then reads the run's payoff table.
+func (ev *evaluator) fixedPoint(cfg Config, pop Population) (bool, error) {
+	base := scaledCounts(cfg, pop)
+	g := ev.game(cfg.Ctx, base)
+	devs, err := g.Deviations(base)
+	if err != nil {
 		return false, err
 	}
-
-	eps := cfg.epsMbps()
-	var evalErr error
-	for c := range base {
-		n := sum(base[c])
-		if n == 0 {
-			continue
-		}
-		g := &game.MultiSymmetric{
-			N:          n,
-			Strategies: na,
-			Payoff: func(s int, k []int) float64 {
-				p := make([][]int, nc)
-				for cc2 := range base {
-					p[cc2] = base[cc2]
-				}
-				p[c] = k
-				pay, err := ev.payoffs(cfg.Ctx, p)
-				if err != nil {
-					if evalErr == nil {
-						evalErr = err
-					}
-					return 0
-				}
-				return pay[c][s]
-			},
-		}
-		ok := g.IsEquilibrium(base[c], eps)
-		if evalErr != nil {
-			return false, evalErr
-		}
-		if !ok {
-			return false, nil
-		}
+	if _, err := ev.batch(cfg.Ctx, append([][][]int{base}, devs...)); err != nil {
+		return false, err
 	}
-	return true, nil
+	return g.IsEquilibrium(base, cfg.epsMbps())
+}
+
+// game is the scaled game over profiles with shape's class sizes: one
+// game.Symmetric class per RTT class and one strategy per algorithm, whose
+// payoffs are the run's (see payoffs).
+func (ev *evaluator) game(ctx context.Context, shape [][]int) *game.Symmetric {
+	sizes := make([]int, len(shape))
+	for c, row := range shape {
+		sizes[c] = sum(row)
+	}
+	return &game.Symmetric{
+		Sizes:      sizes,
+		Strategies: len(ev.cfg.Algorithms),
+		Payoff: func(c, s int, k [][]int) (float64, error) {
+			pay, err := ev.payoffs(ctx, k)
+			if err != nil {
+				return 0, err
+			}
+			return pay[c][s], nil
+		},
+	}
 }
 
 // apportion distributes total into integer parts proportional to weights
@@ -659,7 +645,7 @@ func sum(xs []int) int {
 // fix).
 //
 // table is the run's payoff table: every profile this run has evaluated,
-// keyed by its flow counts (see profileKey), the way game.SymmetricBinary
+// keyed by its flow counts (see profileKey), the way game.Symmetric
 // memoizes one NE search. Within a run the counts fix the spec, its
 // exp.ProfileSeed and so its canonical key. A profile's first lookup builds
 // the spec and runs it through exp.Run: the cache, the journal or a fresh
@@ -743,30 +729,13 @@ func (ev *evaluator) spec(counts [][]int) scenario.Spec {
 // recur along a trajectory and are cached by canonical key, so steady
 // states cost no fresh simulations.
 func (ev *evaluator) generation(ctx context.Context, sim [][]int, withGains bool) ([][]float64, [][][]float64, error) {
-	type move struct{ c, a, t int }
-	var moves []move
 	profiles := [][][]int{sim}
 	if withGains {
-		for c := range sim {
-			for a := range sim[c] {
-				if sim[c][a] == 0 {
-					continue // no flow of a to move (probes make this rare)
-				}
-				for t := range sim[c] {
-					if t == a {
-						continue
-					}
-					dev := make([][]int, len(sim))
-					for c2 := range sim {
-						dev[c2] = append([]int(nil), sim[c2]...)
-					}
-					dev[c][a]--
-					dev[c][t]++
-					moves = append(moves, move{c, a, t})
-					profiles = append(profiles, dev)
-				}
-			}
+		devs, err := ev.game(ctx, sim).Deviations(sim)
+		if err != nil {
+			return nil, nil, err
 		}
+		profiles = append(profiles, devs...)
 	}
 	pays, err := ev.batch(ctx, profiles)
 	if err != nil {
@@ -776,16 +745,22 @@ func (ev *evaluator) generation(ctx context.Context, sim [][]int, withGains bool
 	if !withGains {
 		return pay, nil, nil
 	}
+	// pays[1:] are the deviations' payoffs, in Deviations' (class, from,
+	// to) order; a strategy with no flow has none (probes make this rare).
 	na := len(ev.cfg.Algorithms)
 	gain := make([][][]float64, len(sim))
-	for c := range sim {
+	i := 1
+	for c, row := range sim {
 		gain[c] = make([][]float64, na)
-		for a := range gain[c] {
+		for a := range row {
 			gain[c][a] = make([]float64, na)
+			for t := range row {
+				if row[a] > 0 && t != a {
+					gain[c][a][t] = pays[i][c][t] - pay[c][a]
+					i++
+				}
+			}
 		}
-	}
-	for i, mv := range moves {
-		gain[mv.c][mv.a][mv.t] = pays[i+1][mv.c][mv.t] - pay[mv.c][mv.a]
 	}
 	return pay, gain, nil
 }

@@ -5,9 +5,12 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
+	"math"
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -381,6 +384,24 @@ func TestGenerationsUsePool(t *testing.T) {
 	}
 }
 
+// A failed payoff lookup ends the run with the lookup's error: the fluid
+// backend has no model for copa, every profile keeps a copa probe flow, and
+// with one worker the first batch stops at its first failure, so no cache
+// lookup follows it.
+func TestFailedPayoffStopsRun(t *testing.T) {
+	cfg := testConfig()
+	cfg.Algorithms = []string{"cubic", "copa"}
+	cfg.Pool, cfg.Cache = runner.NewPool(1), runner.NewCache()
+	_, err := Run(cfg)
+	var ue *runner.UnitError
+	if !errors.As(err, &ue) || !strings.Contains(ue.Key, ",copa:") {
+		t.Errorf("err = %v, want the *runner.UnitError of a lookup with a copa group", err)
+	}
+	if got := cfg.Cache.Misses(); got != 1 {
+		t.Errorf("%d cache lookups, want 1: lookups followed the failed one", got)
+	}
+}
+
 // Rerunning against the same journal must replay the trajectory
 // byte-identically with zero fresh simulations — the crash/resume story.
 func TestRunResumesFromJournal(t *testing.T) {
@@ -504,6 +525,22 @@ func TestConfigValidation(t *testing.T) {
 		"bad backend":       func(c *Config) { c.Backend = "quantum" },
 		"negative gens":     func(c *Config) { c.Generations = -1 },
 		"zero-weight class": func(c *Config) { c.Classes = []Class{{RTT: time.Millisecond, Weight: 0}} },
+		// NaN passes a check of the form x < 0 || x > 1, and a NaN or
+		// infinite input makes the census garbage (counts of −2⁶³).
+		"NaN capacity":      func(c *Config) { c.Capacity = units.Rate(math.NaN()) },
+		"infinite capacity": func(c *Config) { c.Capacity = units.Rate(math.Inf(1)) },
+		"NaN buffer":        func(c *Config) { c.Buffer = units.Bytes(math.NaN()) },
+		"NaN class weight":  func(c *Config) { c.Classes = []Class{{RTT: time.Millisecond, Weight: math.NaN()}} },
+		"infinite weight":   func(c *Config) { c.Classes = []Class{{RTT: time.Millisecond, Weight: math.Inf(1)}} },
+		"NaN share":         func(c *Config) { c.Shares = []float64{math.NaN(), 1} },
+		"infinite share":    func(c *Config) { c.Shares = []float64{math.Inf(1), 1} },
+		"shares overflow":   func(c *Config) { c.Shares = []float64{math.MaxFloat64, math.MaxFloat64} },
+		"NaN noise":         func(c *Config) { c.Noise = math.NaN() },
+		"NaN revise":        func(c *Config) { c.ReviseProb = math.NaN() },
+		"revise > 1":        func(c *Config) { c.ReviseProb = 1.5 },
+		"NaN eps fraction":  func(c *Config) { c.EpsFraction = math.NaN() },
+		"negative eps":      func(c *Config) { c.EpsFraction = -0.05 },
+		"infinite eps":      func(c *Config) { c.EpsFraction = math.Inf(1) },
 	} {
 		cfg := base
 		mut(&cfg)

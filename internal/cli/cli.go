@@ -29,6 +29,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"os/signal"
 	"slices"
@@ -285,8 +286,10 @@ func outcome(code int) string {
 	}
 }
 
-// ParseFloats parses a comma-separated list of numbers; "" is nil, which
-// leaves the command's default list in place.
+// ParseFloats parses a comma-separated list of finite numbers; "" is nil,
+// which leaves the command's default list in place. strconv accepts NaN
+// and ±Inf, which no list the commands take (RTTs, weights, shares,
+// buffers) can hold.
 func ParseFloats(s string) ([]float64, error) {
 	if s == "" {
 		return nil, nil
@@ -295,7 +298,7 @@ func ParseFloats(s string) ([]float64, error) {
 	out := make([]float64, len(parts))
 	for i, p := range parts {
 		v, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
-		if err != nil {
+		if err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
 			return nil, fmt.Errorf("bad number %q", p)
 		}
 		out[i] = v

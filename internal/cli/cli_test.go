@@ -195,6 +195,11 @@ func TestParseFloats(t *testing.T) {
 	if err != nil || len(got) != 3 || got[0] != 1 || got[1] != 2.5 || got[2] != 40 {
 		t.Errorf("ParseFloats = %v, %v", got, err)
 	}
+	for _, bad := range []string{"1,NaN", "Inf", "1,-inf"} {
+		if _, err := ParseFloats(bad); err == nil {
+			t.Errorf("ParseFloats accepted %q", bad)
+		}
+	}
 	if _, err := ParseFloats("1,x"); err == nil {
 		t.Error("ParseFloats accepted a non-number")
 	}

@@ -6,7 +6,6 @@ import (
 	"log"
 	"math"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -26,30 +25,24 @@ func ctxOr(ctx context.Context) context.Context {
 	return context.Background()
 }
 
-// evalFailure records the first payoff-evaluation failure of a search.
-// Game callbacks cannot return errors, so without this an erroring or
-// panicking payoff simulation would silently score zero and steer the
-// equilibrium enumeration to a bogus answer.
-type evalFailure struct {
-	mu  sync.Mutex
-	err error
+// choiceProfile is a profile of the game.Symmetric that FindNE and
+// FindGroupNE play (one class per RTT group, strategy 0 X and strategy 1
+// CUBIC) with x[c] of class c's sizes[c] flows on X.
+func choiceProfile(sizes, x []int) [][]int {
+	k := make([][]int, len(sizes))
+	for c, n := range sizes {
+		k[c] = []int{x[c], n - x[c]}
+	}
+	return k
 }
 
-func (f *evalFailure) note(err error) {
-	if err == nil {
-		return
+// xFlows is such a profile's X flow count per class.
+func xFlows(k [][]int) []int {
+	x := make([]int, len(k))
+	for c, row := range k {
+		x[c] = row[0]
 	}
-	f.mu.Lock()
-	if f.err == nil {
-		f.err = err
-	}
-	f.mu.Unlock()
-}
-
-func (f *evalFailure) get() error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.err
+	return x
 }
 
 // NESearchConfig describes one empirical Nash-Equilibrium search (§4.4
@@ -163,12 +156,11 @@ func FindNE(cfg NESearchConfig) (NESearchResult, error) {
 	seeds := trialSeeds(cfg.Seed, cfg.N+1)
 	env := Env{Cache: cache, Journal: cfg.Journal, Audit: cfg.Audit, Trace: cfg.Trace}
 	type pair struct{ x, c float64 }
-	// evalErr is the fallible payoff evaluation, run and reported under
-	// the distribution's canonical scenario key. ctx is the executing pool
-	// unit's context, so the watchdog sees its heartbeats. What is memoized
-	// is the mix result, shared by every utility; the utility is applied
-	// per lookup.
-	evalErr := func(ctx context.Context, numX int) (pair, error) {
+	// eval looks up one distribution's payoffs, run and reported under its
+	// canonical scenario key. ctx is the executing pool unit's context, so
+	// the watchdog sees its heartbeats. What is memoized is the mix
+	// result, shared by every utility; the utility is applied per lookup.
+	eval := func(ctx context.Context, numX int) (pair, error) {
 		mix := MixConfig{
 			Capacity: cfg.Capacity,
 			Buffer:   cfg.Buffer,
@@ -196,23 +188,39 @@ func FindNE(cfg NESearchConfig) (NESearchResult, error) {
 		}, nil
 	}
 	searchCtx := ctxOr(cfg.Ctx)
-	var failed evalFailure
+	// lookup runs rows' payoff lookups as one runner.MapCtx batch on the
+	// pool, so each lookup is a pool unit that the pool's watchdog and
+	// retries guard and Jobs counts. A nil pool runs the batch serially.
+	lookup := func(rows []int) ([]pair, error) {
+		return runner.MapCtx(searchCtx, cfg.Pool, len(rows), func(ctx context.Context, i int) (pair, error) {
+			return eval(ctx, rows[i])
+		})
+	}
 	// held keeps a walk batch's payoff pairs until the walk first reads
 	// their row. That read consumes the held pair instead of looking the
 	// row up again, so a batched lookup replaces the serial walk's first
 	// lookup of the row and Simulations and CacheHits do not move.
 	held := make(map[int]pair)
-	eval := func(numX int) pair {
-		if p, ok := held[numX]; ok {
-			delete(held, numX)
-			return p
-		}
-		return lookupBatch(searchCtx, cfg.Pool, &failed, []int{numX}, evalErr)[0]
-	}
-	g := &game.SymmetricBinary{
-		N:           cfg.N,
-		PayoffX:     func(k int) float64 { return eval(k).x },
-		PayoffCubic: func(k int) float64 { return eval(k).c },
+	g := &game.Symmetric{
+		Sizes:      []int{cfg.N},
+		Strategies: 2,
+		Payoff: func(_, s int, k [][]int) (float64, error) {
+			row := k[0][0]
+			p, ok := held[row]
+			if ok {
+				delete(held, row)
+			} else {
+				ps, err := lookup([]int{row})
+				if err != nil {
+					return 0, err
+				}
+				p = ps[0]
+			}
+			if s == 0 {
+				return p.x, nil
+			}
+			return p.c, nil
+		},
 	}
 	eps := game.Epsilon(float64(cfg.Capacity), cfg.N, cfg.EpsFraction)
 	if cfg.Utility != nil {
@@ -229,19 +237,19 @@ func FindNE(cfg NESearchConfig) (NESearchResult, error) {
 		for i := range rows {
 			rows[i] = i
 		}
-		lookupBatch(searchCtx, cfg.Pool, &failed, rows, evalErr)
-		if err := failed.get(); err != nil {
+		if _, err := lookup(rows); err != nil {
 			return NESearchResult{}, err
 		}
 		ks, err := g.Equilibria(eps)
 		if err != nil {
 			return NESearchResult{}, err
 		}
-		if err := failed.get(); err != nil {
-			return NESearchResult{}, err
+		var xs []int
+		for _, k := range ks {
+			xs = append(xs, k[0][0])
 		}
 		return NESearchResult{
-			EquilibriaX: ks,
+			EquilibriaX: xs,
 			Simulations: int(sims.Load()),
 			CacheHits:   int(hits.Load()),
 			Converged:   true,
@@ -259,12 +267,17 @@ func FindNE(cfg NESearchConfig) (NESearchResult, error) {
 			start = int(pt.BBRFlows + 0.5)
 		}
 	}
-	ks, converged := walkNeighborhood(g, start, eps, 3*cfg.N, func(rows []int) {
-		for i, p := range lookupBatch(searchCtx, cfg.Pool, &failed, rows, evalErr) {
+	ks, converged, err := walkNeighborhood(g, start, eps, 3*cfg.N, func(rows []int) error {
+		ps, err := lookup(rows)
+		if err != nil {
+			return err
+		}
+		for i, p := range ps {
 			held[rows[i]] = p
 		}
+		return nil
 	})
-	if err := failed.get(); err != nil {
+	if err != nil {
 		return NESearchResult{}, err
 	}
 	return NESearchResult{
@@ -275,40 +288,42 @@ func FindNE(cfg NESearchConfig) (NESearchResult, error) {
 	}, nil
 }
 
-// walkNeighborhood is FindNE's walk-mode search core: follow unilateral
-// switching incentives from start, then report every equilibrium in the
-// landing zone's ±2 neighbourhood.
-// converged is FirstEquilibrium's verdict — false when the walk cycled or
-// exhausted maxSteps, in which case the neighbourhood is centred on
-// wherever the walk stopped rather than on an equilibrium, and the caller
-// must surface that instead of passing the neighbourhood off as the answer
-// (the pre-fix code discarded it).
+// walkNeighborhood is FindNE's walk-mode search core on g, a one-class
+// CUBIC-or-X game: follow unilateral switching incentives from start (g's
+// Walk), then report every equilibrium in the landing zone's ±2
+// neighbourhood, as numbers of X flows. Rows are distributions, numbered
+// by their X flows.
+// converged is Walk's verdict — false when the walk cycled or exhausted
+// maxSteps, in which case the neighbourhood is centred on wherever the
+// walk stopped rather than on an equilibrium, and the caller must surface
+// that instead of passing the neighbourhood off as the answer.
 //
-// batch receives rows (distributions) the walk has not read yet but is
-// certain to read, so the caller can look them up together. There are
-// three such points. Before the walk, the start pair: FirstEquilibrium's
-// first comparison reads rows s and s+1, where s is start clamped to
-// [0, N], or N−1 and N when s = N. During the walk, when eps >= 0, a read
-// of a row r that is neither read nor batched goes out with the row past
-// it: r+1 when r−1 has been read, r−1 when r+1 has. A walk with eps >= 0
-// never reverses, so whichever way the comparison reading r falls, the
-// row past r is read next: by the next step, by the neighbourhood checks
-// of a walk that converges at or next to r, or by those of a walk whose
-// budget stops it there. After a converged walk lands at k, rows k−3,
-// k−2 and k+2: IsEquilibrium(k−2) evaluates both operands of its first
-// comparison and IsEquilibrium(k+2) reads X(k+2). No row is batched twice
-// and nothing the walk might not read is batched, so a caller that lets a
-// batched lookup stand in for the row's first read makes exactly the
-// serial walk's lookups. A walk with eps < 0 can cycle, so it pairs
-// nothing.
-func walkNeighborhood(g *game.SymmetricBinary, start int, eps float64, maxSteps int, batch func(rows []int)) (ks []int, converged bool) {
+// batch receives rows the walk has not read yet but is certain to read,
+// so the caller can look them up together. There are three such points.
+// Before the walk, the start pair: the walk's first comparison reads rows
+// s and s+1, where s is start clamped to [0, N], or N−1 and N when s = N.
+// During the walk, when eps >= 0, a read of a row r that is neither read
+// nor batched goes out with the row past it: r+1 when r−1 has been read,
+// r−1 when r+1 has. A walk with eps >= 0 never reverses, so whichever way
+// the comparison reading r falls, the row past r is read next: by the
+// next step, by the neighbourhood checks of a walk that converges at or
+// next to r, or by those of a walk whose budget stops it there. After a
+// converged walk lands at k, rows k−3, k−2 and k+2: IsEquilibrium(k−2)
+// evaluates both operands of its first comparison and IsEquilibrium(k+2)
+// reads X(k+2). No row is batched twice and nothing the walk might not
+// read is batched, so a caller that lets a batched lookup stand in for the
+// row's first read makes exactly the serial walk's lookups. A walk with
+// eps < 0 can cycle, so it pairs nothing.
+//
+// A failed batch or payoff read ends the search with its error.
+func walkNeighborhood(g *game.Symmetric, start int, eps float64, maxSteps int, batch func(rows []int) error) (ks []int, converged bool, err error) {
 	// w is g with its reads recorded, so that no batch repeats a lookup,
 	// and, while pairing, with each read of a fresh row paired.
-	n := g.N
+	n := g.Sizes[0]
 	read := make([]bool, n+1)
 	batched := make([]bool, n+1)
 	fresh := func(r int) bool { return r >= 0 && r <= n && !read[r] && !batched[r] }
-	prefetch := func(rows ...int) {
+	prefetch := func(rows ...int) error {
 		var todo []int
 		for _, r := range rows {
 			if fresh(r) {
@@ -316,66 +331,61 @@ func walkNeighborhood(g *game.SymmetricBinary, start int, eps float64, maxSteps 
 				todo = append(todo, r)
 			}
 		}
-		if len(todo) > 0 {
-			batch(todo)
+		if len(todo) == 0 {
+			return nil
 		}
+		return batch(todo)
 	}
 	pairing := false
-	look := func(r int) {
-		if pairing && fresh(r) {
-			switch {
-			case r > 0 && read[r-1] && fresh(r+1):
-				prefetch(r, r+1)
-			case r < n && read[r+1] && fresh(r-1):
-				prefetch(r, r-1)
+	w := &game.Symmetric{
+		Sizes:      g.Sizes,
+		Strategies: 2,
+		Payoff: func(c, s int, k [][]int) (float64, error) {
+			r := k[0][0]
+			if pairing && fresh(r) {
+				var err error
+				switch {
+				case r > 0 && read[r-1] && fresh(r+1):
+					err = prefetch(r, r+1)
+				case r < n && read[r+1] && fresh(r-1):
+					err = prefetch(r, r-1)
+				}
+				if err != nil {
+					return 0, err
+				}
 			}
-		}
-		read[r] = true
+			read[r] = true
+			return g.Payoff(c, s, k)
+		},
 	}
-	w := &game.SymmetricBinary{
-		N:           n,
-		PayoffX:     func(k int) float64 { look(k); return g.PayoffX(k) },
-		PayoffCubic: func(k int) float64 { look(k); return g.PayoffCubic(k) },
-	}
-	if s := min(max(start, 0), n); s < n {
-		prefetch(s, s+1)
-	} else if n >= 1 {
-		prefetch(n-1, n)
+	s := min(max(start, 0), n)
+	if err := prefetch(min(s, n-1), min(s, n-1)+1); err != nil {
+		return nil, false, err
 	}
 	pairing = eps >= 0
-	k, ok := w.FirstEquilibrium(start, eps, maxSteps)
+	k, ok, err := w.Walk(choiceProfile(g.Sizes, []int{s}), eps, maxSteps)
 	pairing = false
-	if ok {
-		prefetch(k-3, k-2, k+2)
-	} else {
-		log.Printf("exp: NE walk from %d did not converge within %d steps (stopped at %d); reporting that point's ±2 neighbourhood only", start, maxSteps, k)
+	if err != nil {
+		return nil, false, err
 	}
-	for cand := k - 2; cand <= k+2; cand++ {
-		if cand < 0 || cand > n {
-			continue
+	x := k[0][0]
+	if ok {
+		if err := prefetch(x-3, x-2, x+2); err != nil {
+			return nil, false, err
 		}
-		if w.IsEquilibrium(cand, eps) {
+	} else {
+		log.Printf("exp: NE walk from %d did not converge within %d steps (stopped at %d); reporting that point's ±2 neighbourhood only", start, maxSteps, x)
+	}
+	for cand := max(x-2, 0); cand <= min(x+2, n); cand++ {
+		eq, err := w.IsEquilibrium(choiceProfile(g.Sizes, []int{cand}), eps)
+		if err != nil {
+			return nil, false, err
+		}
+		if eq {
 			ks = append(ks, cand)
 		}
 	}
-	return ks, ok
-}
-
-// lookupBatch is an NE search's one payoff-lookup path: it evaluates rows
-// as one runner.MapCtx batch on pool, so each lookup is a pool unit that
-// the pool's watchdog and retries guard and Jobs counts. A nil pool runs
-// the batch serially. A failed batch is noted in failed and reads as
-// zero payoffs, as a failed lookup always has: game callbacks cannot
-// return errors, so the search reports the failure when it ends.
-func lookupBatch[R, P any](ctx context.Context, pool *runner.Pool, failed *evalFailure, rows []R, eval func(context.Context, R) (P, error)) []P {
-	ps, err := runner.MapCtx(ctx, pool, len(rows), func(uctx context.Context, i int) (P, error) {
-		return eval(uctx, rows[i])
-	})
-	if err != nil {
-		failed.note(err)
-		return make([]P, len(rows))
-	}
-	return ps
+	return ks, ok, nil
 }
 
 // PayoffDuration enforces the paper's two-minute protocol on equilibrium
@@ -439,7 +449,8 @@ type GroupNEResult struct {
 // profile's payoff seed is a pure function of (cfg.Seed, profile), so the
 // profile space can be evaluated in parallel and memoized canonically.
 func FindGroupNE(cfg GroupNEConfig) (GroupNEResult, error) {
-	if err := checkGroupShape(cfg.Sizes, cfg.RTTs); err != nil {
+	total, err := checkGroupShape(cfg.Sizes, cfg.RTTs)
+	if err != nil {
 		return GroupNEResult{}, err
 	}
 	if cfg.EpsFraction == 0 {
@@ -455,18 +466,18 @@ func FindGroupNE(cfg GroupNEConfig) (GroupNEResult, error) {
 	}
 	env := Env{Cache: cache, Journal: cfg.Journal, Audit: cfg.Audit, Trace: cfg.Trace}
 	dur := PayoffDuration(cfg.Duration)
-	// A failed lookup's pair is never read: lookupBatch drops a failed
-	// batch's results, and eval stands zero slices in for them.
-	evalErr := func(ctx context.Context, k []int) (pair, error) {
+	// eval looks up the payoffs of the profile with x[i] X flows in group
+	// i, under the profile's canonical scenario key.
+	eval := func(ctx context.Context, x []int) (pair, error) {
 		sp, err := GroupConfig{
 			Capacity: cfg.Capacity,
 			Buffer:   cfg.Buffer,
 			Duration: dur,
-			Seed:     ProfileSeed(cfg.Seed, k),
+			Seed:     ProfileSeed(cfg.Seed, x),
 			X:        cfg.X,
 			RTTs:     cfg.RTTs,
 			Sizes:    cfg.Sizes,
-			NumX:     k,
+			NumX:     x,
 			Backend:  cfg.Backend,
 		}.spec()
 		if err != nil {
@@ -485,150 +496,101 @@ func FindGroupNE(cfg GroupNEConfig) (GroupNEResult, error) {
 		return pair{x: res.PerFlowX, c: res.PerFlowCubic}, nil
 	}
 	searchCtx := ctxOr(cfg.Ctx)
-	var failed evalFailure
-	eval := func(k []int) pair {
-		p := lookupBatch(searchCtx, cfg.Pool, &failed, [][]int{k}, evalErr)[0]
-		if p.x == nil || p.c == nil {
-			p = pair{x: make([]units.Rate, len(k)), c: make([]units.Rate, len(k))}
-		}
-		return p
+	// lookup runs the profiles' payoff lookups as one runner.MapCtx batch
+	// on the pool, as FindNE's lookup does.
+	lookup := func(xs [][]int) ([]pair, error) {
+		return runner.MapCtx(searchCtx, cfg.Pool, len(xs), func(ctx context.Context, i int) (pair, error) {
+			return eval(ctx, xs[i])
+		})
 	}
-	groups := make([]game.GroupSpec, len(cfg.Sizes))
-	total := 0
-	for i, sz := range cfg.Sizes {
-		groups[i] = game.GroupSpec{Size: sz}
-		total += sz
-	}
-	g := &game.GroupSymmetric{
-		Groups:      groups,
-		PayoffX:     func(i int, k []int) float64 { return float64(eval(k).x[i]) },
-		PayoffCubic: func(i int, k []int) float64 { return float64(eval(k).c[i]) },
+	g := &game.Symmetric{
+		Sizes:      cfg.Sizes,
+		Strategies: 2,
+		Payoff: func(c, s int, k [][]int) (float64, error) {
+			ps, err := lookup([][]int{xFlows(k)})
+			if err != nil {
+				return 0, err
+			}
+			if s == 0 {
+				return float64(ps[0].x[c]), nil
+			}
+			return float64(ps[0].c[c]), nil
+		},
 	}
 	eps := game.Epsilon(float64(cfg.Capacity), total, cfg.EpsFraction)
 
+	var ks [][][]int
+	converged := true
 	if cfg.Exhaustive {
 		// The exhaustive enumeration touches every profile, so build the
 		// whole payoff table up front in one batch.
-		lookupBatch(searchCtx, cfg.Pool, &failed, enumerateProfiles(cfg.Sizes), evalErr)
-		if err := failed.get(); err != nil {
-			return GroupNEResult{}, err
-		}
-		ks, err := g.Equilibria(eps)
+		profiles, err := g.Profiles()
 		if err != nil {
 			return GroupNEResult{}, err
 		}
-		if err := failed.get(); err != nil {
+		xs := make([][]int, len(profiles))
+		for i, k := range profiles {
+			xs[i] = xFlows(k)
+		}
+		if _, err := lookup(xs); err != nil {
 			return GroupNEResult{}, err
 		}
-		return GroupNEResult{
-			Equilibria:  ks,
-			Simulations: int(sims.Load()),
-			CacheHits:   int(hits.Load()),
-			Converged:   true,
-		}, nil
-	}
-
-	// Incentive walk with first-improvement moves: start from a
-	// model-informed profile, and at each step take the first unilateral
-	// switch that gains more than eps. First-improvement costs far fewer
-	// payoff evaluations (simulations) than best-improvement, and the
-	// landing profile is an equilibrium either way.
-	k := groupWalkStart(cfg)
-	maxSteps := 3 * total
-	settled := false
-	for step := 0; step < maxSteps; step++ {
-		moved := false
-		for i, sz := range cfg.Sizes {
-			if k[i] < sz {
-				k[i]++
-				gain := float64(eval(k).x[i])
-				k[i]--
-				if gain > float64(eval(k).c[i])+eps {
-					k[i]++
-					moved = true
-					break
-				}
-			}
-			if k[i] > 0 {
-				k[i]--
-				gain := float64(eval(k).c[i])
-				k[i]++
-				if gain > float64(eval(k).x[i])+eps {
-					k[i]--
-					moved = true
-					break
-				}
-			}
+		if ks, err = g.Equilibria(eps); err != nil {
+			return GroupNEResult{}, err
 		}
-		if !moved {
-			settled = true
-			break
+	} else {
+		// Incentive walk with first-improvement moves from a model-informed
+		// profile. First-improvement costs far fewer payoff evaluations
+		// (simulations) than best-improvement, and the landing profile is
+		// an equilibrium either way.
+		k, ok, err := g.Walk(choiceProfile(cfg.Sizes, groupWalkStart(cfg)), eps, 3*total)
+		if err != nil {
+			return GroupNEResult{}, err
 		}
-	}
-	if !settled {
-		// The walk was still moving when the budget ran out: unlike the
-		// binary line-walk, first-improvement moves over coupled groups can
-		// genuinely cycle, so surface the non-convergence instead of
-		// passing the last profile off as the answer.
-		log.Printf("exp: group NE walk did not settle within %d steps (stopped at %v)", maxSteps, k)
+		if converged = ok; !ok {
+			// Unlike the binary line-walk, first-improvement moves over
+			// coupled groups can genuinely cycle, so surface the
+			// non-convergence instead of passing the last profile off as
+			// the answer.
+			log.Printf("exp: group NE walk did not settle within %d steps (stopped at %v)", 3*total, xFlows(k))
+		}
+		eq, err := g.IsEquilibrium(k, eps)
+		if err != nil {
+			return GroupNEResult{}, err
+		}
+		if eq {
+			ks = append(ks, k)
+		}
 	}
 	var out [][]int
-	if g.IsEquilibrium(k, eps) {
-		out = append(out, append([]int(nil), k...))
-	}
-	if err := failed.get(); err != nil {
-		return GroupNEResult{}, err
+	for _, k := range ks {
+		out = append(out, xFlows(k))
 	}
 	return GroupNEResult{
 		Equilibria:  out,
 		Simulations: int(sims.Load()),
 		CacheHits:   int(hits.Load()),
-		Converged:   settled,
+		Converged:   converged,
 	}, nil
 }
 
 // checkGroupShape rejects a group NE shape that no search can run on:
 // every group needs an RTT and a non-negative size, and some group a flow.
-func checkGroupShape(sizes []int, rtts []time.Duration) error {
+// It returns the flow count.
+func checkGroupShape(sizes []int, rtts []time.Duration) (total int, err error) {
 	if len(sizes) == 0 || len(sizes) != len(rtts) {
-		return fmt.Errorf("exp: group NE search needs one RTT per group and at least one group, got %d sizes and %d RTTs", len(sizes), len(rtts))
+		return 0, fmt.Errorf("exp: group NE search needs one RTT per group and at least one group, got %d sizes and %d RTTs", len(sizes), len(rtts))
 	}
-	total := 0
 	for i, sz := range sizes {
 		if sz < 0 {
-			return fmt.Errorf("exp: group NE search: group %d has %d flows", i, sz)
+			return 0, fmt.Errorf("exp: group NE search: group %d has %d flows", i, sz)
 		}
 		total += sz
 	}
 	if total < 1 {
-		return fmt.Errorf("exp: group NE search needs at least one flow")
+		return 0, fmt.Errorf("exp: group NE search needs at least one flow")
 	}
-	return nil
-}
-
-// enumerateProfiles lists every profile of the Π(Size+1) space in the same
-// lexicographic order game.GroupSymmetric.Equilibria visits.
-func enumerateProfiles(sizes []int) [][]int {
-	total := 1
-	for _, sz := range sizes {
-		total *= sz + 1
-	}
-	out := make([][]int, 0, total)
-	k := make([]int, len(sizes))
-	var walk func(i int)
-	walk = func(i int) {
-		if i == len(sizes) {
-			out = append(out, append([]int(nil), k...))
-			return
-		}
-		for v := 0; v <= sizes[i]; v++ {
-			k[i] = v
-			walk(i + 1)
-		}
-		k[i] = 0
-	}
-	walk(0)
-	return out
+	return total, nil
 }
 
 // groupWalkStart picks the walk's starting profile: the single-RTT model's
@@ -643,10 +605,7 @@ func groupWalkStart(cfg GroupNEConfig) []int {
 		meanRTT += cfg.RTTs[i] * time.Duration(sz)
 	}
 	k := make([]int, len(cfg.Sizes))
-	if total == 0 {
-		return k
-	}
-	meanRTT /= time.Duration(total)
+	meanRTT /= time.Duration(total) // checkGroupShape: total >= 1
 	want := total / 2
 	if pt, err := core.PredictNash(core.NashScenario{
 		Capacity: cfg.Capacity, Buffer: cfg.Buffer, RTT: meanRTT, N: total,

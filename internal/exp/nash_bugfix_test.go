@@ -1,7 +1,9 @@
 package exp
 
 import (
+	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -25,7 +27,22 @@ func fluidNE(n int, seed uint64) NESearchConfig {
 	}
 }
 
-// The walk core must surface FirstEquilibrium's non-convergence instead of
+// lineNE is the one-class CUBIC-or-X game of n flows whose X and CUBIC
+// payoffs with k X flows are x(k) and c(k).
+func lineNE(n int, x, c func(k int) float64) *game.Symmetric {
+	return &game.Symmetric{
+		Sizes:      []int{n},
+		Strategies: 2,
+		Payoff: func(_, s int, k [][]int) (float64, error) {
+			if s == 0 {
+				return x(k[0][0]), nil
+			}
+			return c(k[0][0]), nil
+		},
+	}
+}
+
+// The walk core must surface the walk's non-convergence instead of
 // discarding it (the pre-fix code dropped the ok return and reported the
 // stopping point's ±2 neighbourhood as the answer). With memoized payoffs
 // the binary line-walk cannot genuinely cycle — an up-move from k and a
@@ -33,12 +50,13 @@ func fluidNE(n int, seed uint64) NESearchConfig {
 // non-convergence arm is step-budget exhaustion; cycling payoff functions
 // themselves are covered by internal/game's walk tests.
 func TestWalkNeighborhoodSurfacesNonConvergence(t *testing.T) {
-	g := &game.SymmetricBinary{
-		N:           50,
-		PayoffX:     func(k int) float64 { return 100 }, // always switch to X
-		PayoffCubic: func(k int) float64 { return 0 },
+	noBatch := func([]int) error { return nil }
+	g := lineNE(50, func(k int) float64 { return 100 }, // always switch to X
+		func(k int) float64 { return 0 })
+	ks, converged, err := walkNeighborhood(g, 0, 0, 5, noBatch)
+	if err != nil {
+		t.Fatal(err)
 	}
-	ks, converged := walkNeighborhood(g, 0, 0, 5, func([]int) {})
 	if converged {
 		t.Fatal("a walk cut off after 5 of 50 required steps claimed convergence")
 	}
@@ -49,12 +67,12 @@ func TestWalkNeighborhoodSurfacesNonConvergence(t *testing.T) {
 	}
 
 	// A walk that does reach the equilibrium reports convergence.
-	g2 := &game.SymmetricBinary{
-		N:           10,
-		PayoffX:     func(k int) float64 { return 40 / float64(k) },
-		PayoffCubic: func(k int) float64 { return 60 / float64(10-k+1) },
+	g2 := lineNE(10, func(k int) float64 { return 40 / float64(k) },
+		func(k int) float64 { return 60 / float64(10-k+1) })
+	ks, converged, err = walkNeighborhood(g2, 5, 0, 30, noBatch)
+	if err != nil {
+		t.Fatal(err)
 	}
-	ks, converged = walkNeighborhood(g2, 5, 0, 30, func([]int) {})
 	if !converged {
 		t.Fatal("converging walk reported non-convergence")
 	}
@@ -212,6 +230,58 @@ func TestNEShapeErrors(t *testing.T) {
 					Pool:       pool,
 				})
 			})
+		}
+	}
+}
+
+// A failed payoff lookup ends a search with the lookup's error. Every
+// lookup of a profile with an X flow fails below, since the fluid backend
+// has no model for "nope", and with one worker runner.MapCtx stops a batch
+// at its first failure. So a walk's first lookup must be its last, and an
+// exhaustive scan's second, after the all-CUBIC profile that heads its
+// table: no cache lookup may follow the batch that failed. When a failed
+// lookup read as zero payoffs, the walks went on: FindNE's (N = 8) made 9
+// cache lookups, FindGroupNE's 8.
+func TestFailedPayoffStopsSearch(t *testing.T) {
+	for _, exhaustive := range []bool{false, true} {
+		for name, search := range map[string]func(*runner.Pool, *runner.Cache) error{
+			"FindNE": func(pool *runner.Pool, cache *runner.Cache) error {
+				cfg := fluidNE(8, 3)
+				cfg.X, cfg.Exhaustive, cfg.Pool, cfg.Cache = "nope", exhaustive, pool, cache
+				_, err := FindNE(cfg)
+				return err
+			},
+			"FindGroupNE": func(pool *runner.Pool, cache *runner.Cache) error {
+				_, err := FindGroupNE(GroupNEConfig{
+					Capacity:   50 * units.Mbps,
+					Buffer:     units.BufferBytes(50*units.Mbps, 10*time.Millisecond, 10),
+					RTTs:       []time.Duration{10 * time.Millisecond, 50 * time.Millisecond},
+					Sizes:      []int{3, 3},
+					Duration:   2 * time.Minute,
+					Seed:       3,
+					X:          "nope",
+					Backend:    "fluid",
+					Exhaustive: exhaustive,
+					Pool:       pool,
+					Cache:      cache,
+				})
+				return err
+			},
+		} {
+			name := fmt.Sprintf("%s exhaustive=%v", name, exhaustive)
+			cache := runner.NewCache()
+			err := search(runner.NewPool(1), cache)
+			var ue *runner.UnitError
+			if !errors.As(err, &ue) || !strings.Contains(ue.Key, "|g=nope:") {
+				t.Errorf("%s: err = %v, want the *runner.UnitError of a lookup with X nope", name, err)
+			}
+			want := int64(1)
+			if exhaustive {
+				want = 2
+			}
+			if got := cache.Misses(); got != want {
+				t.Errorf("%s: %d cache lookups, want %d: lookups followed the failed one", name, got, want)
+			}
 		}
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"bbrnash/internal/game"
 	"bbrnash/internal/rng"
 	"bbrnash/internal/runner"
 	"bbrnash/internal/units"
@@ -86,6 +85,60 @@ func TestFindGroupNEWalkUsesPool(t *testing.T) {
 	}
 }
 
+// The group search's results and lookup counts on two shapes, in both
+// modes, on the fluid backend. The walks start at their equilibria, so
+// each reads the landing profile's four or six payoffs once, and the final
+// check reads the walk's memo. The exhaustive scans build the whole table
+// (16 and 27 profiles), then look up each payoff the enumeration reads
+// (32 and 102).
+func TestFindGroupNEPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	ms := time.Millisecond
+	two := GroupNEConfig{
+		Capacity: 50 * units.Mbps,
+		Buffer:   units.BufferBytes(50*units.Mbps, 10*ms, 10),
+		RTTs:     []time.Duration{10 * ms, 50 * ms},
+		Sizes:    []int{3, 3},
+		Seed:     3,
+	}
+	three := GroupNEConfig{
+		Capacity: 100 * units.Mbps,
+		Buffer:   units.BufferBytes(100*units.Mbps, 10*ms, 5),
+		RTTs:     []time.Duration{10 * ms, 30 * ms, 50 * ms},
+		Sizes:    []int{2, 2, 2},
+		Seed:     5,
+	}
+	for _, c := range []struct {
+		name       string
+		cfg        GroupNEConfig
+		exhaustive bool
+		want       GroupNEResult
+	}{
+		{"3/3 walk", two, false, GroupNEResult{[][]int{{0, 3}}, 3, 1, true}},
+		{"3/3 exhaustive", two, true, GroupNEResult{[][]int{{0, 3}}, 16, 32, true}},
+		{"2/2/2 walk", three, false, GroupNEResult{[][]int{{0, 2, 2}}, 4, 2, true}},
+		{"2/2/2 exhaustive", three, true, GroupNEResult{[][]int{
+			{0, 0, 2}, {0, 1, 2}, {0, 2, 2}, {1, 0, 2}, {1, 1, 2}, {1, 2, 2}, {2, 0, 2}, {2, 1, 2}, {2, 2, 2},
+		}, 27, 102, true}},
+	} {
+		cfg := c.cfg
+		cfg.Duration, cfg.Backend, cfg.Exhaustive = 2*time.Minute, "fluid", c.exhaustive
+		cfg.Pool = runner.NewPool(1)
+		res, err := FindGroupNE(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if !reflect.DeepEqual(res, c.want) {
+			t.Errorf("%s: %+v, want %+v", c.name, res, c.want)
+		}
+		if got := cfg.Pool.Jobs(); got != int64(res.Simulations+res.CacheHits) {
+			t.Errorf("%s: pool ran %d jobs for %d simulations + %d cache hits", c.name, got, res.Simulations, res.CacheHits)
+		}
+	}
+}
+
 // walkEvent is one entry of a recorded walk: a payoff read of row, or row
 // carried by the batch hook's call number batch (1, 2, …; 0 for a read).
 type walkEvent struct {
@@ -98,22 +151,24 @@ type walkEvent struct {
 // record false the batch hook is a no-op, which is the serial walk.
 func recordWalk(px, pc []float64, start int, eps float64, maxSteps int, record bool) ([]int, bool, []walkEvent) {
 	var log []walkEvent
-	g := &game.SymmetricBinary{
-		N:           len(px) - 1,
-		PayoffX:     func(k int) float64 { log = append(log, walkEvent{row: k}); return px[k] },
-		PayoffCubic: func(k int) float64 { log = append(log, walkEvent{row: k}); return pc[k] },
-	}
+	g := lineNE(len(px)-1,
+		func(k int) float64 { log = append(log, walkEvent{row: k}); return px[k] },
+		func(k int) float64 { log = append(log, walkEvent{row: k}); return pc[k] })
 	calls := 0
-	batch := func([]int) {}
+	batch := func([]int) error { return nil }
 	if record {
-		batch = func(rows []int) {
+		batch = func(rows []int) error {
 			calls++
 			for _, row := range rows {
 				log = append(log, walkEvent{row: row, batch: calls})
 			}
+			return nil
 		}
 	}
-	ks, converged := walkNeighborhood(g, start, eps, maxSteps, batch)
+	ks, converged, err := walkNeighborhood(g, start, eps, maxSteps, batch)
+	if err != nil {
+		panic(err) // table payoffs cannot fail
+	}
 	return ks, converged, log
 }
 
@@ -160,16 +215,16 @@ func checkCertainReads(t *testing.T, where string, log []walkEvent) {
 	}
 }
 
-// firstWalkReads counts the payoff reads FirstEquilibrium itself makes on
-// the table, before walkNeighborhood's post-walk checks read anything.
+// firstWalkReads counts the payoff reads the walk itself makes on the
+// table, before walkNeighborhood's post-walk checks read anything.
 func firstWalkReads(px, pc []float64, start int, eps float64, maxSteps int) int {
 	reads := 0
-	g := &game.SymmetricBinary{
-		N:           len(px) - 1,
-		PayoffX:     func(k int) float64 { reads++; return px[k] },
-		PayoffCubic: func(k int) float64 { reads++; return pc[k] },
-	}
-	g.FirstEquilibrium(start, eps, maxSteps)
+	n := len(px) - 1
+	g := lineNE(n,
+		func(k int) float64 { reads++; return px[k] },
+		func(k int) float64 { reads++; return pc[k] })
+	s := min(max(start, 0), n)
+	g.Walk([][]int{{s, n - s}}, eps, maxSteps)
 	return reads
 }
 
@@ -182,7 +237,7 @@ func firstWalkReads(px, pc []float64, start int, eps float64, maxSteps int) int 
 // out, and negative eps, under which every switch pays and the walk
 // cycles until its budget is spent. Past the walk's first read, a batch
 // is either an in-walk pair (two adjacent rows, the first of them the
-// walk's very next read, made while FirstEquilibrium runs) or, only after
+// walk's very next read, made while the game's Walk runs) or, only after
 // a converged walk, the neighbourhood prefetch; a walk with eps < 0 pairs
 // nothing.
 func TestWalkNeighborhoodBatchesOnlyCertainReads(t *testing.T) {

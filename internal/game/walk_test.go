@@ -7,22 +7,23 @@ import "testing"
 func TestFirstEquilibriumCyclingPayoffs(t *testing.T) {
 	// Construct payoffs with no equilibrium at any k: whichever side you
 	// are on, switching always looks strictly better.
-	g := &SymmetricBinary{
-		N: 4,
-		PayoffX: func(k int) float64 {
+	g := lineGame(4,
+		func(k int) float64 {
 			if k%2 == 0 {
 				return 10
 			}
 			return 0
 		},
-		PayoffCubic: func(k int) float64 {
+		func(k int) float64 {
 			if k%2 == 0 {
 				return 0
 			}
 			return 10
-		},
+		})
+	_, ok, err := g.Walk(line(4, 2), 0, 20)
+	if err != nil {
+		t.Fatal(err)
 	}
-	_, ok := g.FirstEquilibrium(2, 0, 20)
 	if ok {
 		// With these payoffs some k may still satisfy the two one-sided
 		// checks; verify against the exhaustive enumeration.
@@ -39,43 +40,49 @@ func TestFirstEquilibriumCyclingPayoffs(t *testing.T) {
 // The walk must respect the step budget.
 func TestFirstEquilibriumStepBudget(t *testing.T) {
 	calls := 0
-	g := &SymmetricBinary{
-		N: 1000,
-		PayoffX: func(k int) float64 {
+	g := lineGame(1000,
+		func(int) float64 {
 			calls++
 			return 1000 // always switch to X
 		},
-		PayoffCubic: func(k int) float64 {
+		func(int) float64 {
 			calls++
 			return 0
-		},
+		})
+	k, ok, err := g.Walk(line(1000, 0), 0, 5)
+	if err != nil {
+		t.Fatal(err)
 	}
-	k, ok := g.FirstEquilibrium(0, 0, 5)
 	if ok {
-		t.Errorf("walk claimed convergence after 5 steps at k=%d", k)
+		t.Errorf("walk claimed convergence after 5 steps at %v", k)
 	}
-	if k != 5 {
-		t.Errorf("walk should have advanced exactly 5 steps, got %d", k)
+	if k[0][0] != 5 {
+		t.Errorf("walk should have advanced exactly 5 steps, got %v", k)
+	}
+	if calls != 10 {
+		t.Errorf("5 steps read %d payoffs, want 10", calls)
 	}
 }
 
 // Equilibria and IsEquilibrium must agree for random-ish payoff tables.
 func TestEquilibriaConsistentWithIsEquilibrium(t *testing.T) {
-	g := &SymmetricBinary{
-		N:           12,
-		PayoffX:     func(k int) float64 { return float64((k*7)%5) + 40/float64(k+1) },
-		PayoffCubic: func(k int) float64 { return float64((k*3)%4) + 60/float64(13-k) },
-	}
+	g := lineGame(12,
+		func(k int) float64 { return float64((k*7)%5) + 40/float64(k+1) },
+		func(k int) float64 { return float64((k*3)%4) + 60/float64(13-k) })
 	ne, err := g.Equilibria(0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	inNE := map[int]bool{}
-	for _, k := range ne {
+	for _, k := range lineCounts(ne) {
 		inNE[k] = true
 	}
-	for k := 0; k <= g.N; k++ {
-		if g.IsEquilibrium(k, 0.5) != inNE[k] {
+	for k := 0; k <= 12; k++ {
+		ok, err := g.IsEquilibrium(line(12, k), 0.5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ok != inNE[k] {
 			t.Errorf("IsEquilibrium(%d) disagrees with Equilibria", k)
 		}
 	}
@@ -83,44 +90,40 @@ func TestEquilibriaConsistentWithIsEquilibrium(t *testing.T) {
 
 // GroupSymmetric equilibria must be invariant to group order relabeling.
 func TestGroupSymmetricRelabelInvariance(t *testing.T) {
-	payX := func(group int, k []int) float64 {
-		// Higher group index prefers X more.
-		return float64(group*5) + 10/float64(k[group]+1)
+	// pay is in X counts per group: x[c] of group c's 2 players run X.
+	pay := func(c, s int, x []int) float64 {
+		if s == 0 {
+			// Higher group index prefers X more.
+			return float64(c*5) + 10/float64(x[c]+1)
+		}
+		return float64((2-c)*5) + 5/float64(1+x[0]+x[1]+x[2])
 	}
-	payC := func(group int, k []int) float64 {
-		return float64((2-group)*5) + 5/float64(1+TotalX(k))
+	game := func(relabel func(c int, x []int) (int, []int)) *Symmetric {
+		return &Symmetric{
+			Sizes:      []int{2, 2, 2},
+			Strategies: 2,
+			Payoff: func(c, s int, k [][]int) (float64, error) {
+				c, x := relabel(c, []int{k[0][0], k[1][0], k[2][0]})
+				return pay(c, s, x), nil
+			},
+		}
 	}
-	g1 := &GroupSymmetric{
-		Groups:      []GroupSpec{{Size: 2}, {Size: 2}, {Size: 2}},
-		PayoffX:     payX,
-		PayoffCubic: payC,
-	}
-	ne1, err := g1.Equilibria(0)
+	ne1, err := game(func(c int, x []int) (int, []int) { return c, x }).Equilibria(0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Relabel groups in reverse: payoffs see the mirrored group index and
 	// mirrored profile.
-	g2 := &GroupSymmetric{
-		Groups: []GroupSpec{{Size: 2}, {Size: 2}, {Size: 2}},
-		PayoffX: func(group int, k []int) float64 {
-			m := []int{k[2], k[1], k[0]}
-			return payX(2-group, m)
-		},
-		PayoffCubic: func(group int, k []int) float64 {
-			m := []int{k[2], k[1], k[0]}
-			return payC(2-group, m)
-		},
-	}
-	ne2, err := g2.Equilibria(0)
+	ne2, err := game(func(c int, x []int) (int, []int) { return 2 - c, []int{x[2], x[1], x[0]} }).Equilibria(0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(ne1) != len(ne2) {
 		t.Fatalf("relabeled game has %d NE, original %d", len(ne2), len(ne1))
 	}
-	for i, k := range ne1 {
-		m := ne2[len(ne2)-1-i]
+	x1, x2 := xCounts(ne1), xCounts(ne2)
+	for i, k := range x1 {
+		m := x2[len(x2)-1-i]
 		if k[0] != m[2] || k[1] != m[1] || k[2] != m[0] {
 			t.Errorf("NE %v has no mirrored counterpart %v", k, m)
 		}

@@ -79,6 +79,31 @@ for want in 'equilibria at 5 CUBIC/3 bbr 4 CUBIC/4 bbr' '(6 simulations, 4 cache
 	fi
 done
 
+echo "== group-NE determinism smoke (figures -fig 10 at 1 and 2 workers)"
+# Fig 10's multi-RTT walks look up every payoff as a pool unit; the
+# equilibria and the simulation and cache-hit counts must not depend on the
+# worker count. fig10_smoke drops the worker count and the wall-time
+# figures (the elapsed times and the speedup).
+fig10_smoke() {
+	go run ./cmd/figures -fig 10 -scale smoke -backend fluid -out '' -workers "$1" 2>/dev/null |
+		sed -e 's/, [0-9]* workers)$/)/' -e 's/ done in [^ ]* (/ done (/' \
+			-e 's/^all done in [^:]*: /all done: /' -e 's/, [0-9.]*x speedup//'
+}
+FIG1=$(fig10_smoke 1)
+FIG2=$(fig10_smoke 2)
+if [ "$FIG1" != "$FIG2" ]; then
+	echo "fig 10 smoke: -workers 1 and -workers 2 differ:" >&2
+	diff <(printf '%s\n' "$FIG1") <(printf '%s\n' "$FIG2") >&2 || true
+	exit 1
+fi
+for want in 'found 3 NE profiles' '(29 sims, 23 cache hits'; do
+	if ! printf '%s' "$FIG1" | grep -qF "$want"; then
+		echo "fig 10 smoke: output lacks \"$want\":" >&2
+		printf '%s\n' "$FIG1" >&2
+		exit 1
+	fi
+done
+
 echo "== go -C bench test ./... (benchmark harness, incl. the smoke run checked against bench/golden.json)"
 go -C bench test ./...
 
