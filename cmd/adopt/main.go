@@ -69,8 +69,8 @@ func run() (code int) {
 	// adopt.Config reads zero as "use the default", so without these
 	// checks -revise 0, -agents 0 and -simflows 0 would run with 1, 10000
 	// and 20 instead of failing. adopt.Run rejects a NaN noise too, but
-	// only once -out exists, and without naming the flag. Each check fails
-	// NaN, as cli.ParseFloats fails it in the lists.
+	// without naming the flag. Each check fails NaN, as cli.ParseFloats
+	// fails it in the lists.
 	switch {
 	case !(*revise > 0 && *revise <= 1):
 		return env.Fail(fmt.Errorf("-revise %v outside (0, 1]", *revise))
@@ -120,15 +120,15 @@ func run() (code int) {
 		return env.Fail(err)
 	}
 
+	// -out is created when the first record arrives, so a config that
+	// adopt.Run rejects leaves no empty trajectory file behind.
 	out := io.Writer(os.Stdout)
 	var outFile *os.File
-	if *outPath != "" {
-		if outFile, err = os.Create(*outPath); err != nil {
-			return env.Fail(err)
+	defer func() {
+		if outFile != nil {
+			outFile.Close() // early exits; the success path checks Close
 		}
-		defer outFile.Close() // early exits; the success path checks Close
-		out = outFile
-	}
+	}()
 
 	// A failed trajectory write cancels the run: the rest of the
 	// trajectory could not be written either.
@@ -161,6 +161,13 @@ func run() (code int) {
 		OnRecord: func(r adopt.Record) {
 			if writeErr != nil {
 				return
+			}
+			if *outPath != "" && outFile == nil {
+				if outFile, writeErr = os.Create(*outPath); writeErr != nil {
+					cancelRun()
+					return
+				}
+				out = outFile
 			}
 			if writeErr = adopt.WriteJSONL(out, []adopt.Record{r}); writeErr != nil {
 				cancelRun()

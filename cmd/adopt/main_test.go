@@ -45,8 +45,8 @@ func TestUnwritableTrajectoryFailsRun(t *testing.T) {
 }
 
 // adopt.Config reads a zero revise probability, population or flow count
-// as its default (1, 10000, 20), and it rejects a non-finite noise, class
-// weight or share only after -out is created, so the command must reject
+// as its default (1, 10000, 20), and its errors for a non-finite noise,
+// class weight or share do not name a flag, so the command must reject
 // these values itself: each must fail the run before it starts, with an
 // error naming its flag.
 func TestOutOfRangeFlagsFailRun(t *testing.T) {
@@ -72,6 +72,32 @@ func TestOutOfRangeFlagsFailRun(t *testing.T) {
 			}
 			if _, err := os.Stat(out); !os.IsNotExist(err) {
 				t.Errorf("the rejected run created its -out file (stat: %v)", err)
+			}
+		})
+	}
+}
+
+// A config that adopt.Run rejects fails the run before its first record,
+// so no -out file may be left behind, and the error, which already starts
+// "adopt: ", is printed under the command's name once.
+func TestRejectedConfigLeavesNoOutFile(t *testing.T) {
+	for _, tc := range []struct{ flag, value string }{
+		{"-class-weights", "0,1"},
+		{"-shares", "-1,1"},
+		{"-capacity", "0"},
+	} {
+		t.Run(tc.flag+"="+tc.value, func(t *testing.T) {
+			out := filepath.Join(t.TempDir(), "w.jsonl")
+			code, stderr := runArgs(t, "-buffer", "3", "-agents", "1000", "-generations", "2",
+				"-algs", "cubic,bbr", "-rtts", "20,80", "-simflows", "6", "-out", out, tc.flag, tc.value)
+			if code != 1 {
+				t.Errorf("adopt %s %s exited %d, want 1", tc.flag, tc.value, code)
+			}
+			if _, err := os.Stat(out); !os.IsNotExist(err) {
+				t.Errorf("the rejected run left its -out file (stat: %v)", err)
+			}
+			if strings.Contains(stderr, "adopt: adopt:") {
+				t.Errorf("stderr doubles the command name:\n%s", stderr)
 			}
 		})
 	}

@@ -17,17 +17,17 @@
 // batch are distinct and each payoff is a pure function of its profile,
 // so the batch's results do not depend on how its units interleave. A
 // profile the run has already evaluated is served from the run's own
-// payoff table. Best response then revises each class on its own seeded
-// stream, the classes concurrently and each writing only its own row;
-// replicator dynamics revise serially. Either way a trajectory is
-// byte-identical at any worker count.
+// payoff table, an exp.PayoffTable. Best response then revises each class
+// on its own seeded stream, the classes concurrently and each writing only
+// its own row; replicator dynamics revise serially. Either way a
+// trajectory is byte-identical at any worker count.
 package adopt
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -36,7 +36,6 @@ import (
 	"bbrnash/internal/cc"
 	"bbrnash/internal/check"
 	"bbrnash/internal/exp"
-	"bbrnash/internal/game"
 	"bbrnash/internal/rng"
 	"bbrnash/internal/runner"
 	"bbrnash/internal/scenario"
@@ -126,15 +125,16 @@ type Config struct {
 	// simulations); Result.FixedPoint is then false and meaningless.
 	SkipCheck bool
 
-	// Pool runs each batch of payoffs — a generation's profile and its
-	// deviations, or the fixed-point check's — and its watchdog and
-	// retries guard every payoff; nil means serial. Its worker count also
-	// bounds how many classes best response revises at once. The
-	// trajectory is identical at any worker count.
+	// Pool runs each batch of payoff lookups — a generation's profile and
+	// its deviations, or the fixed-point check's — and its watchdog and
+	// retries guard every lookup; a revisit takes no unit. Nil means
+	// serial. Its worker count also bounds how many classes best response
+	// revises at once. The trajectory is identical at any worker count.
 	Pool *runner.Pool
 	// Cache memoizes payoff simulations by canonical scenario key across
-	// runs (nil: a fresh in-memory cache). Within one run each distinct
-	// profile reaches it once: the run's payoff table serves revisits.
+	// runs; nil means no result cache. Within one run each distinct
+	// profile reaches it at most once: the run's payoff table serves
+	// revisits.
 	Cache *runner.Cache
 	// Journal write-ahead-logs completed payoff simulations for
 	// crash-safe resumption; rerunning with the same journal replays the
@@ -169,9 +169,10 @@ type Result struct {
 	// eps by switching algorithm (checked with game.Symmetric, one class
 	// per RTT class).
 	FixedPoint bool
-	// Simulations and CacheHits count this run's payoff evaluations that
-	// ran fresh versus did not: a hit came from the cache or journal, or
-	// is a revisit the run's payoff table served.
+	// Simulations and CacheHits count this run's payoff lookups that ran
+	// fresh versus did not: a hit came from the cache or journal, or is a
+	// revisit the run's payoff table served (see exp.PayoffTable; the
+	// fixed-point check's prefetch of a held profile is not a revisit).
 	Simulations int
 	CacheHits   int
 }
@@ -269,9 +270,6 @@ func (cfg Config) withDefaults() (Config, error) {
 	if !positive(cfg.EpsFraction) {
 		return cfg, fmt.Errorf("adopt: eps fraction %v is not positive and finite", cfg.EpsFraction)
 	}
-	if cfg.Cache == nil {
-		cfg.Cache = runner.NewCache()
-	}
 	if cfg.Ctx == nil {
 		cfg.Ctx = context.Background()
 	}
@@ -304,7 +302,7 @@ func Run(cfg Config) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	ev := newEvaluator(cfg)
+	tab := cfg.payoffTable()
 	pop := initial(cfg)
 	// Best-response revision draws: one stream per (generation, class),
 	// pre-split in that serial order, so the draw sequence is a pure
@@ -316,13 +314,13 @@ func Run(cfg Config) (Result, error) {
 		sim := probedSimCounts(cfg, pop)
 		// No revision step follows the final record, so nothing would
 		// read its deviation gains.
-		pay, gain, err := ev.generation(cfg.Ctx, sim, gen < cfg.Generations)
+		pay, gain, err := generation(cfg.Ctx, tab, sim, gen < cfg.Generations)
 		if err != nil {
 			return Result{}, err
 		}
 		rec := makeRecord(gen, cfg, pop, sim, pay)
 		if gen == cfg.Generations && !cfg.SkipCheck {
-			fp, err := ev.fixedPoint(cfg, pop)
+			fp, err := fixedPoint(cfg, tab, pop)
 			if err != nil {
 				return Result{}, err
 			}
@@ -344,8 +342,7 @@ func Run(cfg Config) (Result, error) {
 		}
 	}
 	res.Final = pop
-	res.Simulations = int(ev.sims.Load())
-	res.CacheHits = int(ev.hits.Load())
+	res.Simulations, res.CacheHits = tab.Simulations(), tab.CacheHits()
 	return res, nil
 }
 
@@ -557,38 +554,26 @@ func probedSimCounts(cfg Config, pop Population) [][]int {
 // eps (EpsFraction of the fair share) by switching algorithm. The profile
 // and the game's deviations from it are looked up as one pooled batch
 // first, so the check then reads the run's payoff table.
-func (ev *evaluator) fixedPoint(cfg Config, pop Population) (bool, error) {
+func fixedPoint(cfg Config, tab *exp.PayoffTable, pop Population) (bool, error) {
 	base := scaledCounts(cfg, pop)
-	g := ev.game(cfg.Ctx, base)
+	g := tab.Game(cfg.Ctx, sizes(base))
 	devs, err := g.Deviations(base)
 	if err != nil {
 		return false, err
 	}
-	if _, err := ev.batch(cfg.Ctx, append([][][]int{base}, devs...)); err != nil {
+	if err := tab.Prefetch(cfg.Ctx, append([][][]int{base}, devs...)); err != nil {
 		return false, err
 	}
 	return g.IsEquilibrium(base, cfg.epsMbps())
 }
 
-// game is the scaled game over profiles with shape's class sizes: one
-// game.Symmetric class per RTT class and one strategy per algorithm, whose
-// payoffs are the run's (see payoffs).
-func (ev *evaluator) game(ctx context.Context, shape [][]int) *game.Symmetric {
-	sizes := make([]int, len(shape))
-	for c, row := range shape {
-		sizes[c] = sum(row)
+// sizes is the class sizes of profile k.
+func sizes(k [][]int) []int {
+	out := make([]int, len(k))
+	for c, row := range k {
+		out[c] = sum(row)
 	}
-	return &game.Symmetric{
-		Sizes:      sizes,
-		Strategies: len(ev.cfg.Algorithms),
-		Payoff: func(c, s int, k [][]int) (float64, error) {
-			pay, err := ev.payoffs(ctx, k)
-			if err != nil {
-				return 0, err
-			}
-			return pay[c][s], nil
-		},
-	}
+	return out
 }
 
 // apportion distributes total into integer parts proportional to weights
@@ -639,84 +624,26 @@ func sum(xs []int) int {
 	return n
 }
 
-// evaluator runs payoff simulations through the experiment harness with
-// per-run simulation/hit accounting (per-run, not global-counter deltas —
-// the same discipline exp.FindNE uses after the cross-search attribution
-// fix).
-//
-// table is the run's payoff table: every profile this run has evaluated,
-// keyed by its flow counts (see profileKey), the way game.Symmetric
-// memoizes one NE search. Within a run the counts fix the spec, its
-// exp.ProfileSeed and so its canonical key. A profile's first lookup builds
-// the spec and runs it through exp.Run: the cache, the journal or a fresh
-// simulation under that key. A revisit replays the audit verdict of the
-// first lookup, which is what auditing the same key, spec and result again
-// would record, and is served from the table with no spec, key, audit or
-// decode. The table lives and dies with the run: it has no file, no
-// eviction and no counters of its own, and errors are never stored.
-type evaluator struct {
-	cfg  Config
-	dur  time.Duration
-	sims atomic.Int64
-	hits atomic.Int64
-
-	mu    sync.Mutex
-	table map[string]evaluated
-}
-
-// evaluated is one table entry: the payoffs of a profile's result and the
-// violations its audit recorded (nil when clean or unaudited).
-type evaluated struct {
-	pay     [][]float64
-	verdict []check.Violation
-}
-
-// profileKey appends a flow-count matrix's table key to dst: its counts
-// in class-major order, as uvarints. Every matrix of a run has one row per
-// class and one count per algorithm, so the key determines the spec that
-// ev.spec compiles from the matrix.
-func profileKey(dst []byte, counts [][]int) []byte {
-	for _, row := range counts {
-		for _, k := range row {
-			dst = binary.AppendUvarint(dst, uint64(k))
-		}
+// payoffTable is the run's payoff table: one class per RTT class and one
+// strategy per algorithm, spec groups in class-major, algorithm-minor
+// order (the order is part of the canonical key, so one run's profiles all
+// share a key shape). A profile's jitter seed is exp.ProfileSeed of its
+// flattened counts, so any revisit of the same mixture — later
+// generation, deviation check, resumed run — has the same key, and its
+// payoff is a flow's mean throughput in Mbps.
+func (cfg Config) payoffTable() *exp.PayoffTable {
+	rtts := make([]time.Duration, len(cfg.Classes))
+	for c, cl := range cfg.Classes {
+		rtts[c] = cl.RTT
 	}
-	return dst
-}
-
-func newEvaluator(cfg Config) *evaluator {
-	return &evaluator{cfg: cfg, dur: exp.PayoffDuration(cfg.Duration), table: make(map[string]evaluated)}
-}
-
-// spec compiles one (class, algorithm) flow-count matrix to its scenario:
-// groups in class-major, algorithm-minor order (the order is part of the
-// canonical key, so one run's profiles all share a key shape), jitter seed
-// derived from the flattened profile via exp.ProfileSeed so any revisit of
-// the same mixture — later generation, deviation check, resumed run — is a
-// cache hit.
-func (ev *evaluator) spec(counts [][]int) scenario.Spec {
-	cfg := ev.cfg
-	flat := make([]int, 0, len(counts)*len(cfg.Algorithms))
-	groups := make([]scenario.Group, 0, len(counts)*len(cfg.Algorithms))
-	for c := range counts {
-		for a, k := range counts[c] {
-			flat = append(flat, k)
-			groups = append(groups, scenario.Group{
-				Algorithm: cfg.Algorithms[a],
-				Count:     k,
-				RTT:       cfg.Classes[c].RTT,
-			})
-		}
-	}
-	return scenario.Spec{
-		Capacity:    cfg.Capacity,
-		Buffer:      cfg.Buffer,
-		AckJitter:   scenario.DefaultAckJitter,
-		StartJitter: scenario.DefaultStartJitter,
-		Duration:    ev.dur,
-		Seed:        exp.ProfileSeed(cfg.Seed, flat),
-		Backend:     cfg.Backend,
-		Groups:      groups,
+	return &exp.PayoffTable{
+		Base:       exp.PayoffBase(cfg.Capacity, cfg.Buffer, cfg.Duration, cfg.Backend),
+		RTTs:       rtts,
+		Algorithms: cfg.Algorithms,
+		Seed:       func(k [][]int) uint64 { return exp.ProfileSeed(cfg.Seed, slices.Concat(k...)) },
+		Utility:    func(r units.Rate, _ time.Duration) float64 { return r.Mbit() },
+		Env:        exp.Env{Cache: cfg.Cache, Journal: cfg.Journal, Audit: cfg.Audit, Trace: cfg.Trace},
+		Pool:       cfg.Pool,
 	}
 }
 
@@ -725,19 +652,19 @@ func (ev *evaluator) spec(counts [][]int) scenario.Spec {
 // algorithm a would gain by switching to t — its payoff in the
 // post-switch profile minus its current one, the exact comparison the
 // equilibrium checks make. The profile and all of its one-flow deviations
-// are known up front, so they run as one pooled batch. Deviation profiles
-// recur along a trajectory and are cached by canonical key, so steady
+// are known up front, so they are used as one pooled batch. Deviation
+// profiles recur along a trajectory and the table serves them, so steady
 // states cost no fresh simulations.
-func (ev *evaluator) generation(ctx context.Context, sim [][]int, withGains bool) ([][]float64, [][][]float64, error) {
+func generation(ctx context.Context, tab *exp.PayoffTable, sim [][]int, withGains bool) ([][]float64, [][][]float64, error) {
 	profiles := [][][]int{sim}
 	if withGains {
-		devs, err := ev.game(ctx, sim).Deviations(sim)
+		devs, err := tab.Game(ctx, sizes(sim)).Deviations(sim)
 		if err != nil {
 			return nil, nil, err
 		}
 		profiles = append(profiles, devs...)
 	}
-	pays, err := ev.batch(ctx, profiles)
+	pays, err := tab.Use(ctx, profiles)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -747,13 +674,12 @@ func (ev *evaluator) generation(ctx context.Context, sim [][]int, withGains bool
 	}
 	// pays[1:] are the deviations' payoffs, in Deviations' (class, from,
 	// to) order; a strategy with no flow has none (probes make this rare).
-	na := len(ev.cfg.Algorithms)
 	gain := make([][][]float64, len(sim))
 	i := 1
 	for c, row := range sim {
-		gain[c] = make([][]float64, na)
+		gain[c] = make([][]float64, len(row))
 		for a := range row {
-			gain[c][a] = make([]float64, na)
+			gain[c][a] = make([]float64, len(row))
 			for t := range row {
 				if row[a] > 0 && t != a {
 					gain[c][a][t] = pays[i][c][t] - pay[c][a]
@@ -763,79 +689,4 @@ func (ev *evaluator) generation(ctx context.Context, sim [][]int, withGains bool
 		}
 	}
 	return pay, gain, nil
-}
-
-// batch evaluates profiles as one fan-out on Config.Pool (serially when it
-// is nil), so the pool's watchdog and retries guard every payoff. The
-// profiles of one batch are distinct, so no key is simulated twice however
-// the units interleave.
-func (ev *evaluator) batch(ctx context.Context, profiles [][][]int) ([][][]float64, error) {
-	return runner.MapCtx(ctx, ev.cfg.Pool, len(profiles), func(uctx context.Context, i int) ([][]float64, error) {
-		return ev.payoffs(uctx, profiles[i])
-	})
-}
-
-// payoffs evaluates one flow-count matrix and reports pay[c][a]: algorithm
-// a's mean per-flow throughput in class c, in Mbps (0 for empty cells).
-// Callers share the returned rows and must not modify them.
-func (ev *evaluator) payoffs(ctx context.Context, counts [][]int) ([][]float64, error) {
-	var buf [64]byte
-	pk := profileKey(buf[:0], counts)
-	ev.mu.Lock()
-	e, seen := ev.table[string(pk)]
-	ev.mu.Unlock()
-	if seen {
-		ev.cfg.Audit.Record(e.verdict...)
-		ev.hits.Add(1)
-		return e.pay, nil
-	}
-	tk := string(pk)
-	// The first lookup audits into an auditor of its own, so that the
-	// entry can keep the verdict, and passes the verdict on whatever the
-	// outcome, as an audit straight into Config.Audit would.
-	var verdict *check.Auditor
-	if ev.cfg.Audit.Enabled() {
-		verdict = check.New()
-	}
-	res, hit, err := exp.Run(ctx, ev.spec(counts), exp.Env{Cache: ev.cfg.Cache, Journal: ev.cfg.Journal, Audit: verdict, Trace: ev.cfg.Trace})
-	vs := verdict.Violations()
-	ev.cfg.Audit.Record(vs...)
-	if err != nil {
-		return nil, err
-	}
-	if hit {
-		ev.hits.Add(1)
-	} else {
-		ev.sims.Add(1)
-	}
-	pay := ev.payoffsOf(counts, res)
-	ev.mu.Lock()
-	ev.table[tk] = evaluated{pay: pay, verdict: vs}
-	ev.mu.Unlock()
-	return pay, nil
-}
-
-// payoffsOf derives pay[c][a] from a profile's result.
-func (ev *evaluator) payoffsOf(counts [][]int, res exp.SpecResult) [][]float64 {
-	na := len(ev.cfg.Algorithms)
-	pay := make([][]float64, len(counts))
-	for c := range counts {
-		pay[c] = make([]float64, na)
-		for a := range counts[c] {
-			gi := c*na + a
-			if gi >= len(res.Groups) {
-				continue // shape drift in an old cached value degrades, not panics
-			}
-			stats := res.Groups[gi]
-			if len(stats) == 0 {
-				continue
-			}
-			var agg units.Rate
-			for _, st := range stats {
-				agg += st.Throughput
-			}
-			pay[c][a] = (agg / units.Rate(len(stats))).Mbit()
-		}
-	}
-	return pay
 }

@@ -184,7 +184,7 @@ func TestRunTwoClassRevisionPinned(t *testing.T) {
 	const (
 		wantSHA  = "b804ada2ce742da58df0398703c9b67cb01383ed5736ec69a09683182cc9c057"
 		wantSims = 31
-		wantHits = 176
+		wantHits = 171
 	)
 	cache := runner.NewCache()
 	for i, workers := range []int{0, 1, 2, runtime.GOMAXPROCS(0)} {
@@ -253,22 +253,22 @@ func TestPayoffTableServesRevisits(t *testing.T) {
 
 // Revisits stay audited. Generation 0's profile is pre-seeded in the cache
 // with a result whose link utilization breaks the audit; the payoffs, and
-// so the trajectory, are those of the real result. Every lookup of that
-// profile records one violation: the count is pinned to the serial
-// cache-decoding evaluator's, which audited every revisit as a cache hit.
-// The first lookup records what a cache hit on the seeded result records,
-// and every revisit replays it element by element.
+// so the trajectory, are those of the real result. Every count the table
+// makes of that profile records one violation: its lookup and each use
+// after its first. A prefetch of a profile the table holds counts nothing.
+// The lookup records what a cache hit on the seeded result records, and
+// every revisit replays it element by element.
 func TestPayoffTableRevisitsAudited(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	const wantViolations = 4
+	const wantViolations = 3
 	cfg := testConfig()
 	d, err := cfg.withDefaults()
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp := newEvaluator(d).spec(probedSimCounts(d, initial(d)))
+	sp := d.payoffTable().Spec(probedSimCounts(d, initial(d)))
 	bad, _, err := exp.Run(context.Background(), sp, exp.Env{})
 	if err != nil {
 		t.Fatal(err)
@@ -304,8 +304,8 @@ func TestPayoffTableRevisitsAudited(t *testing.T) {
 }
 
 // A revisit of a profile the run has already evaluated is one locked map
-// lookup, a replay of the stored verdict and a hit: with a clean verdict
-// it allocates nothing, audited or not.
+// lookup, a replay of the stored verdict and a hit: a read through the
+// table's game with a clean verdict allocates nothing, audited or not.
 func TestRevisitZeroAllocs(t *testing.T) {
 	for _, audit := range []*check.Auditor{nil, check.New()} {
 		cfg := testConfig()
@@ -314,22 +314,23 @@ func TestRevisitZeroAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ev := newEvaluator(d)
+		tab := d.payoffTable()
 		sim := probedSimCounts(d, initial(d))
-		if _, _, err := ev.generation(d.Ctx, sim, true); err != nil {
+		if _, _, err := generation(d.Ctx, tab, sim, true); err != nil {
 			t.Fatal(err)
 		}
-		hits := ev.hits.Load()
+		g := tab.Game(d.Ctx, sizes(sim))
+		hits := tab.CacheHits()
 		const runs = 100
 		allocs := testing.AllocsPerRun(runs, func() {
-			if _, err := ev.payoffs(d.Ctx, sim); err != nil {
+			if _, err := g.Payoff(0, 0, sim); err != nil {
 				t.Fatal(err)
 			}
 		})
 		if allocs != 0 {
 			t.Errorf("audit %v: a revisit allocated %.1f times; want 0", audit.Enabled(), allocs)
 		}
-		if got := ev.hits.Load() - hits; got != runs+1 {
+		if got := tab.CacheHits() - hits; got != runs+1 {
 			t.Errorf("audit %v: %d revisits counted %d hits", audit.Enabled(), runs+1, got)
 		}
 		if audit.Len() != 0 {
@@ -354,9 +355,11 @@ func TestFinalGenerationSkipsDeviations(t *testing.T) {
 	}
 }
 
-// Every generation's payoffs run through the pool, and a batch never
-// simulates one key twice: the pool's job count is the run's payoff count,
-// and the simulated/cached split is the same at any worker count.
+// Every generation's lookups run through the pool, and a batch never
+// simulates one key twice: on a cold cache the pool's job count is the
+// run's simulation count, since a revisit is served by the run's table and
+// takes no pool unit, and the simulated/cached split is the same at any
+// worker count.
 func TestGenerationsUsePool(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -370,8 +373,8 @@ func TestGenerationsUsePool(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, want := cfg.Pool.Jobs(), int64(res.Simulations+res.CacheHits); got != want {
-			t.Errorf("%d workers: pool ran %d jobs for %d payoffs", workers, got, want)
+		if got, want := cfg.Pool.Jobs(), int64(res.Simulations); got != want {
+			t.Errorf("%d workers: pool ran %d jobs for %d simulations", workers, got, want)
 		}
 		return res
 	}
@@ -432,7 +435,7 @@ func TestRunResumesFromJournal(t *testing.T) {
 	}
 	defer j2.Close()
 	cfg2 := testConfig()
-	cfg2.Journal = j2 // fresh in-memory cache: only the journal carries over
+	cfg2.Journal = j2 // no cache: only the journal carries over
 	res2, err := Run(cfg2)
 	if err != nil {
 		t.Fatal(err)

@@ -269,9 +269,15 @@ func (e *Env) Verdict() int {
 	return 1
 }
 
-// statusf prints one status line to stderr under the command's name.
+// statusf prints one status line to stderr under the command's name. A
+// message that already starts with "<name>: ", as the errors of a package
+// named after the command do, keeps its own prefix instead of doubling it.
 func (e *Env) statusf(format string, args ...any) {
-	fmt.Fprintf(e.stderr, "%s: %s\n", e.name, fmt.Sprintf(format, args...))
+	msg := fmt.Sprintf(format, args...)
+	if !strings.HasPrefix(msg, e.name+": ") {
+		msg = e.name + ": " + msg
+	}
+	fmt.Fprintln(e.stderr, msg)
 }
 
 // outcome maps an exit code to the run report's outcome field.

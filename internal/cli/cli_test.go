@@ -61,6 +61,18 @@ func TestFailExitCodes(t *testing.T) {
 	}
 }
 
+// An error that already names the command, as adopt.Run's "adopt: …"
+// errors do in cmd/adopt, is printed once under that name, not twice.
+func TestFailKeepsCommandPrefixOnce(t *testing.T) {
+	env, out := testEnv()
+	if code := env.Fail(errors.New("test: bad input")); code != 1 {
+		t.Errorf("Fail = %d, want 1", code)
+	}
+	if got, want := out.String(), "test: bad input\n"; got != want {
+		t.Errorf("stderr = %q, want %q", got, want)
+	}
+}
+
 func TestCloseReportOutcome(t *testing.T) {
 	for code, want := range map[int]string{0: "ok", 130: "interrupted", 1: "failed"} {
 		env, _ := testEnv()

@@ -6,13 +6,13 @@ import (
 	"log"
 	"math"
 	"sort"
-	"sync/atomic"
 	"time"
 
 	"bbrnash/internal/check"
 	"bbrnash/internal/core"
 	"bbrnash/internal/game"
 	"bbrnash/internal/runner"
+	"bbrnash/internal/scenario"
 	"bbrnash/internal/telemetry"
 	"bbrnash/internal/units"
 )
@@ -76,17 +76,19 @@ type NESearchConfig struct {
 	// fewer distributions (each evaluation is one simulation).
 	Exhaustive bool
 	// Pool runs every payoff lookup as a unit, so its watchdog and retries
-	// guard each one and Jobs counts them. Exhaustive scans build the whole
-	// payoff table in one batch. The walk batches only rows it is certain
-	// to read: its start pair, each row it blocks on together with the row
-	// past it, and a converged walk's neighbourhood (see walkNeighborhood);
-	// it looks up the rest one at a time. Nil means serial. Results,
-	// Simulations and CacheHits are identical at any worker count.
+	// guard each one and Jobs counts them; a re-read of a distribution is
+	// served by the search's payoff table (see PayoffTable) and takes no
+	// unit. Exhaustive scans build the whole payoff table in one batch.
+	// The walk batches only rows it is certain to read: its start pair,
+	// each row it blocks on together with the row past it, and a converged
+	// walk's neighbourhood (see walkNeighborhood); it looks up the rest one
+	// at a time. Nil means serial. Results, Simulations and CacheHits are
+	// identical at any worker count.
 	Pool *runner.Pool
-	// Cache memoizes payoff simulations by canonical scenario key. When
-	// nil, a search-local cache still deduplicates repeated distribution
-	// evaluations within this call; a shared cache additionally carries
-	// results across trials and figures.
+	// Cache memoizes payoff simulations by canonical scenario key across
+	// searches, trials and figures; nil means no result cache. Within one
+	// search the payoff table deduplicates: each distribution reaches the
+	// cache at most once.
 	Cache *runner.Cache
 	// Journal write-ahead-logs completed payoff simulations for crash
 	// resumption (see Scale.Journal); nil disables journaling.
@@ -115,9 +117,10 @@ type NESearchResult struct {
 	Simulations int
 	// CacheHits counts this search's payoff lookups served by the
 	// memoizing cache (or the resume journal) instead of a fresh
-	// simulation. The count is per-search — it was formerly a delta of the
-	// cache's global hit counter, so concurrent searches sharing one cache
-	// attributed each other's hits to themselves.
+	// simulation, plus every read of a payoff table entry after its first
+	// (see PayoffTable). The count is per-search — it was formerly a delta
+	// of the cache's global hit counter, so concurrent searches sharing
+	// one cache attributed each other's hits to themselves.
 	CacheHits int
 	// Converged reports whether the search settled: exhaustive scans always
 	// converge, and walk mode converges when the incentive walk reached an
@@ -135,7 +138,7 @@ type NESearchResult struct {
 // cfg.Seed (a pure function of the distribution, not of visit order), so
 // the payoff table can be built in parallel and re-checks of a
 // distribution — the equilibrium test probes each point's neighbours —
-// hit the cache instead of re-simulating.
+// read the table instead of re-simulating.
 func FindNE(cfg NESearchConfig) (NESearchResult, error) {
 	if cfg.N < 1 {
 		return NESearchResult{}, fmt.Errorf("exp: NE search needs N >= 1 flows, got %d", cfg.N)
@@ -147,81 +150,21 @@ func FindNE(cfg NESearchConfig) (NESearchResult, error) {
 	if utility == nil {
 		utility = ThroughputUtility
 	}
-	cache := cfg.Cache
-	if cache == nil {
-		cache = runner.NewCache()
-	}
-	var sims, hits atomic.Int64
-	dur := PayoffDuration(cfg.Duration)
 	seeds := trialSeeds(cfg.Seed, cfg.N+1)
-	env := Env{Cache: cache, Journal: cfg.Journal, Audit: cfg.Audit, Trace: cfg.Trace}
-	type pair struct{ x, c float64 }
-	// eval looks up one distribution's payoffs, run and reported under its
-	// canonical scenario key. ctx is the executing pool unit's context, so
-	// the watchdog sees its heartbeats. What is memoized is the mix
-	// result, shared by every utility; the utility is applied per lookup.
-	eval := func(ctx context.Context, numX int) (pair, error) {
-		mix := MixConfig{
-			Capacity: cfg.Capacity,
-			Buffer:   cfg.Buffer,
-			RTT:      cfg.RTT,
-			Duration: dur,
-			Seed:     seeds[numX],
-			X:        cfg.X,
-			NumX:     numX,
-			NumCubic: cfg.N - numX,
-			Backend:  cfg.Backend,
-		}
-		spr, hit, err := Run(ctx, mix.spec(), env)
-		if err != nil {
-			return pair{}, err
-		}
-		if hit {
-			hits.Add(1)
-		} else {
-			sims.Add(1)
-		}
-		res := mixView(spr)
-		return pair{
-			x: utility(res.PerFlowX, res.MeanQueueDelay),
-			c: utility(res.PerFlowCubic, res.MeanQueueDelay),
-		}, nil
+	ctx := ctxOr(cfg.Ctx)
+	// Row x of the table is the distribution with x X flows: spec group 0
+	// is the X class and group 1 the CUBIC class, as scenario.Mix builds
+	// them, so NE payoffs and figure sweeps share cache entries.
+	t := &PayoffTable{
+		Base:       PayoffBase(cfg.Capacity, cfg.Buffer, cfg.Duration, cfg.Backend),
+		RTTs:       []time.Duration{cfg.RTT},
+		Algorithms: []string{xName(cfg.X), "cubic"},
+		Seed:       func(k [][]int) uint64 { return seeds[k[0][0]] },
+		Utility:    utility,
+		Env:        Env{Cache: cfg.Cache, Journal: cfg.Journal, Audit: cfg.Audit, Trace: cfg.Trace},
+		Pool:       cfg.Pool,
 	}
-	searchCtx := ctxOr(cfg.Ctx)
-	// lookup runs rows' payoff lookups as one runner.MapCtx batch on the
-	// pool, so each lookup is a pool unit that the pool's watchdog and
-	// retries guard and Jobs counts. A nil pool runs the batch serially.
-	lookup := func(rows []int) ([]pair, error) {
-		return runner.MapCtx(searchCtx, cfg.Pool, len(rows), func(ctx context.Context, i int) (pair, error) {
-			return eval(ctx, rows[i])
-		})
-	}
-	// held keeps a walk batch's payoff pairs until the walk first reads
-	// their row. That read consumes the held pair instead of looking the
-	// row up again, so a batched lookup replaces the serial walk's first
-	// lookup of the row and Simulations and CacheHits do not move.
-	held := make(map[int]pair)
-	g := &game.Symmetric{
-		Sizes:      []int{cfg.N},
-		Strategies: 2,
-		Payoff: func(_, s int, k [][]int) (float64, error) {
-			row := k[0][0]
-			p, ok := held[row]
-			if ok {
-				delete(held, row)
-			} else {
-				ps, err := lookup([]int{row})
-				if err != nil {
-					return 0, err
-				}
-				p = ps[0]
-			}
-			if s == 0 {
-				return p.x, nil
-			}
-			return p.c, nil
-		},
-	}
+	g := t.Game(ctx, []int{cfg.N})
 	eps := game.Epsilon(float64(cfg.Capacity), cfg.N, cfg.EpsFraction)
 	if cfg.Utility != nil {
 		// Scale eps to the utility of a fair share so EpsFraction keeps
@@ -229,63 +172,55 @@ func FindNE(cfg NESearchConfig) (NESearchResult, error) {
 		eps = cfg.EpsFraction * math.Abs(cfg.Utility(cfg.Capacity/units.Rate(cfg.N), 0))
 	}
 
+	res := NESearchResult{Converged: true}
 	if cfg.Exhaustive {
-		// An exhaustive scan evaluates every distribution anyway, so
-		// build the whole payoff table up front in one batch; the
-		// enumeration below is then pure cache hits.
-		rows := make([]int, cfg.N+1)
-		for i := range rows {
-			rows[i] = i
-		}
-		if _, err := lookup(rows); err != nil {
-			return NESearchResult{}, err
-		}
-		ks, err := g.Equilibria(eps)
+		ks, err := equilibria(ctx, t, g, eps)
 		if err != nil {
 			return NESearchResult{}, err
 		}
-		var xs []int
 		for _, k := range ks {
-			xs = append(xs, k[0][0])
+			res.EquilibriaX = append(res.EquilibriaX, k[0][0])
 		}
-		return NESearchResult{
-			EquilibriaX: xs,
-			Simulations: int(sims.Load()),
-			CacheHits:   int(hits.Load()),
-			Converged:   true,
-		}, nil
-	}
-
-	// Walk from the model's predicted equilibrium (the midpoint under a
-	// custom utility), then report every equilibrium in the landing zone's
-	// neighbourhood.
-	start := cfg.N / 2
-	if cfg.Utility == nil {
-		if pt, err := core.PredictNash(core.NashScenario{
-			Capacity: cfg.Capacity, Buffer: cfg.Buffer, RTT: cfg.RTT, N: cfg.N,
-		}, core.Synchronized); err == nil {
-			start = int(pt.BBRFlows + 0.5)
+	} else {
+		// Walk from the model's predicted equilibrium (the midpoint under
+		// a custom utility), then report every equilibrium in the landing
+		// zone's neighbourhood.
+		start := cfg.N / 2
+		if cfg.Utility == nil {
+			if pt, err := core.PredictNash(core.NashScenario{
+				Capacity: cfg.Capacity, Buffer: cfg.Buffer, RTT: cfg.RTT, N: cfg.N,
+			}, core.Synchronized); err == nil {
+				start = int(pt.BBRFlows + 0.5)
+			}
 		}
-	}
-	ks, converged, err := walkNeighborhood(g, start, eps, 3*cfg.N, func(rows []int) error {
-		ps, err := lookup(rows)
+		var err error
+		res.EquilibriaX, res.Converged, err = walkNeighborhood(g, start, eps, 3*cfg.N, func(rows []int) error {
+			ks := make([][][]int, len(rows))
+			for i, r := range rows {
+				ks[i] = choiceProfile(g.Sizes, []int{r})
+			}
+			return t.Prefetch(ctx, ks)
+		})
 		if err != nil {
-			return err
+			return NESearchResult{}, err
 		}
-		for i, p := range ps {
-			held[rows[i]] = p
-		}
-		return nil
-	})
-	if err != nil {
-		return NESearchResult{}, err
 	}
-	return NESearchResult{
-		EquilibriaX: ks,
-		Simulations: int(sims.Load()),
-		CacheHits:   int(hits.Load()),
-		Converged:   converged,
-	}, nil
+	res.Simulations, res.CacheHits = t.Simulations(), t.CacheHits()
+	return res, nil
+}
+
+// equilibria lists every equilibrium of g, a game on t's payoffs, in
+// Profiles order. The scan reads every profile, so it looks the whole
+// profile space up first, as one Prefetch batch.
+func equilibria(ctx context.Context, t *PayoffTable, g *game.Symmetric, eps float64) ([][][]int, error) {
+	profiles, err := g.Profiles()
+	if err != nil {
+		return nil, err
+	}
+	if err := t.Prefetch(ctx, profiles); err != nil {
+		return nil, err
+	}
+	return g.Equilibria(eps)
 }
 
 // walkNeighborhood is FindNE's walk-mode search core on g, a one-class
@@ -403,6 +338,19 @@ func PayoffDuration(base time.Duration) time.Duration {
 	return 2 * time.Minute
 }
 
+// PayoffBase is the PayoffTable.Base of every game on simulations: one
+// link with the experiment protocol's jitters, run for PayoffDuration(d).
+func PayoffBase(capacity units.Rate, buffer units.Bytes, d time.Duration, backend string) scenario.Spec {
+	return scenario.Spec{
+		Capacity:    capacity,
+		Buffer:      buffer,
+		AckJitter:   scenario.DefaultAckJitter,
+		StartJitter: scenario.DefaultStartJitter,
+		Duration:    PayoffDuration(d),
+		Backend:     backend,
+	}
+}
+
 // GroupNEConfig describes the §4.5 multi-RTT equilibrium search.
 type GroupNEConfig struct {
 	Capacity units.Rate
@@ -436,7 +384,8 @@ type GroupNEResult struct {
 	// Simulations counts simulator runs spent (memoized lookups excluded).
 	Simulations int
 	// CacheHits counts this search's payoff lookups served by the
-	// memoizing cache; per-search, as in NESearchResult.
+	// memoizing cache or the journal, plus every re-read of a payoff table
+	// entry; per-search, as in NESearchResult.
 	CacheHits int
 	// Converged reports whether the search settled (always true for
 	// exhaustive scans; for the incentive walk, whether it reached a
@@ -456,86 +405,25 @@ func FindGroupNE(cfg GroupNEConfig) (GroupNEResult, error) {
 	if cfg.EpsFraction == 0 {
 		cfg.EpsFraction = 0.05
 	}
-	cache := cfg.Cache
-	if cache == nil {
-		cache = runner.NewCache()
+	ctx := ctxOr(cfg.Ctx)
+	// One class per RTT group: RTT group i becomes spec groups 2i (X) and
+	// 2i+1 (CUBIC), as GroupConfig.spec builds them.
+	t := &PayoffTable{
+		Base:       PayoffBase(cfg.Capacity, cfg.Buffer, cfg.Duration, cfg.Backend),
+		RTTs:       cfg.RTTs,
+		Algorithms: []string{xName(cfg.X), "cubic"},
+		Seed:       func(k [][]int) uint64 { return ProfileSeed(cfg.Seed, xFlows(k)) },
+		Utility:    ThroughputUtility,
+		Env:        Env{Cache: cfg.Cache, Journal: cfg.Journal, Audit: cfg.Audit, Trace: cfg.Trace},
+		Pool:       cfg.Pool,
 	}
-	var sims, hits atomic.Int64
-	type pair struct {
-		x, c []units.Rate
-	}
-	env := Env{Cache: cache, Journal: cfg.Journal, Audit: cfg.Audit, Trace: cfg.Trace}
-	dur := PayoffDuration(cfg.Duration)
-	// eval looks up the payoffs of the profile with x[i] X flows in group
-	// i, under the profile's canonical scenario key.
-	eval := func(ctx context.Context, x []int) (pair, error) {
-		sp, err := GroupConfig{
-			Capacity: cfg.Capacity,
-			Buffer:   cfg.Buffer,
-			Duration: dur,
-			Seed:     ProfileSeed(cfg.Seed, x),
-			X:        cfg.X,
-			RTTs:     cfg.RTTs,
-			Sizes:    cfg.Sizes,
-			NumX:     x,
-			Backend:  cfg.Backend,
-		}.spec()
-		if err != nil {
-			return pair{}, err
-		}
-		spr, hit, err := Run(ctx, sp, env)
-		if err != nil {
-			return pair{}, err
-		}
-		if hit {
-			hits.Add(1)
-		} else {
-			sims.Add(1)
-		}
-		res := groupView(len(cfg.RTTs), spr)
-		return pair{x: res.PerFlowX, c: res.PerFlowCubic}, nil
-	}
-	searchCtx := ctxOr(cfg.Ctx)
-	// lookup runs the profiles' payoff lookups as one runner.MapCtx batch
-	// on the pool, as FindNE's lookup does.
-	lookup := func(xs [][]int) ([]pair, error) {
-		return runner.MapCtx(searchCtx, cfg.Pool, len(xs), func(ctx context.Context, i int) (pair, error) {
-			return eval(ctx, xs[i])
-		})
-	}
-	g := &game.Symmetric{
-		Sizes:      cfg.Sizes,
-		Strategies: 2,
-		Payoff: func(c, s int, k [][]int) (float64, error) {
-			ps, err := lookup([][]int{xFlows(k)})
-			if err != nil {
-				return 0, err
-			}
-			if s == 0 {
-				return float64(ps[0].x[c]), nil
-			}
-			return float64(ps[0].c[c]), nil
-		},
-	}
+	g := t.Game(ctx, cfg.Sizes)
 	eps := game.Epsilon(float64(cfg.Capacity), total, cfg.EpsFraction)
 
 	var ks [][][]int
 	converged := true
 	if cfg.Exhaustive {
-		// The exhaustive enumeration touches every profile, so build the
-		// whole payoff table up front in one batch.
-		profiles, err := g.Profiles()
-		if err != nil {
-			return GroupNEResult{}, err
-		}
-		xs := make([][]int, len(profiles))
-		for i, k := range profiles {
-			xs[i] = xFlows(k)
-		}
-		if _, err := lookup(xs); err != nil {
-			return GroupNEResult{}, err
-		}
-		if ks, err = g.Equilibria(eps); err != nil {
+		if ks, err = equilibria(ctx, t, g, eps); err != nil {
 			return GroupNEResult{}, err
 		}
 	} else {
@@ -568,8 +456,8 @@ func FindGroupNE(cfg GroupNEConfig) (GroupNEResult, error) {
 	}
 	return GroupNEResult{
 		Equilibria:  out,
-		Simulations: int(sims.Load()),
-		CacheHits:   int(hits.Load()),
+		Simulations: t.Simulations(),
+		CacheHits:   t.CacheHits(),
 		Converged:   converged,
 	}, nil
 }

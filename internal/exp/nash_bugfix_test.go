@@ -104,12 +104,13 @@ func TestFindNEReportsConverged(t *testing.T) {
 
 // CacheHits must be attributed per-search. Pre-fix it was a delta of the
 // cache's global hit counter, so concurrent searches sharing one cache
-// counted each other's hits. An exhaustive FindNE over a fully warmed
-// cache performs exactly 3N+1 cache lookups — N+1 building the payoff
-// table plus 2N re-looking up distributions during the equilibrium
-// enumeration (payoffX at 1..N, payoffCubic at 0..N−1, one lookup per
-// fresh game-memo entry) — so each concurrent search must report exactly
-// that, not the sum over its neighbours' windows.
+// counted each other's hits. An exhaustive FindNE looks each of the N+1
+// distributions up once, building its payoff table in one batch, and the
+// equilibrium enumeration then uses 2N table entries (payoffX at 1..N,
+// payoffCubic at 0..N−1, one use per fresh game-memo entry), N+1 of them
+// first uses. So a cold search counts N+1 simulations and N−1 hits, and a
+// search over a fully warmed cache N+1 + N−1 = 2N hits, whatever its
+// neighbours do.
 func TestFindNECacheHitsPerSearch(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -127,9 +128,9 @@ func TestFindNECacheHitsPerSearch(t *testing.T) {
 	if warm.Simulations != n+1 {
 		t.Fatalf("warm-up ran %d simulations, want %d", warm.Simulations, n+1)
 	}
-	// The warm-up itself re-looks distributions up during enumeration.
-	if warm.CacheHits != 2*n {
-		t.Fatalf("warm-up CacheHits = %d, want %d", warm.CacheHits, 2*n)
+	// The warm-up itself re-uses table entries during enumeration.
+	if warm.CacheHits != n-1 {
+		t.Fatalf("warm-up CacheHits = %d, want %d", warm.CacheHits, n-1)
 	}
 
 	const searchers = 4
@@ -154,9 +155,9 @@ func TestFindNECacheHitsPerSearch(t *testing.T) {
 		if results[i].Simulations != 0 {
 			t.Errorf("search %d re-simulated %d warmed distributions", i, results[i].Simulations)
 		}
-		if results[i].CacheHits != 3*n+1 {
+		if results[i].CacheHits != 2*n {
 			t.Errorf("search %d CacheHits = %d, want %d (cross-search attribution)",
-				i, results[i].CacheHits, 3*n+1)
+				i, results[i].CacheHits, 2*n)
 		}
 	}
 }

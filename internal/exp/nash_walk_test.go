@@ -12,8 +12,9 @@ import (
 	"bbrnash/internal/units"
 )
 
-// Walk-mode FindNE runs every payoff lookup as a pool unit, so the pool's
-// job count equals the search's lookups, and batching the rows the walk is
+// Walk-mode FindNE runs every payoff lookup as a pool unit and serves
+// every re-read from its payoff table, so on a cold cache the pool's job
+// count equals the search's simulations, and batching the rows the walk is
 // certain to read changes nothing: the result, Simulations and CacheHits
 // are the same without a pool and at any worker count.
 func TestFindNEWalkUsesPool(t *testing.T) {
@@ -40,16 +41,16 @@ func TestFindNEWalkUsesPool(t *testing.T) {
 		if !reflect.DeepEqual(res, want) {
 			t.Errorf("%d workers: %+v, serial walk gave %+v", pool.Workers(), res, want)
 		}
-		if got := pool.Jobs(); got != int64(res.Simulations+res.CacheHits) {
-			t.Errorf("%d workers: pool ran %d jobs for %d simulations + %d cache hits",
-				pool.Workers(), got, res.Simulations, res.CacheHits)
+		if got := pool.Jobs(); got != int64(res.Simulations) {
+			t.Errorf("%d workers: pool ran %d jobs for %d simulations",
+				pool.Workers(), got, res.Simulations)
 		}
 	}
 }
 
 // The group walk's payoff lookups are pool units too, one at a time, so
-// -timeout and -retries guard them; the result does not depend on the
-// worker count.
+// -timeout and -retries guard them, and a re-read takes no unit; the
+// result does not depend on the worker count.
 func TestFindGroupNEWalkUsesPool(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -73,9 +74,9 @@ func TestFindGroupNEWalkUsesPool(t *testing.T) {
 		if res.Simulations == 0 {
 			t.Fatal("group walk ran no simulations")
 		}
-		if got := pool.Jobs(); got != int64(res.Simulations+res.CacheHits) {
-			t.Errorf("%d workers: pool ran %d jobs for %d simulations + %d cache hits",
-				workers, got, res.Simulations, res.CacheHits)
+		if got := pool.Jobs(); got != int64(res.Simulations) {
+			t.Errorf("%d workers: pool ran %d jobs for %d simulations",
+				workers, got, res.Simulations)
 		}
 		if workers == 1 {
 			want = res
@@ -89,8 +90,9 @@ func TestFindGroupNEWalkUsesPool(t *testing.T) {
 // modes, on the fluid backend. The walks start at their equilibria, so
 // each reads the landing profile's four or six payoffs once, and the final
 // check reads the walk's memo. The exhaustive scans build the whole table
-// (16 and 27 profiles), then look up each payoff the enumeration reads
-// (32 and 102).
+// (16 and 27 profiles), then use it for each payoff the enumeration reads
+// (32 and 102 uses, of which 16 and 27 are first uses). A cold cache
+// simulates each profile once, and the pool runs only those lookups.
 func TestFindGroupNEPinned(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -117,11 +119,11 @@ func TestFindGroupNEPinned(t *testing.T) {
 		want       GroupNEResult
 	}{
 		{"3/3 walk", two, false, GroupNEResult{[][]int{{0, 3}}, 3, 1, true}},
-		{"3/3 exhaustive", two, true, GroupNEResult{[][]int{{0, 3}}, 16, 32, true}},
+		{"3/3 exhaustive", two, true, GroupNEResult{[][]int{{0, 3}}, 16, 16, true}},
 		{"2/2/2 walk", three, false, GroupNEResult{[][]int{{0, 2, 2}}, 4, 2, true}},
 		{"2/2/2 exhaustive", three, true, GroupNEResult{[][]int{
 			{0, 0, 2}, {0, 1, 2}, {0, 2, 2}, {1, 0, 2}, {1, 1, 2}, {1, 2, 2}, {2, 0, 2}, {2, 1, 2}, {2, 2, 2},
-		}, 27, 102, true}},
+		}, 27, 75, true}},
 	} {
 		cfg := c.cfg
 		cfg.Duration, cfg.Backend, cfg.Exhaustive = 2*time.Minute, "fluid", c.exhaustive
@@ -133,8 +135,8 @@ func TestFindGroupNEPinned(t *testing.T) {
 		if !reflect.DeepEqual(res, c.want) {
 			t.Errorf("%s: %+v, want %+v", c.name, res, c.want)
 		}
-		if got := cfg.Pool.Jobs(); got != int64(res.Simulations+res.CacheHits) {
-			t.Errorf("%s: pool ran %d jobs for %d simulations + %d cache hits", c.name, got, res.Simulations, res.CacheHits)
+		if got := cfg.Pool.Jobs(); got != int64(res.Simulations) {
+			t.Errorf("%s: pool ran %d jobs for %d simulations", c.name, got, res.Simulations)
 		}
 	}
 }

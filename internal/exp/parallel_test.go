@@ -85,9 +85,9 @@ func TestSweepMixUncachedMatchesCached(t *testing.T) {
 }
 
 // TestFindNEExhaustiveCacheHits: an exhaustive NE search revisits the
-// same distributions when the game probes payoffs, so with a shared cache
-// it must report nonzero hits, and an identical second search must be
-// served entirely from the cache.
+// same distributions when the game probes payoffs, so its payoff table
+// must report nonzero hits, and an identical second search must be served
+// entirely from the shared cache.
 func TestFindNEExhaustiveCacheHits(t *testing.T) {
 	cfg := NESearchConfig{
 		Capacity:   50 * units.Mbps,

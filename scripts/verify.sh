@@ -79,11 +79,35 @@ for want in 'equilibria at 5 CUBIC/3 bbr 4 CUBIC/4 bbr' '(6 simulations, 4 cache
 	fi
 done
 
+echo "== exhaustive-NE determinism smoke (nash -verify -scale full on fluid at 1 and 2 workers)"
+# Ten exhaustive scans, each one prefetch batch of its nine distributions
+# and then the enumeration's re-reads from the search's payoff table (2N
+# uses, N+1 of them first uses); the output must not depend on the worker
+# count, and a re-read that reached the cache again would move the hits.
+nash_full() {
+	go run ./cmd/nash -capacity 50 -n 8 -buffer 3 -verify -scale full -backend fluid -workers "$1" 2>/dev/null |
+		grep -v -e '^verifying ' -e '^verified in '
+}
+FULL1=$(nash_full 1)
+FULL2=$(nash_full 2)
+if [ "$FULL1" != "$FULL2" ]; then
+	echo "exhaustive nash smoke: -workers 1 and -workers 2 differ:" >&2
+	diff <(printf '%s\n' "$FULL1") <(printf '%s\n' "$FULL2") >&2 || true
+	exit 1
+fi
+if [ "$(printf '%s\n' "$FULL1" | grep -cxE 'trial ([1-9]|10): equilibria at 4 CUBIC/4 bbr \(9 simulations, 7 cache hits\)')" -ne 10 ]; then
+	echo "exhaustive nash smoke: not all ten trials read \"equilibria at 4 CUBIC/4 bbr (9 simulations, 7 cache hits)\":" >&2
+	printf '%s\n' "$FULL1" >&2
+	exit 1
+fi
+
 echo "== group-NE determinism smoke (figures -fig 10 at 1 and 2 workers)"
 # Fig 10's multi-RTT walks look up every payoff as a pool unit; the
 # equilibria and the simulation and cache-hit counts must not depend on the
-# worker count. fig10_smoke drops the worker count and the wall-time
-# figures (the elapsed times and the speedup).
+# worker count. The cache-hit count is the command's runner.Cache's, and
+# each search's payoff table serves its re-reads, so it reads 0.
+# fig10_smoke drops the worker count and the wall-time figures (the elapsed
+# times and the speedup).
 fig10_smoke() {
 	go run ./cmd/figures -fig 10 -scale smoke -backend fluid -out '' -workers "$1" 2>/dev/null |
 		sed -e 's/, [0-9]* workers)$/)/' -e 's/ done in [^ ]* (/ done (/' \
@@ -96,7 +120,7 @@ if [ "$FIG1" != "$FIG2" ]; then
 	diff <(printf '%s\n' "$FIG1") <(printf '%s\n' "$FIG2") >&2 || true
 	exit 1
 fi
-for want in 'found 3 NE profiles' '(29 sims, 23 cache hits'; do
+for want in 'found 3 NE profiles' '(29 sims, 0 cache hits'; do
 	if ! printf '%s' "$FIG1" | grep -qF "$want"; then
 		echo "fig 10 smoke: output lacks \"$want\":" >&2
 		printf '%s\n' "$FIG1" >&2
@@ -166,8 +190,8 @@ for w in 1 2; do
 	go run ./cmd/adopt -capacity 100 -buffer 5 -rtts 20,80 -agents 2000 -generations 12 \
 		-dynamics bestresponse -noise 0.02 -simflows 6 -seed 3 -workers "$w" \
 		>"$SMOKE_TMP/traj$w" 2>"$SMOKE_TMP/err$w"
-	if ! head -n 1 "$SMOKE_TMP/err$w" | grep -q ' (20 simulations, 153 cache hits)$'; then
-		echo "adopt determinism smoke: -workers $w summary does not end (20 simulations, 153 cache hits):" >&2
+	if ! head -n 1 "$SMOKE_TMP/err$w" | grep -q ' (20 simulations, 146 cache hits)$'; then
+		echo "adopt determinism smoke: -workers $w summary does not end (20 simulations, 146 cache hits):" >&2
 		cat "$SMOKE_TMP/err$w" >&2
 		exit 1
 	fi
