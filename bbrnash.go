@@ -13,8 +13,9 @@
 //   - A deterministic packet-level network simulator (NewNetwork) with
 //     implementations of CUBIC, New Reno, BBRv1, BBRv2, Copa and PCC
 //     Vivace, standing in for the paper's Linux testbed.
-//   - The experiment harness (Figures, RunMix, FindNE) that regenerates
-//     every figure in the paper's evaluation at configurable scale.
+//   - The experiment harness (Figures, RunScenario, FindNE) that
+//     regenerates every figure in the paper's evaluation at configurable
+//     scale.
 //
 // # Quick start
 //
@@ -246,13 +247,13 @@ type (
 	// ExperimentScale selects fidelity (FullScale reproduces the paper's
 	// protocol).
 	ExperimentScale = exp.Scale
-	// MixConfig describes one mixed-distribution run; X is a registry
-	// algorithm name ("" means "bbr"), as in every experiment config.
-	MixConfig = exp.MixConfig
-	// MixResult aggregates a run.
-	MixResult = exp.MixResult
-	// NESearchConfig describes an empirical equilibrium search; its
-	// Utility field selects a §4.3 utility (nil means throughput only).
+	// SweepPoint is one point of ExperimentScale.Sweep, averaged over the
+	// scale's trials: per-group per-flow and aggregate rates in spec group
+	// order, plus the link's utilization and queueing delay.
+	SweepPoint = exp.SweepPoint
+	// NESearchConfig describes an empirical equilibrium search; X is a
+	// registry algorithm name ("" means "bbr"), and its Utility field
+	// selects a §4.3 utility (nil means throughput only).
 	NESearchConfig = exp.NESearchConfig
 	// NESearchResult is its outcome.
 	NESearchResult = exp.NESearchResult
@@ -260,10 +261,6 @@ type (
 	GroupNEConfig = exp.GroupNEConfig
 	// GroupNEResult is its outcome.
 	GroupNEResult = exp.GroupNEResult
-	// GroupConfig describes one multi-RTT simulation run.
-	GroupConfig = exp.GroupConfig
-	// GroupResult carries its per-group class averages.
-	GroupResult = exp.GroupResult
 	// UtilityFunc scores a flow's throughput/delay outcome (§4.3); set
 	// one as NESearchConfig.Utility.
 	UtilityFunc = exp.UtilityFunc
@@ -287,10 +284,6 @@ var (
 
 // Experiment entry points.
 var (
-	// RunMix executes one mixed-distribution simulation.
-	RunMix = exp.RunMix
-	// RunMixTrials averages RunMix over jittered trials.
-	RunMixTrials = exp.RunMixTrials
 	// FindNE searches for empirical Nash Equilibria, under the
 	// throughput-only game or the §4.3 utility set as
 	// NESearchConfig.Utility.
@@ -299,8 +292,6 @@ var (
 	LinearUtility = exp.LinearUtility
 	// ThroughputUtility is the paper's default utility.
 	ThroughputUtility exp.UtilityFunc = exp.ThroughputUtility
-	// RunGroups executes one multi-RTT simulation.
-	RunGroups = exp.RunGroups
 	// FindGroupNE searches for multi-RTT equilibria.
 	FindGroupNE = exp.FindGroupNE
 	// Figures returns the registry of paper figures.

@@ -14,6 +14,7 @@
 package bbrnash_test
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"testing"
@@ -26,6 +27,7 @@ import (
 	"bbrnash/internal/exp"
 	"bbrnash/internal/netsim"
 	"bbrnash/internal/numeric"
+	"bbrnash/internal/scenario"
 	"bbrnash/internal/units"
 )
 
@@ -223,15 +225,15 @@ func BenchmarkAblationSyncBound(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			res, err := exp.RunMix(exp.MixConfig{
-				Capacity: capacity, Buffer: buf, RTT: rtt,
-				Duration: 2 * time.Minute, NumX: 5, NumCubic: 5, Seed: 11,
-			})
+			sp := scenario.Mix("bbr", 5, 5, capacity, buf, rtt, 2*time.Minute)
+			sp.Seed = 11
+			res, _, err := exp.Run(context.Background(), sp, exp.Env{})
 			if err != nil {
 				b.Fatal(err)
 			}
-			dSync := abs(float64(res.PerFlowX - iv.Sync.PerBBR))
-			dDesync := abs(float64(res.PerFlowX - iv.Desync.PerBBR))
+			perBBR := perFlow(res.Groups[0])
+			dSync := abs(float64(perBBR - iv.Sync.PerBBR))
+			dDesync := abs(float64(perBBR - iv.Desync.PerBBR))
 			if dDesync < dSync {
 				closerToDesync++
 			}
@@ -283,18 +285,13 @@ func BenchmarkAblationFastConvergence(b *testing.B) {
 // why that switch was an easy call compared to CUBIC vs BBR.
 func BenchmarkAblationCubicVsReno(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := exp.RunMix(exp.MixConfig{
-			Capacity: 100 * units.Mbps,
-			Buffer:   units.BufferBytes(100*units.Mbps, 80*time.Millisecond, 1),
-			RTT:      80 * time.Millisecond,
-			Duration: 2 * time.Minute,
-			X:        "reno",
-			NumX:     1, NumCubic: 1,
-		})
+		sp := scenario.Mix("reno", 1, 1, 100*units.Mbps,
+			units.BufferBytes(100*units.Mbps, 80*time.Millisecond, 1), 80*time.Millisecond, 2*time.Minute)
+		res, _, err := exp.Run(context.Background(), sp, exp.Env{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		ratio := float64(res.AggCubic) / float64(res.AggX)
+		ratio := float64(perFlow(res.Groups[1])) / float64(perFlow(res.Groups[0]))
 		b.ReportMetric(ratio, "cubic/reno")
 		if i == 0 {
 			fmt.Printf("  ablation cubic vs reno at high BDP: CUBIC/Reno throughput ratio %.2f\n", ratio)
@@ -307,6 +304,15 @@ func abs(v float64) float64 {
 		return -v
 	}
 	return v
+}
+
+// perFlow is the mean throughput of one spec group's flows.
+func perFlow(stats []netsim.FlowStats) units.Rate {
+	var sum units.Rate
+	for _, st := range stats {
+		sum += st.Throughput
+	}
+	return sum / units.Rate(len(stats))
 }
 
 // BenchmarkScalingLargeN probes §5's open question — do the predictions
@@ -326,14 +332,13 @@ func BenchmarkScalingLargeN(b *testing.B) {
 	}
 	nb := int(pt.BBRFlows + 0.5)
 	for i := 0; i < b.N; i++ {
-		res, err := exp.RunMix(exp.MixConfig{
-			Capacity: capacity, Buffer: buf, RTT: rtt,
-			Duration: 2 * time.Minute, NumX: nb, NumCubic: n - nb, Seed: 99,
-		})
+		sp := scenario.Mix("bbr", nb, n-nb, capacity, buf, rtt, 2*time.Minute)
+		sp.Seed = 99
+		res, _, err := exp.Run(context.Background(), sp, exp.Env{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		ratio := float64(res.PerFlowX) / float64(res.PerFlowCubic)
+		ratio := float64(perFlow(res.Groups[0])) / float64(perFlow(res.Groups[1]))
 		b.ReportMetric(ratio, "bbr/cubic-at-NE")
 		if i == 0 {
 			fmt.Printf("  scaling: N=200 at model NE (%d BBR): per-flow BBR/CUBIC = %.2f (1.0 = equilibrium)\n", nb, ratio)

@@ -55,6 +55,13 @@ func run() (code int) {
 	if err != nil {
 		return env.Fail(fmt.Errorf("-buffers: %w", err))
 	}
+	// A depth the spec would reject fails here, naming the flag, rather
+	// than as a unit error once the pool has started.
+	for _, b := range bufferBDPs {
+		if b <= 0 {
+			return env.Fail(fmt.Errorf("-buffers: depth %g is not positive", b))
+		}
+	}
 	mixList, err := parseMixes(*mixes)
 	if err != nil {
 		return env.Fail(fmt.Errorf("-mixes: %w", err))
@@ -69,7 +76,6 @@ func run() (code int) {
 	rep, err := exp.CrossValidate(exp.CrossValConfig{
 		Capacity:   units.Rate(*capMbps) * units.Mbps,
 		RTT:        time.Duration(*rttMs * float64(time.Millisecond)),
-		Duration:   *duration,
 		Seed:       *seed,
 		BufferBDPs: bufferBDPs,
 		Mixes:      mixList,
@@ -110,7 +116,8 @@ func run() (code int) {
 	return 0
 }
 
-// parseMixes parses "bbr:cubic" count pairs; "" is nil (defaults).
+// parseMixes parses "bbr:cubic" count pairs, each with at least one flow;
+// "" is nil (defaults).
 func parseMixes(s string) ([][2]int, error) {
 	if s == "" {
 		return nil, nil
@@ -131,6 +138,9 @@ func parseMixes(s string) ([][2]int, error) {
 		}
 		if nb < 0 || nc < 0 {
 			return nil, fmt.Errorf("mix %q has a negative count", m)
+		}
+		if nb+nc == 0 {
+			return nil, fmt.Errorf("mix %q has no flows", m)
 		}
 		out = append(out, [2]int{nb, nc})
 	}

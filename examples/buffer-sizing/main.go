@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -30,13 +31,12 @@ func main() {
 	for _, bufBDP := range []float64{0.5, 1, 3, 10, 30, 120} {
 		buffer := bbrnash.BufferBytes(capacity, rtt, bufBDP)
 
-		res, err := bbrnash.RunMix(bbrnash.MixConfig{
-			Capacity: capacity, Buffer: buffer, RTT: rtt,
-			Duration: 2 * time.Minute, NumX: 1, NumCubic: 1,
-		})
+		res, _, err := bbrnash.RunScenario(context.Background(),
+			bbrnash.MixScenario("bbr", 1, 1, capacity, buffer, rtt, 2*time.Minute), bbrnash.ScenarioEnv{})
 		if err != nil {
 			log.Fatal(err)
 		}
+		bbr := res.Groups[0][0] // group 0 is the BBR class, group 1 CUBIC
 		pred, err := bbrnash.Predict(bbrnash.Scenario{
 			Capacity: capacity, Buffer: buffer, RTT: rtt, NumCubic: 1, NumBBR: 1,
 		}, bbrnash.Synchronized)
@@ -44,8 +44,8 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Printf("%7.1f BDP %7.1f Mb %9.1f Mb %12v %22v\n",
-			bufBDP, res.AggX.Mbit(), pred.AggBBR.Mbit(),
-			res.MeanQueueDelay.Round(time.Millisecond), pred.Regime)
+			bufBDP, bbr.Throughput.Mbit(), pred.AggBBR.Mbit(),
+			res.Link.MeanQueueDelay.Round(time.Millisecond), pred.Regime)
 	}
 
 	fmt.Println("\nshallow buffers hand the link to BBR and starve CUBIC; deep buffers do the")

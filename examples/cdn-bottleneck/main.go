@@ -33,21 +33,18 @@ func main() {
 		capacity, numFlows, fair)
 	fmt.Printf("%-28s %14s %14s %12s\n", "scenario", "BBR per-flow", "CUBIC per-flow", "BBR gain")
 
+	// Each mix is a one-point sweep averaged over two jittered trials.
+	scale := bbrnash.ExperimentScale{Trials: 2}
 	for _, numBBR := range []int{1, 2, 4, 6, 8, 9} {
-		res, err := bbrnash.RunMixTrials(bbrnash.MixConfig{
-			Capacity: capacity,
-			Buffer:   buffer,
-			RTT:      rtt,
-			Duration: time.Minute,
-			NumX:     numBBR,
-			NumCubic: numFlows - numBBR,
-		}, 2, 1)
+		pts, err := scale.Sweep(1, 1, func(int) bbrnash.ScenarioSpec {
+			return bbrnash.MixScenario("bbr", numBBR, numFlows-numBBR, capacity, buffer, rtt, time.Minute)
+		})
 		if err != nil {
 			log.Fatal(err)
 		}
-		gain := res.PerFlowX.Mbit()/res.PerFlowCubic.Mbit() - 1
+		bbr, cubic := pts[0].PerFlow[0].Mbit(), pts[0].PerFlow[1].Mbit()
 		fmt.Printf("%2d BBR vs %2d CUBIC %23.1f %14.1f %11.0f%%\n",
-			numBBR, numFlows-numBBR, res.PerFlowX.Mbit(), res.PerFlowCubic.Mbit(), 100*gain)
+			numBBR, numFlows-numBBR, bbr, cubic, 100*(bbr/cubic-1))
 	}
 
 	region, err := bbrnash.PredictNashRegion(bbrnash.NashScenario{

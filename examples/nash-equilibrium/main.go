@@ -43,7 +43,7 @@ func main() {
 			Buffer:   buffer,
 			RTT:      rtt,
 			N:        n,
-			Duration: 30 * time.Second, // lifted automatically for deep buffers
+			Duration: 30 * time.Second, // every payoff run is lifted to two minutes
 			Seed:     1,
 		})
 		if err != nil {

@@ -110,31 +110,33 @@ func limitsForLink(sp scenario.Spec, name string) (check.Limits, bool) {
 // per-flow non-negativity, byte conservation and the path delay bound;
 // per-link share sums over the flows that traverse each link; and every
 // link's own statistics. Run calls it on every result it returns, fresh or
-// replayed.
-func auditSpec(a *check.Auditor, key string, sp scenario.Spec, res SpecResult) {
+// replayed, and stores the result only when it reports clean: no
+// violation recorded, as always with a nil auditor.
+func auditSpec(a *check.Auditor, key string, sp scenario.Spec, res SpecResult) (clean bool) {
 	if !a.Enabled() {
-		return
+		return true
 	}
 	sp = sp.WithDefaults()
+	var vs []check.Violation
 	for gi := range sp.Groups {
-		a.Record(check.Flows(key, groupLimits(sp, gi), res.group(gi), nil)...)
+		vs = append(vs, check.Flows(key, groupLimits(sp, gi), res.group(gi), nil)...)
 	}
 	for _, l := range sp.Topology() {
-		a.Record(check.ShareSum(key, shareLimits(sp, l), linkAggregate(sp, l.Name, res))...)
+		vs = append(vs, check.ShareSum(key, shareLimits(sp, l), linkAggregate(sp, l.Name, res))...)
 	}
 	if len(res.Links) == 0 {
 		// Older cached results carry only the first link's statistics.
-		lim := linkLimits(sp, sp.Topology()[0])
 		link := res.Link
-		a.Record(check.Link(key, lim, &link)...)
-		return
+		vs = append(vs, check.Link(key, linkLimits(sp, sp.Topology()[0]), &link)...)
 	}
 	for i := range res.Links {
 		link := res.Links[i]
 		if lim, ok := limitsForLink(sp, link.Name); ok {
-			a.Record(check.Link(key, lim, &link)...)
+			vs = append(vs, check.Link(key, lim, &link)...)
 		}
 	}
+	a.Record(vs...)
+	return len(vs) == 0
 }
 
 // linkAggregate sums the measured throughput of every flow whose path

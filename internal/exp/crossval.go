@@ -31,9 +31,6 @@ const CrossValSchemaVersion = 1
 type CrossValConfig struct {
 	Capacity units.Rate
 	RTT      time.Duration
-	// Duration is each simulation's length (the paper's two minutes by
-	// default; verify.sh's smoke uses seconds).
-	Duration time.Duration
 	Seed     uint64
 	// BufferBDPs are the buffer depths in BDP multiples (default: the
 	// paper's figure grid, 1–50 in steps of 2 — pinned by the Arange
@@ -44,15 +41,17 @@ type CrossValConfig struct {
 	// Threshold is the relative throughput error above which a point is
 	// flagged as diverged (default 0.25).
 	Threshold float64
-	// Scale supplies execution machinery: Pool, Cache, Journal, Ctx,
-	// Audit, Trials. The scale's Backend override is ignored — the whole
-	// point is to run both.
+	// Scale supplies each simulation's length, FlowDuration (the paper's
+	// two minutes when not positive; verify.sh's smoke uses seconds), and
+	// the execution machinery: Pool, Cache, Journal, Ctx, Audit, Trials.
+	// The scale's Backend override is ignored — the whole point is to run
+	// both.
 	Scale Scale
 }
 
 func (c CrossValConfig) withDefaults() CrossValConfig {
-	if c.Duration <= 0 {
-		c.Duration = 2 * time.Minute
+	if c.Scale.FlowDuration <= 0 {
+		c.Scale.FlowDuration = 2 * time.Minute
 	}
 	if len(c.BufferBDPs) == 0 {
 		// The paper's Fig 1 buffer grid (see figures.go and the Arange
@@ -72,7 +71,7 @@ func (c CrossValConfig) withDefaults() CrossValConfig {
 // backend.
 func (c CrossValConfig) spec(buf float64, mix [2]int, backend string) scenario.Spec {
 	sp := scenario.Mix("bbr", mix[0], mix[1], c.Capacity,
-		units.BufferBytes(c.Capacity, c.RTT, buf), c.RTT, c.Duration)
+		units.BufferBytes(c.Capacity, c.RTT, buf), c.RTT, c.Scale.FlowDuration)
 	sp.Backend = backend
 	return sp
 }
@@ -154,7 +153,7 @@ func CrossValidate(cfg CrossValConfig) (CrossValReport, error) {
 		SchemaVersion: CrossValSchemaVersion,
 		CapacityMbps:  float64(cfg.Capacity) / 1e6,
 		RTTMs:         float64(cfg.RTT) / float64(time.Millisecond),
-		DurationS:     cfg.Duration.Seconds(),
+		DurationS:     cfg.Scale.FlowDuration.Seconds(),
 		Threshold:     cfg.Threshold,
 		KeyVersion:    scenario.KeyVersion,
 	}

@@ -17,7 +17,6 @@ func crossValSmokeConfig(pool *runner.Pool, cache *runner.Cache) CrossValConfig 
 	return CrossValConfig{
 		Capacity:   20 * units.Mbps,
 		RTT:        30 * time.Millisecond,
-		Duration:   3 * time.Second,
 		Seed:       7,
 		BufferBDPs: []float64{2, 6},
 		Mixes:      [][2]int{{1, 1}},
@@ -114,7 +113,7 @@ func TestCrossValFluidGridAuditClean(t *testing.T) {
 	audit := check.New()
 	s := Scale{
 		Name:         "crossval-fluid-audit",
-		FlowDuration: cfg.Duration,
+		FlowDuration: cfg.Scale.FlowDuration,
 		Trials:       1,
 		Pool:         runner.NewPool(2),
 		Cache:        runner.NewCache(),

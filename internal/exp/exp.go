@@ -19,11 +19,8 @@ import (
 	"time"
 
 	"bbrnash/internal/check"
-	"bbrnash/internal/netsim"
 	"bbrnash/internal/runner"
-	"bbrnash/internal/scenario"
 	"bbrnash/internal/telemetry"
-	"bbrnash/internal/units"
 )
 
 // Scale selects experiment fidelity. The paper's protocol is Full; Quick
@@ -124,108 +121,4 @@ func (s Scale) thin(xs []float64) []float64 {
 		out = append(out, xs[idx])
 	}
 	return out
-}
-
-// MixConfig describes one same-RTT mixed-distribution run: NumX flows of
-// algorithm X against NumCubic flows of CUBIC.
-type MixConfig struct {
-	Capacity units.Rate
-	Buffer   units.Bytes
-	RTT      time.Duration
-	Duration time.Duration
-	// Seed controls start jitter; the same seed reproduces the run.
-	Seed uint64
-	// X names the non-CUBIC algorithm in the cc registry ("" means "bbr").
-	X        string
-	NumX     int
-	NumCubic int
-	// Backend selects the execution engine (see scenario.Backends); empty
-	// means the packet simulator.
-	Backend string
-}
-
-// MixResult aggregates a run.
-type MixResult struct {
-	// PerFlowX and PerFlowCubic are class averages (0 if the class is
-	// empty).
-	PerFlowX     units.Rate
-	PerFlowCubic units.Rate
-	AggX         units.Rate
-	AggCubic     units.Rate
-	// Utilization is total delivered rate over capacity.
-	Utilization float64
-	// MeanQueueDelay is the average bottleneck queueing delay.
-	MeanQueueDelay time.Duration
-	// XStats and CubicStats are the raw per-flow statistics.
-	XStats     []netsim.FlowStats
-	CubicStats []netsim.FlowStats
-}
-
-// RunMix executes one mixed-distribution simulation: the config is
-// compiled to its scenario.Spec and run bare through Run.
-func RunMix(cfg MixConfig) (MixResult, error) {
-	res, _, err := Run(context.Background(), cfg.spec(), Env{})
-	if err != nil {
-		return MixResult{}, err
-	}
-	return mixView(res), nil
-}
-
-// RunMixTrials averages RunMix over trials jittered repetitions, deriving
-// per-trial seeds from seed up front. It runs serially and uncached; use
-// Scale.RunMixTrials to fan the trials through a worker pool.
-func RunMixTrials(cfg MixConfig, trials int, seed uint64) (MixResult, error) {
-	return Scale{Trials: trials}.RunMixTrials(cfg, seed)
-}
-
-// RunMixTrials averages RunMix over the scale's trial count: a one-point
-// Sweep of the mix's spec, fanned through the scale's Pool and Cache and
-// projected back into the mix's class view.
-func (s Scale) RunMixTrials(cfg MixConfig, seed uint64) (MixResult, error) {
-	pts, err := s.Sweep(seed, 1, func(int) scenario.Spec { return cfg.spec() })
-	if err != nil {
-		return MixResult{}, err
-	}
-	return mixPoint(pts[0]), nil
-}
-
-// GroupConfig describes a multi-RTT run: flows come in same-RTT groups and
-// each group has a number of X flows (the rest run CUBIC).
-type GroupConfig struct {
-	Capacity units.Rate
-	Buffer   units.Bytes
-	Duration time.Duration
-	Seed     uint64
-	// X names the non-CUBIC algorithm in the cc registry ("" means "bbr").
-	X string
-	// RTTs and Sizes describe the groups; NumX[i] of Sizes[i] flows in
-	// group i run X.
-	RTTs  []time.Duration
-	Sizes []int
-	NumX  []int
-	// Backend selects the execution engine (see scenario.Backends); empty
-	// means the packet simulator.
-	Backend string
-}
-
-// GroupResult carries per-group class averages.
-type GroupResult struct {
-	// PerFlowX[i] and PerFlowCubic[i] are group i's class averages.
-	PerFlowX     []units.Rate
-	PerFlowCubic []units.Rate
-}
-
-// RunGroups executes one multi-RTT simulation: the config is compiled to
-// its scenario.Spec (two spec groups per RTT group) and run bare through
-// Run.
-func RunGroups(cfg GroupConfig) (GroupResult, error) {
-	sp, err := cfg.spec()
-	if err != nil {
-		return GroupResult{}, err
-	}
-	res, _, err := Run(context.Background(), sp, Env{})
-	if err != nil {
-		return GroupResult{}, err
-	}
-	return groupView(len(cfg.RTTs), res), nil
 }

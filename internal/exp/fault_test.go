@@ -22,7 +22,7 @@ func TestSweepMixCancelledContext(t *testing.T) {
 	s.Ctx = ctx
 
 	start := time.Now()
-	_, err := s.Sweep(1, 4, func(int) scenario.Spec { return smokeMix().spec() })
+	_, err := s.Sweep(1, 4, func(int) scenario.Spec { return smokeSpec() })
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -39,11 +39,11 @@ func TestSweepMixFailureNamesScenario(t *testing.T) {
 	s := testScale()
 	s.Pool = runner.NewPool(2)
 	_, err := s.Sweep(1, 2, func(i int) scenario.Spec {
-		cfg := smokeMix()
+		sp := smokeSpec()
 		if i == 1 {
-			cfg.Duration = 0 // specs reject non-positive durations
+			sp.Duration = 0 // specs reject non-positive durations
 		}
-		return cfg.spec()
+		return sp
 	})
 	if err == nil {
 		t.Fatal("expected sweep failure")
@@ -68,16 +68,17 @@ func TestSweepMixAuditClean(t *testing.T) {
 	s.Cache = runner.NewCache()
 	s.Audit = check.New()
 
-	cfg := smokeMix()
-	cfg.NumX, cfg.NumCubic = 2, 1
-	if _, err := s.RunMixTrials(cfg, 9); err != nil {
+	sp := smokeSpec()
+	sp.Groups[0].Count = 2
+	specAt := func(int) scenario.Spec { return sp }
+	if _, err := s.Sweep(9, 1, specAt); err != nil {
 		t.Fatal(err)
 	}
 	if s.Audit.Len() != 0 {
 		t.Fatalf("fresh run violated invariants: %v", s.Audit.Violations())
 	}
 	// Replay from the warm cache: the audit re-runs on cached results.
-	if _, err := s.RunMixTrials(cfg, 9); err != nil {
+	if _, err := s.Sweep(9, 1, specAt); err != nil {
 		t.Fatal(err)
 	}
 	if s.Audit.Len() != 0 {
@@ -93,10 +94,10 @@ func TestSweepMixAuditClean(t *testing.T) {
 func TestFindNECancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	mix := smokeMix()
+	sp := smokeSpec()
 	_, err := FindNE(NESearchConfig{
-		Capacity: mix.Capacity, Buffer: mix.Buffer, RTT: mix.RTT,
-		N: 3, Duration: mix.Duration, Seed: 11,
+		Capacity: sp.Capacity, Buffer: sp.Buffer, RTT: sp.Groups[0].RTT,
+		N: 3, Duration: sp.Duration, Seed: 11,
 		Exhaustive: true, Pool: runner.NewPool(4), Ctx: ctx,
 	})
 	if !errors.Is(err, context.Canceled) {

@@ -6,6 +6,7 @@ import (
 
 	"bbrnash/internal/core"
 	"bbrnash/internal/numeric"
+	"bbrnash/internal/scenario"
 	"bbrnash/internal/units"
 )
 
@@ -26,16 +27,16 @@ func TestModelTracksSimulator2Flow(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := RunMix(MixConfig{
-			Capacity: capacity, Buffer: buf, RTT: rtt,
-			Duration: 2 * time.Minute, NumX: 1, NumCubic: 1, Seed: 9,
-		})
+		sp := scenario.Mix("bbr", 1, 1, capacity, buf, rtt, 2*time.Minute)
+		sp.Seed = 9
+		res, _, err := Run(t.Context(), sp, Env{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if e := numeric.RelErr(float64(pred.AggBBR), float64(res.AggX)); e > 0.40 {
+		agg := aggRate(res.group(0))
+		if e := numeric.RelErr(float64(pred.AggBBR), float64(agg)); e > 0.40 {
 			t.Errorf("at %v BDP: model %.1f vs sim %.1f Mbps (relerr %.0f%%)",
-				bdp, pred.AggBBR.Mbit(), res.AggX.Mbit(), 100*e)
+				bdp, pred.AggBBR.Mbit(), agg.Mbit(), 100*e)
 		}
 	}
 }
@@ -50,14 +51,13 @@ func TestDiminishingReturnsEmpirical(t *testing.T) {
 	capacity := 100 * units.Mbps
 	buf := units.BufferBytes(capacity, rtt, 10)
 	per := func(nb int) float64 {
-		res, err := RunMix(MixConfig{
-			Capacity: capacity, Buffer: buf, RTT: rtt,
-			Duration: 2 * time.Minute, NumX: nb, NumCubic: 10 - nb, Seed: 5,
-		})
+		sp := scenario.Mix("bbr", nb, 10-nb, capacity, buf, rtt, 2*time.Minute)
+		sp.Seed = 5
+		res, _, err := Run(t.Context(), sp, Env{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return float64(res.PerFlowX)
+		return float64(meanRate(res, 0))
 	}
 	few, many := per(2), per(8)
 	if many >= few {

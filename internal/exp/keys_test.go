@@ -16,13 +16,13 @@ import (
 // all carry the byte-identical canonical key of its scenario.Spec.
 func TestCanonicalKeyUnifiesCacheAuditAndErrors(t *testing.T) {
 	const seed = 9
-	keyFor := func(cfg MixConfig) string {
-		cfg.Seed = trialSeeds(seed, 1)[0] // the seed Sweep assigns to trial 0
-		return cfg.spec().Key()
+	keyFor := func(sp scenario.Spec) string {
+		sp.Seed = trialSeeds(seed, 1)[0] // the seed Sweep assigns to trial 0
+		return sp.Key()
 	}
 
-	cfg := smokeMix()
-	key := keyFor(cfg)
+	sp := smokeSpec()
+	key := keyFor(sp)
 	if !strings.HasPrefix(key, scenario.KeyPrefix) {
 		t.Fatalf("key %q lacks prefix %q", key, scenario.KeyPrefix)
 	}
@@ -38,7 +38,7 @@ func TestCanonicalKeyUnifiesCacheAuditAndErrors(t *testing.T) {
 	s.Cache.Put(key, SpecResult{
 		Groups: [][]netsim.FlowStats{{{Name: "g0.bbr0", Throughput: -1}}, {}},
 	})
-	if _, err := s.RunMixTrials(cfg, seed); err != nil {
+	if _, err := s.Sweep(seed, 1, func(int) scenario.Spec { return sp }); err != nil {
 		t.Fatal(err)
 	}
 	if s.Cache.Hits() == 0 {
@@ -56,25 +56,16 @@ func TestCanonicalKeyUnifiesCacheAuditAndErrors(t *testing.T) {
 
 	// Failure reports: a failing unit's *runner.UnitError names the same
 	// canonical key.
-	bad := cfg
+	bad := sp
 	bad.Duration = 0
 	s2 := testScale()
 	s2.Trials = 1
-	_, err := s2.RunMixTrials(bad, seed)
+	_, err := s2.Sweep(seed, 1, func(int) scenario.Spec { return bad })
 	var ue *runner.UnitError
 	if !errors.As(err, &ue) {
 		t.Fatalf("err = %v, want *runner.UnitError", err)
 	}
 	if want := keyFor(bad); ue.Key != want {
 		t.Errorf("UnitError.Key = %q, want %q", ue.Key, want)
-	}
-
-	// The mix view and a figure's scenario.Mix spec derive the identical
-	// key for the same scenario, so NE payoffs and figure sweeps share
-	// cache entries.
-	sp := scenario.Mix("bbr", cfg.NumX, cfg.NumCubic, cfg.Capacity, cfg.Buffer, cfg.RTT, cfg.Duration)
-	sp.Seed = trialSeeds(seed, 1)[0]
-	if sp.Key() != key {
-		t.Errorf("spec key %q != mix key %q", sp.Key(), key)
 	}
 }

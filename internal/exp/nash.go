@@ -407,7 +407,8 @@ func FindGroupNE(cfg GroupNEConfig) (GroupNEResult, error) {
 	}
 	ctx := ctxOr(cfg.Ctx)
 	// One class per RTT group: RTT group i becomes spec groups 2i (X) and
-	// 2i+1 (CUBIC), as GroupConfig.spec builds them.
+	// 2i+1 (CUBIC), both present even when empty, so every profile of one
+	// search shares a single key shape.
 	t := &PayoffTable{
 		Base:       PayoffBase(cfg.Capacity, cfg.Buffer, cfg.Duration, cfg.Backend),
 		RTTs:       cfg.RTTs,

@@ -111,13 +111,10 @@ func TestFindNEUtilityHonoursBackend(t *testing.T) {
 	}
 	seeds := trialSeeds(cfg.Seed, n+1)
 	for numX := 0; numX <= n; numX++ {
-		mix := MixConfig{
-			Capacity: cfg.Capacity, Buffer: cfg.Buffer, RTT: cfg.RTT,
-			Duration: PayoffDuration(cfg.Duration), Seed: seeds[numX],
-			NumX: numX, NumCubic: n - numX, Backend: scenario.BackendFluid,
-		}
+		sp := scenario.Mix("bbr", numX, n-numX, cfg.Capacity, cfg.Buffer, cfg.RTT, PayoffDuration(cfg.Duration))
+		sp.Seed, sp.Backend = seeds[numX], scenario.BackendFluid
 		var got SpecResult
-		if !cfg.Cache.Get(mix.spec().Key(), &got) {
+		if !cfg.Cache.Get(sp.Key(), &got) {
 			t.Errorf("payoff at %d X flows did not run on the fluid backend", numX)
 		}
 	}

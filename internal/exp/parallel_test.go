@@ -2,10 +2,12 @@ package exp
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 	"time"
 
 	"bbrnash/internal/runner"
+	"bbrnash/internal/scenario"
 	"bbrnash/internal/units"
 )
 
@@ -69,17 +71,18 @@ func TestSweepMixUncachedMatchesCached(t *testing.T) {
 	cached.Cache = runner.NewCache()
 	uncached := testScale()
 
-	cfg := smokeMix()
-	cfg.NumX, cfg.NumCubic = 2, 1
-	a, err := cached.RunMixTrials(cfg, 9)
+	sp := smokeSpec()
+	sp.Groups[0].Count = 2
+	specAt := func(int) scenario.Spec { return sp }
+	a, err := cached.Sweep(9, 1, specAt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := uncached.RunMixTrials(cfg, 9)
+	b, err := uncached.Sweep(9, 1, specAt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.AggX != b.AggX || a.AggCubic != b.AggCubic || a.MeanQueueDelay != b.MeanQueueDelay {
+	if !reflect.DeepEqual(a, b) {
 		t.Errorf("cache/pool changed results: %+v vs %+v", a, b)
 	}
 }

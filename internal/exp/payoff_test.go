@@ -43,8 +43,10 @@ func checkCounts(t *testing.T, where string, tab *PayoffTable, sims, hits int) {
 
 // A table's specs are the ones the NE searches built before it: a
 // one-class table compiles a profile to scenario.Mix's spec, and a
-// multi-class one to GroupConfig's, so every canonical key, and with it
-// every cache entry, journal record and golden, stays what it was.
+// multi-class one to two spec groups per RTT group, X before CUBIC, empty
+// or not. So every canonical key, and with it every cache entry, journal
+// record and golden, stays what it was; the literals are the keys the
+// mix and group run configs compiled these profiles to.
 func TestPayoffTableSpecKeys(t *testing.T) {
 	ms := time.Millisecond
 	capacity, buffer, dur := 50*units.Mbps, units.BufferBytes(50*units.Mbps, 40*ms, 3), 2*time.Minute
@@ -54,11 +56,21 @@ func TestPayoffTableSpecKeys(t *testing.T) {
 		Algorithms: []string{"bbr", "cubic"},
 		Seed:       func(k [][]int) uint64 { return uint64(7 + k[0][0]) },
 	}
-	for x := 0; x <= 4; x++ {
-		want := MixConfig{Capacity: capacity, Buffer: buffer, RTT: 40 * ms, Duration: dur, Seed: uint64(7 + x),
-			NumX: x, NumCubic: 4 - x, Backend: scenario.BackendFluid}.spec().Key()
+	oneKeys := []string{
+		"scenario|v5|bk=fluid|mss=0x1.6dp+10|aj=1000000|sj=10000000|dur=120000000000|seed=7|tp=bottleneck:0x1.7d784p+25:0x1.6e36p+19:0x0p+00:0x0p+00:0:0x0p+00:0:0:0x0p+00:0x0p+00|g=bbr:0:40000000:0:bottleneck,cubic:4:40000000:0:bottleneck",
+		"scenario|v5|bk=fluid|mss=0x1.6dp+10|aj=1000000|sj=10000000|dur=120000000000|seed=8|tp=bottleneck:0x1.7d784p+25:0x1.6e36p+19:0x0p+00:0x0p+00:0:0x0p+00:0:0:0x0p+00:0x0p+00|g=bbr:1:40000000:0:bottleneck,cubic:3:40000000:0:bottleneck",
+		"scenario|v5|bk=fluid|mss=0x1.6dp+10|aj=1000000|sj=10000000|dur=120000000000|seed=9|tp=bottleneck:0x1.7d784p+25:0x1.6e36p+19:0x0p+00:0x0p+00:0:0x0p+00:0:0:0x0p+00:0x0p+00|g=bbr:2:40000000:0:bottleneck,cubic:2:40000000:0:bottleneck",
+		"scenario|v5|bk=fluid|mss=0x1.6dp+10|aj=1000000|sj=10000000|dur=120000000000|seed=10|tp=bottleneck:0x1.7d784p+25:0x1.6e36p+19:0x0p+00:0x0p+00:0:0x0p+00:0:0:0x0p+00:0x0p+00|g=bbr:3:40000000:0:bottleneck,cubic:1:40000000:0:bottleneck",
+		"scenario|v5|bk=fluid|mss=0x1.6dp+10|aj=1000000|sj=10000000|dur=120000000000|seed=11|tp=bottleneck:0x1.7d784p+25:0x1.6e36p+19:0x0p+00:0x0p+00:0:0x0p+00:0:0:0x0p+00:0x0p+00|g=bbr:4:40000000:0:bottleneck,cubic:0:40000000:0:bottleneck",
+	}
+	for x, want := range oneKeys {
 		if got := one.Spec([][]int{{x, 4 - x}}).Key(); got != want {
-			t.Errorf("x = %d: key %q, mix key %q", x, got, want)
+			t.Errorf("x = %d: key %q, want %q", x, got, want)
+		}
+		mix := scenario.Mix("bbr", x, 4-x, capacity, buffer, 40*ms, dur)
+		mix.Seed, mix.Backend = uint64(7+x), scenario.BackendFluid
+		if got := mix.Key(); got != want {
+			t.Errorf("x = %d: scenario.Mix key %q, want %q", x, got, want)
 		}
 	}
 	rtts, sizes := []time.Duration{10 * ms, 50 * ms}, []int{3, 2}
@@ -68,14 +80,14 @@ func TestPayoffTableSpecKeys(t *testing.T) {
 		Algorithms: []string{"bbr", "cubic"},
 		Seed:       func(k [][]int) uint64 { return ProfileSeed(3, xFlows(k)) },
 	}
-	for _, x := range [][]int{{0, 0}, {1, 2}, {3, 1}} {
-		sp, err := GroupConfig{Capacity: capacity, Buffer: buffer, Duration: dur, Seed: ProfileSeed(3, x),
-			RTTs: rtts, Sizes: sizes, NumX: x}.spec()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, want := multi.Spec(choiceProfile(sizes, x)).Key(), sp.Key(); got != want {
-			t.Errorf("x = %v: key %q, group key %q", x, got, want)
+	multiKeys := map[[2]int]string{
+		{0, 0}: "scenario|v5|bk=packet|mss=0x1.6dp+10|aj=1000000|sj=10000000|dur=120000000000|seed=9097939042413224245|tp=bottleneck:0x1.7d784p+25:0x1.6e36p+19:0x0p+00:0x0p+00:0:0x0p+00:0:0:0x0p+00:0x0p+00|g=bbr:0:10000000:0:bottleneck,cubic:3:10000000:0:bottleneck,bbr:0:50000000:0:bottleneck,cubic:2:50000000:0:bottleneck",
+		{1, 2}: "scenario|v5|bk=packet|mss=0x1.6dp+10|aj=1000000|sj=10000000|dur=120000000000|seed=6307748549592401151|tp=bottleneck:0x1.7d784p+25:0x1.6e36p+19:0x0p+00:0x0p+00:0:0x0p+00:0:0:0x0p+00:0x0p+00|g=bbr:1:10000000:0:bottleneck,cubic:2:10000000:0:bottleneck,bbr:2:50000000:0:bottleneck,cubic:0:50000000:0:bottleneck",
+		{3, 1}: "scenario|v5|bk=packet|mss=0x1.6dp+10|aj=1000000|sj=10000000|dur=120000000000|seed=8102748733016952124|tp=bottleneck:0x1.7d784p+25:0x1.6e36p+19:0x0p+00:0x0p+00:0:0x0p+00:0:0:0x0p+00:0x0p+00|g=bbr:3:10000000:0:bottleneck,cubic:0:10000000:0:bottleneck,bbr:1:50000000:0:bottleneck,cubic:1:50000000:0:bottleneck",
+	}
+	for x, want := range multiKeys {
+		if got := multi.Spec(choiceProfile(sizes, x[:])).Key(); got != want {
+			t.Errorf("x = %v: key %q, want %q", x, got, want)
 		}
 	}
 }
@@ -120,8 +132,8 @@ func TestPayoffTableCounts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if mix := mixView(res); pays[0][0][0] != float64(mix.PerFlowX) || pays[0][0][1] != float64(mix.PerFlowCubic) {
-			t.Errorf("%s: payoffs %v, want the per-flow rates %v and %v", where, pays[0][0], mix.PerFlowX, mix.PerFlowCubic)
+		if x, c := meanRate(res, 0), meanRate(res, 1); pays[0][0][0] != float64(x) || pays[0][0][1] != float64(c) {
+			t.Errorf("%s: payoffs %v, want the per-flow rates %v and %v", where, pays[0][0], x, c)
 		}
 		if pays[1][0][0] != 0 {
 			t.Errorf("%s: an empty group's payoff is %v, want 0", where, pays[1][0][0])

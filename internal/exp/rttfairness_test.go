@@ -3,8 +3,6 @@ package exp
 import (
 	"testing"
 	"time"
-
-	"bbrnash/internal/units"
 )
 
 // §4.5's mechanism, CUBIC side: among CUBIC flows sharing a bottleneck,
@@ -17,18 +15,11 @@ func TestCubicFavorsShortRTT(t *testing.T) {
 	// A shallow buffer keeps queueing delay small relative to the base
 	// RTT spread; in very deep buffers the shared queue dominates both
 	// flows' effective RTTs and the asymmetry washes out.
-	res, err := RunGroups(GroupConfig{
-		Capacity: 50 * units.Mbps,
-		Buffer:   units.BufferBytes(50*units.Mbps, 10*time.Millisecond, 2),
-		Duration: 2 * time.Minute,
-		RTTs:     []time.Duration{10 * time.Millisecond, 50 * time.Millisecond},
-		Sizes:    []int{2, 2},
-		NumX:     []int{0, 0}, // all CUBIC
-	})
+	res, _, err := Run(t.Context(), rttGroupsSpec(2, 0, 2*time.Minute), Env{}) // all CUBIC
 	if err != nil {
 		t.Fatal(err)
 	}
-	short, long := float64(res.PerFlowCubic[0]), float64(res.PerFlowCubic[1])
+	short, long := float64(meanRate(res, 1)), float64(meanRate(res, 3))
 	if short <= long {
 		t.Errorf("short-RTT CUBIC (%.2e) did not beat long-RTT CUBIC (%.2e)", short, long)
 	}
@@ -40,18 +31,11 @@ func TestBBRFavorsLongRTT(t *testing.T) {
 	if testing.Short() {
 		t.Skip("2-minute simulation")
 	}
-	res, err := RunGroups(GroupConfig{
-		Capacity: 50 * units.Mbps,
-		Buffer:   units.BufferBytes(50*units.Mbps, 10*time.Millisecond, 20),
-		Duration: 2 * time.Minute,
-		RTTs:     []time.Duration{10 * time.Millisecond, 50 * time.Millisecond},
-		Sizes:    []int{2, 2},
-		NumX:     []int{2, 2}, // all BBR
-	})
+	res, _, err := Run(t.Context(), rttGroupsSpec(20, 2, 2*time.Minute), Env{}) // all BBR
 	if err != nil {
 		t.Fatal(err)
 	}
-	short, long := float64(res.PerFlowX[0]), float64(res.PerFlowX[1])
+	short, long := float64(meanRate(res, 0)), float64(meanRate(res, 2))
 	if long <= short {
 		t.Errorf("long-RTT BBR (%.2e) did not beat short-RTT BBR (%.2e)", long, short)
 	}

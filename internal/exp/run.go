@@ -2,8 +2,6 @@ package exp
 
 import (
 	"context"
-	"errors"
-	"fmt"
 	"time"
 
 	"bbrnash/internal/check"
@@ -16,23 +14,21 @@ import (
 )
 
 // This file is the harness's boundary with internal/scenario: every run —
-// mixed-distribution, multi-RTT group, sweep point, NE payoff, adoption
-// payoff, bbrserve flight — is first expressed as a scenario.Spec and
-// executed by Run, and the spec's canonical key is the one identity used by
-// the result cache, the resumption journal, the invariant auditor, the
-// trace recorder and unit-failure reports. MixConfig and GroupConfig
-// survive as convenience views that compile down to specs.
+// sweep point, NE payoff, adoption payoff, bbrsim replicate, bbrserve
+// flight — is expressed as a scenario.Spec and executed by Run, and the
+// spec's canonical key is the one identity used by the result cache, the
+// resumption journal, the invariant auditor, the trace recorder and
+// unit-failure reports.
 
 // SpecResult is the raw outcome of one scenario run: per-flow statistics in
 // spec group order (group i of the spec is Groups[i], empty groups stay
 // empty) plus per-link statistics. It is the one value type stored in the
-// result cache, so mix and group runs of the same spec share an entry
-// instead of evicting each other.
+// result cache, so every caller that runs the same spec shares one entry.
 //
 // Link is the first configured link — the bottleneck of every legacy
-// single-link scenario — kept both as the convenience view the mix/group
-// projections read and as the only link record in results cached before
-// topologies existed. Links holds every link in netsim.PerLink order
+// single-link scenario — kept both as the link view sweeps and payoffs
+// read and as the only link record in results cached before topologies
+// existed. Links holds every link in netsim.PerLink order
 // (forward links in configuration order, then reverse ACK twins); it is
 // empty in old cached values, and audits fall back to Link then.
 type SpecResult struct {
@@ -162,8 +158,12 @@ type Env struct {
 // whichever run populated the store, and a store warmed before tracing
 // existed has no traces for its prior entries.
 //
-// Every result is audited, fresh or replayed: a store written by an older
-// build must not smuggle a bad result past a strict run.
+// Every result is audited, fresh or replayed, before it is stored: a store
+// written by an older build must not smuggle a bad result past a strict
+// run, and a result whose audit records a violation is returned but never
+// stored, so it is not promoted from the journal into the cache, copied
+// from the cache into the journal, or stored fresh. A later run of the key
+// then meets the audit again instead of an instant stored answer.
 //
 // The run executes under runner.Protect, so a failure or a panic comes
 // back as a *runner.UnitError that names the key; inside runner.MapCtx the
@@ -173,26 +173,27 @@ func Run(ctx context.Context, sp scenario.Spec, env Env) (res SpecResult, hit bo
 	res, err = runner.Protect(key, func() (res SpecResult, err error) {
 		if env.Cache.Get(key, &res) {
 			hit = true
-			auditSpec(env.Audit, key, sp, res)
-			if !env.Journal.Has(key) {
+			if auditSpec(env.Audit, key, sp, res) && !env.Journal.Has(key) {
 				err = env.Journal.Record(key, res)
 			}
 			return res, err
 		}
 		if env.Journal.Get(key, &res) {
 			hit = true
-			env.Cache.Put(key, res)
-			auditSpec(env.Audit, key, sp, res)
+			if auditSpec(env.Audit, key, sp, res) {
+				env.Cache.Put(key, res)
+			}
 			return res, nil
 		}
 		if res, err = runSpec(ctx, key, sp, env.Trace); err != nil {
 			return SpecResult{}, err
 		}
-		env.Cache.Put(key, res)
-		if err := env.Journal.Record(key, res); err != nil {
-			return SpecResult{}, err
+		if auditSpec(env.Audit, key, sp, res) {
+			env.Cache.Put(key, res)
+			if err := env.Journal.Record(key, res); err != nil {
+				return SpecResult{}, err
+			}
 		}
-		auditSpec(env.Audit, key, sp, res)
 		return res, nil
 	})
 	if err != nil {
@@ -222,98 +223,4 @@ func xName(x string) string {
 		return "bbr"
 	}
 	return x
-}
-
-// spec compiles the mix down to its scenario: group 0 is the X class,
-// group 1 the CUBIC class, both at the shared RTT, with the experiment
-// protocol's jitter parameters — scenario.Mix plus the run's seed and
-// backend, so NE payoffs and figure sweeps share cache entries.
-func (cfg MixConfig) spec() scenario.Spec {
-	sp := scenario.Mix(xName(cfg.X), cfg.NumX, cfg.NumCubic, cfg.Capacity, cfg.Buffer, cfg.RTT, cfg.Duration)
-	sp.Seed = cfg.Seed
-	sp.Backend = cfg.Backend
-	return sp
-}
-
-// mixView projects a spec result back into the mix's class view: group 0
-// is X, group 1 is CUBIC.
-func mixView(res SpecResult) MixResult {
-	out := MixResult{
-		XStats:         res.group(0),
-		CubicStats:     res.group(1),
-		Utilization:    res.Link.Utilization,
-		MeanQueueDelay: res.Link.MeanQueueDelay,
-	}
-	out.AggX = aggRate(out.XStats)
-	out.AggCubic = aggRate(out.CubicStats)
-	if n := len(out.XStats); n > 0 {
-		out.PerFlowX = out.AggX / units.Rate(n)
-	}
-	if n := len(out.CubicStats); n > 0 {
-		out.PerFlowCubic = out.AggCubic / units.Rate(n)
-	}
-	return out
-}
-
-// mixPoint projects an averaged sweep point of a mix spec into the mix's
-// class view. Per-flow stats are per-trial artifacts and stay empty.
-func mixPoint(pt SweepPoint) MixResult {
-	return MixResult{
-		PerFlowX:       pt.PerFlow[0],
-		PerFlowCubic:   pt.PerFlow[1],
-		AggX:           pt.Agg[0],
-		AggCubic:       pt.Agg[1],
-		Utilization:    pt.Utilization,
-		MeanQueueDelay: pt.MeanQueueDelay,
-	}
-}
-
-// spec compiles the multi-RTT run down to its scenario: RTT group g
-// becomes spec groups 2g (X class) and 2g+1 (CUBIC class). Both classes are
-// always present — zero-count groups are legal — so every profile of one
-// search shares a single key shape, and the X-before-CUBIC order within
-// each RTT group pins the per-flow jitter assignment.
-func (cfg GroupConfig) spec() (scenario.Spec, error) {
-	if len(cfg.RTTs) == 0 || len(cfg.RTTs) != len(cfg.Sizes) || len(cfg.RTTs) != len(cfg.NumX) {
-		return scenario.Spec{}, errors.New("exp: RTTs, Sizes and NumX must be equal-length and non-empty")
-	}
-	x := xName(cfg.X)
-	groups := make([]scenario.Group, 0, 2*len(cfg.RTTs))
-	for g := range cfg.RTTs {
-		if cfg.NumX[g] < 0 || cfg.NumX[g] > cfg.Sizes[g] {
-			return scenario.Spec{}, fmt.Errorf("exp: group %d has NumX %d of %d", g, cfg.NumX[g], cfg.Sizes[g])
-		}
-		groups = append(groups,
-			scenario.Group{Algorithm: x, Count: cfg.NumX[g], RTT: cfg.RTTs[g]},
-			scenario.Group{Algorithm: "cubic", Count: cfg.Sizes[g] - cfg.NumX[g], RTT: cfg.RTTs[g]},
-		)
-	}
-	return scenario.Spec{
-		Capacity:    cfg.Capacity,
-		Buffer:      cfg.Buffer,
-		AckJitter:   scenario.DefaultAckJitter,
-		StartJitter: scenario.DefaultStartJitter,
-		Duration:    cfg.Duration,
-		Seed:        cfg.Seed,
-		Backend:     cfg.Backend,
-		Groups:      groups,
-	}, nil
-}
-
-// groupView projects a spec result back into per-RTT-group class averages:
-// spec groups 2g and 2g+1 are RTT group g's X and CUBIC classes.
-func groupView(ngroups int, res SpecResult) GroupResult {
-	out := GroupResult{
-		PerFlowX:     make([]units.Rate, ngroups),
-		PerFlowCubic: make([]units.Rate, ngroups),
-	}
-	for g := 0; g < ngroups; g++ {
-		if xs := res.group(2 * g); len(xs) > 0 {
-			out.PerFlowX[g] = aggRate(xs) / units.Rate(len(xs))
-		}
-		if cs := res.group(2*g + 1); len(cs) > 0 {
-			out.PerFlowCubic[g] = aggRate(cs) / units.Rate(len(cs))
-		}
-	}
-	return out
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"bbrnash/internal/check"
 	"bbrnash/internal/runner"
 	"bbrnash/internal/scenario"
 	"bbrnash/internal/units"
@@ -66,4 +67,71 @@ func TestRunContract(t *testing.T) {
 			}
 		})
 	}
+}
+
+// With Env.Audit set, Run stores only a result that passes its audit. A
+// bad result replayed from the journal is returned, flagged and not
+// promoted into the cache; one replayed from the cache is returned,
+// flagged and not copied into the journal. Either would otherwise answer
+// every later run of the key without meeting the audit again. Without an
+// auditor the journal hit is promoted as before.
+func TestRunStoresOnlyAuditedResults(t *testing.T) {
+	capacity, rtt := 20*units.Mbps, 20*time.Millisecond
+	sp := scenario.Mix("bbr", 1, 1, capacity, units.BufferBytes(capacity, rtt, 2), rtt, 2*time.Second)
+	sp.Backend = scenario.BackendFluid
+	key := sp.Key()
+	bad, _, err := Run(t.Context(), sp, Env{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad.Link.Utilization = 2
+	bad.Links[0].Utilization = 2
+	openJournal := func(t *testing.T) *runner.Journal {
+		j, err := runner.OpenJournal(filepath.Join(t.TempDir(), "journal.jsonl"), scenario.KeyVersion)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { j.Close() })
+		return j
+	}
+	// replay runs sp twice through env, requiring each run to replay bad
+	// and the auditor, if any, to flag it.
+	replay := func(t *testing.T, env Env) {
+		t.Helper()
+		for i := range 2 {
+			res, hit, err := Run(t.Context(), sp, env)
+			if err != nil || !hit || !reflect.DeepEqual(res, bad) {
+				t.Fatalf("run %d: hit=%v err=%v, want the stored result replayed", i+1, hit, err)
+			}
+		}
+		if env.Audit.Enabled() && env.Audit.Len() == 0 {
+			t.Fatal("the stored result passed the audit")
+		}
+	}
+
+	t.Run("journal", func(t *testing.T) {
+		journal := openJournal(t)
+		if err := journal.Record(key, bad); err != nil {
+			t.Fatal(err)
+		}
+		env := Env{Cache: runner.NewCache(), Journal: journal, Audit: check.New()}
+		replay(t, env)
+		if env.Cache.Len() != 0 {
+			t.Error("a journaled result that failed its audit was promoted into the cache")
+		}
+		env.Audit = nil
+		replay(t, env)
+		if env.Cache.Len() != 1 {
+			t.Error("an unaudited journal hit was not promoted into the cache")
+		}
+	})
+	t.Run("cache", func(t *testing.T) {
+		journal := openJournal(t)
+		env := Env{Cache: runner.NewCache(), Journal: journal, Audit: check.New()}
+		env.Cache.Put(key, bad)
+		replay(t, env)
+		if journal.Len() != 0 || journal.Has(key) {
+			t.Error("a cached result that failed its audit was copied into the journal")
+		}
+	})
 }

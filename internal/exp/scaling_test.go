@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"bbrnash/internal/core"
+	"bbrnash/internal/scenario"
 	"bbrnash/internal/units"
 )
 
@@ -25,14 +26,13 @@ func TestLargeNDiminishingReturns(t *testing.T) {
 	fair := float64(capacity) / n
 
 	per := func(nb int) float64 {
-		res, err := RunMix(MixConfig{
-			Capacity: capacity, Buffer: buf, RTT: rtt,
-			Duration: 2 * time.Minute, NumX: nb, NumCubic: n - nb, Seed: 77,
-		})
+		sp := scenario.Mix("bbr", nb, n-nb, capacity, buf, rtt, 2*time.Minute)
+		sp.Seed = 77
+		res, _, err := Run(t.Context(), sp, Env{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return float64(res.PerFlowX)
+		return float64(meanRate(res, 0))
 	}
 
 	rare := per(10) // 5% BBR

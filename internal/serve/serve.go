@@ -92,7 +92,8 @@ type Config struct {
 	// faults; a substitute runs under the same pool, panic shield and
 	// strict-audit check as exp.Run. Like exp.Run it must memoize a result
 	// in env.Cache, which answers the submissions that arrive after the
-	// flight closes.
+	// flight closes, and only a result that passed its audit: the cache
+	// answers without one.
 	Run func(ctx context.Context, sp scenario.Spec, env exp.Env) (exp.SpecResult, bool, error)
 }
 
@@ -218,8 +219,8 @@ func (s *Server) submit(sp scenario.Spec) (key string, raw json.RawMessage, fl *
 		return key, nil, fl, nil
 	}
 	// The key's flight may have finished since the unlocked lookup above:
-	// it memoizes its result before finish removes it under s.mu, so with
-	// the flight gone the cache now holds the answer.
+	// it memoizes a result that passed its audit before finish removes it
+	// under s.mu, so with the flight gone the cache now holds that answer.
 	if raw, ok := s.cfg.Cache.GetRaw(key); ok {
 		s.mu.Unlock()
 		s.instant.Add(1)

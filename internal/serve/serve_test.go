@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -39,12 +40,14 @@ func fakeResult(sp scenario.Spec) exp.SpecResult {
 }
 
 // fake adapts a test's run function to Config.Run. Like exp.Run, it
-// memoizes a successful result in env.Cache under the spec's key.
+// memoizes a successful result in env.Cache under the spec's key, and only
+// a result that passed its audit: one with no violation recorded under the
+// key.
 func fake(run func(ctx context.Context, sp scenario.Spec) (exp.SpecResult, error)) func(context.Context, scenario.Spec, exp.Env) (exp.SpecResult, bool, error) {
 	return func(ctx context.Context, sp scenario.Spec, env exp.Env) (exp.SpecResult, bool, error) {
 		res, err := run(ctx, sp)
-		if err == nil {
-			env.Cache.Put(sp.Key(), res)
+		if key := sp.Key(); err == nil && len(env.Audit.ViolationsFor(key)) == 0 {
+			env.Cache.Put(key, res)
 		}
 		return res, false, err
 	}
@@ -301,6 +304,47 @@ func TestStrictAuditFailsFlight(t *testing.T) {
 	<-fl.done
 	if fl.err != nil {
 		t.Errorf("clean flight after an audit failure: %v", fl.err)
+	}
+}
+
+// TestStrictJournalReplayFailsEverySubmission: on the real exp.Run, a
+// journaled result that breaks an invariant fails every strict submission
+// of its key. Had the first flight promoted it into the cache, the second
+// submission would be answered instantly from Cache.GetRaw, past the
+// audit.
+func TestStrictJournalReplayFailsEverySubmission(t *testing.T) {
+	sp := testSpec(17)
+	sp.Backend = scenario.BackendFluid
+	bad, _, err := exp.Run(t.Context(), sp, exp.Env{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad.Link.Utilization = 2
+	bad.Links[0].Utilization = 2
+	journal, err := runner.OpenJournal(filepath.Join(t.TempDir(), "journal.jsonl"), scenario.KeyVersion)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { journal.Close() })
+	if err := journal.Record(sp.Key(), bad); err != nil {
+		t.Fatal(err)
+	}
+	s := newFakeServer(t, Config{Journal: journal, Audit: check.New(), Pool: runner.NewPool(1)})
+	for i := 1; i <= 2; i++ {
+		_, raw, fl, err := s.submit(sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if raw != nil {
+			t.Fatalf("submission %d was answered from the cache: %s", i, raw)
+		}
+		<-fl.done
+		if fl.err == nil || !strings.Contains(fl.err.Error(), "serve: strict audit: utilization") {
+			t.Fatalf("submission %d: err = %v, want a strict audit failure on utilization", i, fl.err)
+		}
+	}
+	if st := s.Stats(); st.Failed != 2 || st.Instant != 0 {
+		t.Errorf("failed/instant = %d/%d, want 2/0", st.Failed, st.Instant)
 	}
 }
 

@@ -235,6 +235,21 @@ if ! printf '%s\n' "$WARM" | tail -n 1 | grep -q '4 cache hits)$'; then
 	exit 1
 fi
 
+echo "== example outputs (each Go example's stdout against examples/testdata/<name>.golden)"
+# The examples print simulated results through the public facade, so a
+# change to an engine, to a facade call they make or to the specs they
+# build shows up here as a diff. Built once, the four take about 7 s on a
+# 2-vCPU host. Re-record a golden only for a deliberate output change:
+#   go run ./examples/<name> >examples/testdata/<name>.golden
+for ex in quickstart buffer-sizing cdn-bottleneck nash-equilibrium; do
+	go run "./examples/$ex" >"$SMOKE_TMP/$ex.out"
+	if ! cmp -s "$SMOKE_TMP/$ex.out" "examples/testdata/$ex.golden"; then
+		echo "examples: ./examples/$ex no longer prints examples/testdata/$ex.golden:" >&2
+		diff "examples/testdata/$ex.golden" "$SMOKE_TMP/$ex.out" >&2 || true
+		exit 1
+	fi
+done
+
 echo "== journal-replay smoke test (kill a sweep mid-flight, resume, diff)"
 ./scripts/resume_smoke.sh
 
