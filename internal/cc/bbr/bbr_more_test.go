@@ -159,3 +159,41 @@ func steadyCwnd(t *testing.T, gain float64) units.Bytes {
 	}
 	return inst.CongestionWindow()
 }
+
+// sinkBBR keeps the instances TestBtlBwFilterNeverGrows builds on the
+// heap, so that a bare construction allocates exactly what a driven one
+// does before its first ACK.
+var sinkBBR *BBR
+
+// TestBtlBwFilterNeverGrows pins that the bandwidth filter is sized for
+// its whole window at construction: 200 rounds of ACKs allocate nothing
+// beyond what New does. It is the filter's worst case: no sample
+// dominates an earlier one. Each round carries 30 rate samples falling
+// from its first, and each round's first sample is below the one before,
+// over runs of 20 rounds, so every round keeps an entry for the whole
+// window.
+func TestBtlBwFilterNeverGrows(t *testing.T) {
+	const perRound = 30
+	newBBR := func() { sinkBBR = NewWithOptions(cc.Params{}, WithCycleOffset(0)) }
+	drive := func() {
+		newBBR()
+		delivered := units.Bytes(0)
+		for i := 0; i < 200*perRound; i++ {
+			delivered += units.MSS
+			round, k := i/perRound, i%perRound
+			rate := units.Rate(200-5*(round%20)-k/10) * units.Mbps / 10
+			at := time.Duration(i) * time.Millisecond
+			sinkBBR.OnAck(syntheticAck(uint64(i), at, 40*time.Millisecond, rate, delivered, perRound*units.MSS))
+		}
+	}
+	built := testing.AllocsPerRun(20, newBBR)
+	driven := testing.AllocsPerRun(20, drive)
+	if driven != built {
+		t.Fatalf("200 rounds of ACKs allocate %v times, construction alone %v: the bandwidth filter grew", driven, built)
+	}
+	// The window holds rounds 189–199 (counted from 0), and the highest
+	// first sample among them is round 189's: 200 − 5·9 tenths of a Mbps.
+	if got, want := sinkBBR.BtlBw(), 155*units.Mbps/10; got != want {
+		t.Errorf("BtlBw = %v, want %v", got, want)
+	}
+}

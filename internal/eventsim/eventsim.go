@@ -82,7 +82,7 @@ type Handler interface {
 // Wheel geometry. Bucket width is 1<<wheelShift nanoseconds (~33µs), and
 // wheelBuckets of them span a ~268ms horizon — comfortably past the
 // largest ACK delay a WAN-scale scenario schedules, so per-packet events
-// essentially never fall through to the far heap. The wheel costs 36KB, a
+// essentially never fall through to the far heap. The wheel costs 65KB, a
 // fraction of L2, and with packet-level event densities of tens of
 // thousands per simulated second the mean bucket occupancy stays around
 // one, keeping sorted insertion O(1) in practice.
@@ -105,6 +105,15 @@ type entry struct {
 	at  Time
 	seq uint64
 	idx int32 // arena slot
+}
+
+// bucket is one wheel bucket's (at, seq)-sorted list: its head and tail
+// arena slots, -1 when empty. The two sit together so that an insert,
+// which reads the head and then usually appends at the tail, touches one
+// cache line. Keys arrive mostly in ascending order, so most inserts
+// append in O(1).
+type bucket struct {
+	head, tail int32
 }
 
 // record is one scheduled event in the arena. Records are recycled through
@@ -133,8 +142,7 @@ type Loop struct {
 	heap  []entry  // far events (beyond the wheel horizon), 4-ary min-heap by (at, seq)
 
 	// Calendar queue for near events.
-	buckets   []int32  // head arena slot per bucket, -1 when empty
-	tails     []int32  // tail arena slot per bucket; keys arrive mostly in ascending order, so inserts append in O(1)
+	wheel     []bucket // per-bucket sorted lists
 	bits      []uint64 // bucket occupancy bitmap
 	wheelLive int      // events currently in the wheel
 	minVB     int64    // cached smallest at>>wheelShift among wheel residents (valid when minValid)
@@ -188,17 +196,15 @@ func (l *Loop) Reserve(n int) {
 		copy(free, l.free)
 		l.free = free
 	}
-	if l.buckets == nil {
+	if l.wheel == nil {
 		l.initWheel()
 	}
 }
 
 func (l *Loop) initWheel() {
-	l.buckets = make([]int32, wheelBuckets)
-	l.tails = make([]int32, wheelBuckets)
-	for i := range l.buckets {
-		l.buckets[i] = -1
-		l.tails[i] = -1
+	l.wheel = make([]bucket, wheelBuckets)
+	for i := range l.wheel {
+		l.wheel[i] = bucket{-1, -1}
 	}
 	l.bits = make([]uint64, wheelBuckets/64)
 }
@@ -238,7 +244,7 @@ func (l *Loop) insert(idx int32, at Time) {
 	r := &l.recs[idx]
 	r.at = at
 	r.seq = l.seq
-	if l.buckets == nil {
+	if l.wheel == nil {
 		l.initWheel()
 	}
 	if (at>>wheelShift)-(l.now>>wheelShift) < wheelBuckets {
@@ -267,20 +273,20 @@ func (l *Loop) wheelInsert(idx int32, r *record) {
 	} else if l.minValid && vb < l.minVB {
 		l.minVB = vb
 	}
-	head := l.buckets[b]
+	bk := &l.wheel[b]
+	head := bk.head
 	if head < 0 {
 		r.prev, r.next = -1, -1
-		l.buckets[b] = idx
-		l.tails[b] = idx
+		bk.head, bk.tail = idx, idx
 		l.bits[b>>6] |= 1 << (b & 63)
 		l.wheelLive++
 		return
 	}
-	tail := l.tails[b]
+	tail := bk.tail
 	if t := &l.recs[tail]; t.at < r.at || (t.at == r.at && t.seq < r.seq) {
 		r.prev, r.next = tail, -1
 		t.next = idx
-		l.tails[b] = idx
+		bk.tail = idx
 		l.wheelLive++
 		return
 	}
@@ -288,7 +294,7 @@ func (l *Loop) wheelInsert(idx int32, r *record) {
 	if r.at < h.at || (r.at == h.at && r.seq < h.seq) {
 		r.prev, r.next = -1, head
 		h.prev = idx
-		l.buckets[b] = idx
+		bk.head = idx
 		l.wheelLive++
 		return
 	}
@@ -308,7 +314,7 @@ func (l *Loop) wheelInsert(idx int32, r *record) {
 	if r.next >= 0 {
 		l.recs[r.next].prev = idx
 	} else {
-		l.tails[b] = idx
+		bk.tail = idx
 	}
 	l.recs[p].next = idx
 	l.wheelLive++
@@ -322,7 +328,7 @@ func (l *Loop) wheelRemove(idx int32) {
 	if r.prev >= 0 {
 		l.recs[r.prev].next = r.next
 	} else {
-		l.buckets[b] = r.next
+		l.wheel[b].head = r.next
 		if r.next < 0 {
 			l.bits[b>>6] &^= 1 << (b & 63)
 			if vb == l.minVB {
@@ -334,7 +340,24 @@ func (l *Loop) wheelRemove(idx int32) {
 	if r.next >= 0 {
 		l.recs[r.next].prev = r.prev
 	} else {
-		l.tails[b] = r.prev
+		l.wheel[b].tail = r.prev
+	}
+	l.wheelLive--
+}
+
+// wheelPopHead unlinks r, the head of its bucket, as Run does with the
+// queue's minimum: there is no predecessor to relink, and a bucket left
+// empty keeps its stale tail, which nothing reads while its head is -1.
+// The minimum's bucket is the cached minimum bucket (wheelMin left it
+// valid), so emptying it invalidates the cache.
+func (l *Loop) wheelPopHead(r *record) {
+	b := int((r.at >> wheelShift) & (wheelBuckets - 1))
+	l.wheel[b].head = r.next
+	if r.next >= 0 {
+		l.recs[r.next].prev = -1
+	} else {
+		l.bits[b>>6] &^= 1 << (b & 63)
+		l.minValid = false
 	}
 	l.wheelLive--
 }
@@ -351,7 +374,7 @@ func (l *Loop) wheelMin() int32 {
 		return -1
 	}
 	if l.minValid {
-		return l.buckets[int(l.minVB&(wheelBuckets-1))]
+		return l.wheel[int(l.minVB&(wheelBuckets-1))].head
 	}
 	start := int((l.now >> wheelShift) & (wheelBuckets - 1))
 	w0 := start >> 6
@@ -362,7 +385,7 @@ func (l *Loop) wheelMin() int32 {
 			b := w<<6 + bits.TrailingZeros64(word)
 			l.minVB = int64(l.now>>wheelShift) + int64((b-start)&(wheelBuckets-1))
 			l.minValid = true
-			return l.buckets[b]
+			return l.wheel[b].head
 		}
 		w++
 		if w == len(l.bits) {
@@ -587,7 +610,7 @@ func (l *Loop) PeekSameInstant() (kind Kind, target Handler, ok bool) {
 	var seq uint64
 	if l.wheelLive > 0 {
 		b := int((l.now >> wheelShift) & (wheelBuckets - 1))
-		if h := l.buckets[b]; h >= 0 && l.recs[h].at == l.now {
+		if h := l.wheel[b].head; h >= 0 && l.recs[h].at == l.now {
 			idx, seq = h, l.recs[h].seq
 		}
 	}
@@ -637,8 +660,13 @@ func (l *Loop) Run(until Time) uint64 {
 		l.now = r.at
 		kind, target := r.kind, r.target
 		// Detach the record before dispatch: the handler may schedule,
-		// cancel or re-arm freely against a consistent queue.
-		l.detach(idx)
+		// cancel or re-arm freely against a consistent queue. A wheel
+		// minimum is its bucket's head.
+		if r.pos == posWheel {
+			l.wheelPopHead(r)
+		} else {
+			l.heapRemove(int(r.pos))
+		}
 		l.release(idx)
 		target.OnEvent(kind)
 		n++

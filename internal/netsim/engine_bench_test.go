@@ -8,10 +8,11 @@ package netsim_test
 //
 // The set deliberately spans the engine's regimes: a clean ack-clocked
 // mix, a fault-heavy jittered link (drop/loss-detection path, RNG draws,
-// flap and burst event chains), and a many-flow bottleneck (queue depth,
-// pacer-timer churn). Scenario parameters are frozen — changing them
-// breaks comparability of the BENCH_*.json series; add a new scenario
-// instead.
+// flap and burst event chains), a many-flow bottleneck (queue depth,
+// pacer-timer churn), and the NE search's 50-flow payoff shape at 50 and
+// 2 BDP, the shape ne_walk_packet spends its time in. Scenario parameters
+// are frozen — changing them breaks comparability of the BENCH_*.json
+// series; add a new scenario instead.
 //
 // Each op advances an already-warmed simulation by one simulated second,
 // so the numbers reflect steady state, not construction or slow-start.
@@ -89,28 +90,40 @@ func engineScenarios() map[string]scenario.Spec {
 		// deep50: the NE search's deepest buffer (Fig 9's 50 BDP) at its
 		// flow count. The queue takes seconds to drain, so dropped packets
 		// wait that long for loss detection: the drop-train regime, where
-		// live packets outgrow Presize's arena. The allocation guard runs
-		// it; BenchmarkEngine's three-scenario list does not.
-		"deep50": {
-			Capacity:    50 * units.Mbps,
-			Buffer:      units.BufferBytes(50*units.Mbps, 40*time.Millisecond, 50),
-			AckJitter:   scenario.DefaultAckJitter,
-			StartJitter: scenario.DefaultStartJitter,
-			Duration:    time.Hour,
-			Seed:        5,
-			Groups: []scenario.Group{
-				{Algorithm: "bbr", Count: 25, RTT: 40 * time.Millisecond},
-				{Algorithm: "cubic", Count: 25, RTT: 40 * time.Millisecond},
-			},
+		// live packets outgrow Presize's arena.
+		"deep50": payoffShape(50, 5),
+		// ne2bdp: deep50's twin at 2 BDP, where the NE walk's equilibria
+		// lie: a sub-second queue, frequent drops and BBR's gain cycling
+		// against a standing CUBIC queue.
+		"ne2bdp": payoffShape(2, 5),
+	}
+}
+
+// payoffShape is the NE search's payoff simulation: 25 BBR and 25 CUBIC
+// flows on a 50 Mbps, 40 ms link buffered to bdp bandwidth-delay products.
+func payoffShape(bdp float64, seed uint64) scenario.Spec {
+	return scenario.Spec{
+		Capacity:    50 * units.Mbps,
+		Buffer:      units.BufferBytes(50*units.Mbps, 40*time.Millisecond, bdp),
+		AckJitter:   scenario.DefaultAckJitter,
+		StartJitter: scenario.DefaultStartJitter,
+		Duration:    time.Hour,
+		Seed:        seed,
+		Groups: []scenario.Group{
+			{Algorithm: "bbr", Count: 25, RTT: 40 * time.Millisecond},
+			{Algorithm: "cubic", Count: 25, RTT: 40 * time.Millisecond},
 		},
 	}
 }
+
+// engineBenchScenarios is BenchmarkEngine's list, in record order.
+var engineBenchScenarios = []string{"mix10", "faulted", "flows40", "deep50", "ne2bdp"}
 
 // BenchmarkEngine advances each warmed scenario one simulated second per op
 // and reports events/op alongside the standard ns/op and allocs/op, from
 // which scripts/bench.sh derives events/sec, ns/event and allocs/event.
 func BenchmarkEngine(b *testing.B) {
-	for _, name := range []string{"mix10", "faulted", "flows40"} {
+	for _, name := range engineBenchScenarios {
 		sp := engineScenarios()[name]
 		b.Run(name, func(b *testing.B) {
 			n, _, err := netsim.Build(sp)
@@ -142,7 +155,7 @@ func TestEngineScenariosValid(t *testing.T) {
 			t.Errorf("benchmark scenario %s no longer builds: %v", name, err)
 		}
 	}
-	for _, name := range []string{"mix10", "faulted", "flows40"} {
+	for _, name := range engineBenchScenarios {
 		if _, ok := engineScenarios()[name]; !ok {
 			t.Errorf("benchmark scenario %s missing from set", name)
 		}

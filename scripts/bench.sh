@@ -3,9 +3,10 @@
 #
 # Two suites, selected with -s:
 #
-#   engine (default): BenchmarkEngine — the frozen three-scenario suite in
+#   engine (default): BenchmarkEngine — the frozen five-scenario suite in
 #   internal/netsim/engine_bench_test.go, where each op advances a warmed
-#   simulation by one simulated second. The record carries per scenario the
+#   simulation by one simulated second; deep50 and ne2bdp are the NE
+#   search's 50-flow payoff shape. The record carries per scenario the
 #   best-of-count wall time per simulated second, live events per simulated
 #   second, ns/event, events/sec of wall time and allocs/event.
 #

@@ -26,15 +26,18 @@ fi
 echo "== go test ./..."
 go test ./...
 
-echo "== inlining guard (rng draws, fluid step helpers)"
-# Best-response revision, netsim's per-packet jitter and loss draws and the
-# fluid step were measured with these calls inlined. A change that pushes
-# one past the compiler's budget turns each draw or clamp into a call and
-# changes no output, so no test would notice. The build cache replays the
-# compiler's diagnostics, so this step takes about a second.
-INLINE=$(go build -gcflags=-m ./internal/rng ./internal/fluid 2>&1)
+echo "== inlining guard (rng draws, fluid step helpers, event-queue pop, windowed filters)"
+# Best-response revision, netsim's per-packet jitter and loss draws (the
+# ACK jitter is a Duration draw, its divide included), the fluid step,
+# Run's pop of a wheel minimum and BBR's per-ACK bandwidth filter update
+# were measured with these calls inlined. A change that pushes one past
+# the compiler's budget turns each draw, clamp, pop or update into a call
+# and changes no output, so no test would notice. The build cache replays
+# the compiler's diagnostics, so this step takes about a second.
+INLINE=$(go build -gcflags=-m ./internal/rng ./internal/fluid ./internal/eventsim ./internal/cc 2>&1)
 for want in 'rng Source.Next' 'rng (*Source).Uint64' 'rng (*Source).Float64' 'rng (*Source).Duration' \
-	'fluid nonNeg' 'fluid below' 'fluid above' 'fluid raise' 'fluid lower'; do
+	'fluid nonNeg' 'fluid below' 'fluid above' 'fluid raise' 'fluid lower' \
+	'eventsim (*Loop).wheelPopHead' 'cc (*MaxFilter).Update' 'cc (*MinFilter).Update'; do
 	pkg=${want%% *} fn=${want#* }
 	if ! printf '%s\n' "$INLINE" | sed -n "s|^internal/$pkg/[^ ]*: can inline ||p" | grep -xF "$fn" >/dev/null; then
 		echo "inlining guard: go build -gcflags=-m ./internal/$pkg no longer reports \"can inline $fn\"" >&2
@@ -44,6 +47,9 @@ done
 
 echo "== event-queue differential fuzz (FuzzLoopOrder, 10 s)"
 go test ./internal/eventsim -run '^$' -fuzz '^FuzzLoopOrder$' -fuzztime 10s
+
+echo "== windowed-filter differential fuzz (FuzzWindowFilters, 10 s)"
+go test ./internal/cc -run '^$' -fuzz '^FuzzWindowFilters$' -fuzztime 10s
 
 echo "== spec JSON round-trip fuzz (FuzzSpecJSON, 10 s)"
 go test ./internal/scenario -run '^$' -fuzz '^FuzzSpecJSON$' -fuzztime 10s
