@@ -54,9 +54,7 @@ func (c CrossValConfig) withDefaults() CrossValConfig {
 		c.Scale.FlowDuration = 2 * time.Minute
 	}
 	if len(c.BufferBDPs) == 0 {
-		// The paper's Fig 1 buffer grid (see figures.go and the Arange
-		// regression tests pinning its size).
-		c.BufferBDPs = numeric.Arange(1, 50, 2)
+		c.BufferBDPs = CrossValBuffers()
 	}
 	if len(c.Mixes) == 0 {
 		c.Mixes = [][2]int{{1, 1}, {2, 2}, {4, 4}}
@@ -66,6 +64,11 @@ func (c CrossValConfig) withDefaults() CrossValConfig {
 	}
 	return c
 }
+
+// CrossValBuffers returns the buffer depths CrossValidate runs when
+// BufferBDPs is empty: the paper's Fig 1 buffer grid (see figures.go and
+// the Arange regression tests pinning its size).
+func CrossValBuffers() []float64 { return numeric.Arange(1, 50, 2) }
 
 // spec is the grid point at buf BDP and mix (NumBBR, NumCubic) on one
 // backend.
